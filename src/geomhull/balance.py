@@ -1,11 +1,9 @@
-"""Sign balancing and the constants it feeds.
+"""Sign balancing and the balanced representation pipeline.
 
-Sequential and exhaustive sign choices for vector tuples, the balancing
-constant and equal-norm type constant estimates built on them, the halving
-step that turns a 2N-term average into an N-term average plus a small
-defect, and the end-to-end pipeline that converts envelope-ball membership
-into a geometric-series representation.  Also the closed-form theta and
-subspace-dimension formulas used when calibrating that pipeline.
+Sequential and exhaustive sign choices for vector tuples, the halving step
+that turns a 2N-term average into an N-term average plus a small defect, and
+the end-to-end pipeline that converts envelope-ball membership into a
+geometric-series representation.
 """
 
 from __future__ import annotations
@@ -21,29 +19,6 @@ from .hulls import DeltaMCertificate, GammaOverDeltaM, approx2_transform
 
 
 @dataclass
-class GaugeSpace:
-    """A dimension with a batch gauge callback (rows in, values out).
-
-    family tags spaces with known closed-form behavior: "euclidean" or "l1";
-    None means nothing is assumed beyond the callback.
-    """
-
-    dimension: int
-    gauge: object
-    family: str | None = None
-
-
-def euclidean_space(n):
-    return GaugeSpace(n, lambda X: np.linalg.norm(np.atleast_2d(X), axis=1),
-                      family="euclidean")
-
-
-def l1_space(n):
-    return GaugeSpace(n, lambda X: np.abs(np.atleast_2d(X)).sum(axis=1),
-                      family="l1")
-
-
-@dataclass
 class BalanceReport:
     N: int
     signs: np.ndarray
@@ -52,13 +27,12 @@ class BalanceReport:
     method: str
 
 
-def greedy_signs(vectors, norm=None) -> BalanceReport:
+def greedy_signs(vectors) -> BalanceReport:
     """Pick signs sequentially, each minimizing the norm of the partial sum.
 
-    With the default Euclidean norm the choice is sign = -sign(<partial, x>),
-    the square never grows faster than sum ||x_k||^2, and the final sum obeys
-    ||sum eps x|| <= sqrt(N) max||x|| (both asserted).  A batch gauge callback
-    switches the comparison to that gauge.
+    The choice is sign = -sign(<partial, x>), the square never grows faster
+    than sum ||x_k||^2, and the final sum obeys
+    ||sum eps x|| <= sqrt(N) max||x|| (both asserted).
     """
     X = np.atleast_2d(np.asarray(vectors, dtype=float))
     N = X.shape[0]
@@ -66,28 +40,19 @@ def greedy_signs(vectors, norm=None) -> BalanceReport:
         raise InputError("need at least one vector")
     signs = np.ones(N)
     partial = np.zeros(X.shape[1])
-    if norm is None:
-        budget = 0.0
-        for k in range(N):
-            dot = partial @ X[k]
-            if dot > 0:
-                signs[k] = -1.0
-            partial = partial + signs[k] * X[k]
-            budget += X[k] @ X[k]
-            if partial @ partial > budget * (1 + 1e-9) + 1e-12:
-                raise NumericalError("greedy square growth invariant violated")
-        sum_norm = float(np.linalg.norm(partial))
-        bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
-        if sum_norm > bound * (1 + 1e-9) + 1e-12:
-            raise NumericalError("greedy final bound violated")
-    else:
-        for k in range(N):
-            two = norm(np.vstack([partial + X[k], partial - X[k]]))
-            if two[1] < two[0]:
-                signs[k] = -1.0
-            partial = partial + signs[k] * X[k]
-        sum_norm = float(norm(partial[None, :])[0])
-        bound = float(norm(X).sum())  # one-term-at-a-time triangle estimate
+    budget = 0.0
+    for k in range(N):
+        dot = partial @ X[k]
+        if dot > 0:
+            signs[k] = -1.0
+        partial = partial + signs[k] * X[k]
+        budget += X[k] @ X[k]
+        if partial @ partial > budget * (1 + 1e-9) + 1e-12:
+            raise NumericalError("greedy square growth invariant violated")
+    sum_norm = float(np.linalg.norm(partial))
+    bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
+    if sum_norm > bound * (1 + 1e-9) + 1e-12:
+        raise NumericalError("greedy final bound violated")
     return BalanceReport(N=N, signs=signs, sum_norm=sum_norm,
                          bound_used=bound, method="greedy")
 
@@ -101,105 +66,21 @@ def _half_sign_chunks(N, chunk=1 << 18):
         yield np.hstack([np.ones((idx.size, 1)), 1.0 - 2.0 * bits])
 
 
-def exhaustive_signs(vectors, norm=None) -> BalanceReport:
+def exhaustive_signs(vectors) -> BalanceReport:
     """Best sign assignment by full enumeration (first sign +1 by symmetry)."""
     X = np.atleast_2d(np.asarray(vectors, dtype=float))
     N = X.shape[0]
     if N > 24:
         raise InputError("exhaustive sign search is capped at 24 vectors")
-    if norm is None:
-        norm = lambda Y: np.linalg.norm(Y, axis=1)
     best = None
     for E in _half_sign_chunks(N):
-        vals = norm(E @ X)
+        vals = np.linalg.norm(E @ X, axis=1)
         j = int(np.argmin(vals))
         if best is None or vals[j] < best[0]:
             best = (float(vals[j]), E[j].copy())
     bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
     return BalanceReport(N=N, signs=best[1], sum_norm=best[0],
                          bound_used=bound, method="exhaustive")
-
-
-def _sign_average(X, norm):
-    total = 0.0
-    count = 0
-    for E in _half_sign_chunks(X.shape[0]):
-        vals = norm(E @ X)
-        total += float(vals.sum())
-        count += vals.size
-    return total / count
-
-
-def _tuple_candidates(space: GaugeSpace, N, trials, rng):
-    """Unit-gauge tuples worth trying: basis cycles, random, and perturbations."""
-    n = space.dimension
-    basis = np.eye(n)[np.arange(N) % n]
-    cands = [basis]
-    for _ in range(trials):
-        cands.append(rng.standard_normal((N, n)))
-    out = []
-    for T in cands:
-        g = space.gauge(T)
-        if (g < 1e-12).any():
-            continue
-        out.append(T / g[:, None])
-    return out
-
-
-def bN_estimate(space: GaugeSpace, N, trials=20, seed=0):
-    """Estimate the balancing constant: best signs make averages this small.
-
-    Lower estimate: max over candidate tuples of
-    min_signs ||sum eps x|| / (N max gauge), exhaustive when N <= 24 and
-    greedy beyond.  Upper estimate: the Euclidean greedy guarantee N^(-1/2)
-    when the space is Euclidean, else the trivial 1.
-    """
-    if N < 1:
-        raise InputError("N must be at least 1")
-    rng = np.random.default_rng(seed)
-    lower = 0.0
-    for T in _tuple_candidates(space, N, trials, rng):
-        if N <= 24:
-            rep = exhaustive_signs(T, norm=space.gauge)
-        else:
-            rep = greedy_signs(T, norm=space.gauge)
-        lower = max(lower, rep.sum_norm / N)
-    upper = N ** -0.5 if space.family == "euclidean" else 1.0
-    return lower, upper
-
-
-@dataclass
-class TypeConstantReport:
-    q: float
-    q_prime: float
-    N: int
-    Tq_lower: float
-    method: str
-    witness: np.ndarray
-
-
-def Tq_estimate(space: GaugeSpace, q, N, trials=20, seed=0) -> TypeConstantReport:
-    """Lower estimate of the equal-norm type constant by exact sign averages.
-
-    For each candidate unit-gauge tuple, the average of ||sum eps x|| over
-    all 2^N sign patterns is computed exactly by enumeration and divided by
-    N^(1/q); the report keeps the best tuple as witness.
-    """
-    if not 1 < q <= 2:
-        raise InputError("q must lie in (1, 2]")
-    if N > 20:
-        raise InputError("exact sign-average enumeration is capped at N = 20")
-    if N < 1:
-        raise InputError("N must be at least 1")
-    rng = np.random.default_rng(seed)
-    best = (0.0, None)
-    for T in _tuple_candidates(space, N, trials, rng):
-        ratio = _sign_average(T, space.gauge) / N ** (1.0 / q)
-        if ratio > best[0]:
-            best = (ratio, T)
-    q_prime = q / (q - 1.0)
-    return TypeConstantReport(q=q, q_prime=q_prime, N=N, Tq_lower=best[0],
-                              method="exhaustive-average", witness=best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -336,51 +217,3 @@ def type1_represent(S: GeneratingSet, theta, m, x, levels=40, tolerance=1e-9,
     rep.residual_norm = float(tail / total_scale)
     return rep, total_scale
 
-
-# ---------------------------------------------------------------------------
-# closed-form theta and dimension formulas
-# ---------------------------------------------------------------------------
-
-def type2_theta(q, Tq):
-    """Theta from the type constant, with the companion envelope scale 12."""
-    if not 1 < q <= 2:
-        raise InputError("q must lie in (1, 2]")
-    if Tq < 1:
-        raise InputError("type constants are at least 1")
-    q_prime = q / (q - 1.0)
-    theta = 1.0 - 0.25 * ((2.0 ** (1.0 / q_prime) - 1.0) / (2.0 * Tq)) ** q_prime
-    return theta, 12.0
-
-
-def elton_theta(m, c0=0.9, C=10.0):
-    """Theta from the dimension of a nearly-l1 subspace (calibrated constants).
-
-    The constants c0 and C are calibration entries, not derived values; the
-    formula is 1 - (1/2)(Cm)^(-C ln ln(Cm)) with natural logarithms.
-    """
-    if m < 2:
-        raise InputError("m must be at least 2")
-    if C < 1:
-        raise InputError("C must be at least 1")
-    if not 0.5 <= c0 < 1:
-        raise InputError("c0 must lie in [1/2, 1)")
-    if C * m <= math.e:
-        raise InputError("C*m must exceed e for the iterated logarithm")
-    return 1.0 - 0.5 * (C * m) ** (-C * math.log(math.log(C * m)))
-
-
-def corollary_l1_bound(delta, p, c=0.1, C=8.0):
-    """Dimension lower bound for a nearly-l1 subspace from the non-convexity.
-
-    Returns (bound, A) with A = C * delta^(p/(1-p)) and
-    bound = c * p * exp(ln A / ln ln A).  Reporting only.
-    """
-    if not 0 < p < 1:
-        raise InputError("p must lie in (0, 1)")
-    if delta < 1:
-        raise InputError("non-convexity is at least 1")
-    A = C * delta ** (p / (1.0 - p))
-    if A <= math.e ** math.e:
-        raise InputError(f"A = {A:.6g} must exceed e^e for the bound to apply")
-    bound = c * p * math.exp(math.log(A) / math.log(math.log(A)))
-    return bound, A

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError, NumericalError, PhaseError
-from .optim import _simplex_standard, max_gauge_over_polytope, mvee
+from .errors import DegeneracyError, InputError, NumericalError
+from .optim import _simplex_standard, max_gauge_over_polytope
 
 
 def fmt17(x):
@@ -33,6 +33,10 @@ class GeneratingSet:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if self.dimension < 1:
+            raise InputError("the dimension must be at least 1")
+        if self.points.ndim != 2:
+            raise InputError("points must form a 2-d array, one point per row")
         if self.points.shape[0] < 1:
             raise InputError("a generating set needs at least one point")
         if self.points.shape[1] != self.dimension:
@@ -221,108 +225,9 @@ def delta_nonconvexity(body: PBody, restarts=32, seed=0, method="auto"):
     return max(value, 1.0)  # the p-hull ball itself sits inside the envelope
 
 
-def cube_sandwich(S: GeneratingSet, tolerance=1e-8):
-    """Check B_infty subset of the envelope ball; return the outer scale d.
-
-    Every vertex of {-1,1}^n must have envelope gauge <= 1 (vertices that
-    are themselves generators are certified directly; the rest by LP), and
-    d = max_i ||s_i||_infty so that the envelope ball sits inside d*B_infty.
-    """
-    n = S.dimension
-    if n > 20:
-        raise InputError("cube sandwich is capped at dimension 20")
-    generator_rows = {tuple(row) for row in S.points}
-    for mask in range(2 ** (n - 1)):  # vertex and its negation share a gauge
-        bits = [(mask >> j) & 1 for j in range(n - 1)] + [1]
-        a = np.where(bits, 1.0, -1.0)
-        key = tuple(a)
-        if key in generator_rows or tuple(-a) in generator_rows:
-            continue
-        cert = envelope_gauge(S, a)
-        if cert.value > 1.0 + tolerance:
-            raise PhaseError("cube-sandwich",
-                             f"cube vertex outside the envelope (gauge {cert.value:.6g})",
-                             vertex=a.tolist())
-    return float(np.abs(S.points).max())
-
-
-def dx_estimate(S: GeneratingSet, tolerance=1e-7, seed=0, directions=100):
-    """Euclidean-distance estimate of the envelope ball via its enclosing ellipsoid.
-
-    Computes the minimum-volume ellipsoid E of +-S and the smallest r with
-    E/r inside the envelope ball, i.e. the maximum envelope gauge over the
-    boundary of E.  The maximum of this convex function is attained at a
-    vertex of the dual polytope {u : |<u, s_i>| <= 1}; vertices are reached
-    by linearized ascent where each step's LP is the envelope-gauge dual.
-    Axis points and sampled support ratios are folded in as lower bounds.
-    """
-    E = mvee(S.points, tolerance=tolerance)
-    Q = E.scale * np.linalg.inv(E.shape_matrix)
-    Q = 0.5 * (Q + Q.T)
-    n = S.dimension
-    rng = np.random.default_rng(seed)
-
-    eigval, eigvec = np.linalg.eigh(Q)
-    starts = [eigvec[:, i] for i in range(n)]
-    starts += [rng.standard_normal(n) for _ in range(8)]
-    best_sq = 0.0
-    for u in starts:
-        u = u / np.linalg.norm(u)
-        for _ in range(50):
-            w = Q @ u
-            cert_dual = _dual_vertex(S, w)
-            if cert_dual is None:
-                break
-            val_new = float(cert_dual @ Q @ cert_dual)
-            if val_new <= u @ Q @ u + 1e-12:
-                u = cert_dual
-                break
-            u = cert_dual
-        best_sq = max(best_sq, float(u @ Q @ u))
-
-    r = np.sqrt(best_sq)
-    for y in E.axis_points():
-        r = max(r, envelope_gauge(S, y).value)
-    for _ in range(directions):
-        u = rng.standard_normal(n)
-        h_hull = np.abs(S.points @ u).max()
-        r = max(r, E.support(u) / h_hull)
-    return max(r, 1.0)
-
-
-def _dual_vertex(S, w):
-    """Maximizer of <w, u> over {u : |<u, s_i>| <= 1}: the envelope LP dual."""
-    k = S.count
-    A = np.hstack([S.points.T, -S.points.T])
-    status, _, y, _ = _simplex_standard(np.ones(2 * k), A, np.asarray(w, dtype=float))
-    if status != "optimal" or y is None:
-        return None
-    return y
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
-
-def save_generating_set_csv(S: GeneratingSet, path):
-    with open(path, "w") as fh:
-        for row in S.points:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
-
-
-def load_generating_set_csv(path, label="") -> GeneratingSet:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise InputError(f"{path}: no points")
-    pts = np.asarray(rows, dtype=float)
-    return GeneratingSet(dimension=pts.shape[1], points=pts, label=label)
-
 
 def generating_set_to_json(S: GeneratingSet, p=None):
     """Serialize to the interchange object; floats carry 17 significant digits."""
@@ -345,14 +250,38 @@ def save_generating_set_json(S: GeneratingSet, path, p=None):
 
 
 def load_generating_set_json(path):
-    """Read a generating set; returns (GeneratingSet, p-or-None)."""
+    """Read a generating set; returns (GeneratingSet, p-or-None).
+
+    Every malformed file raises InputError: text that is not JSON, a top
+    level that is not an object, a missing field, a dimension that is not an
+    integer, points that are not a rectangular numeric array, or a p that is
+    not a number.
+    """
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
     try:
-        pts = np.asarray(obj["points"], dtype=float)
-        gs = GeneratingSet(dimension=int(obj["dimension"]), points=pts,
-                           label=obj.get("label", ""))
+        dimension, points = obj["dimension"], obj["points"]
     except KeyError as exc:
-        raise InputError(f"{path}: missing field {exc}")
+        raise InputError(f"{path}: missing field {exc}") from None
+    if isinstance(dimension, bool) or not isinstance(dimension, int):
+        raise InputError(f"{path}: dimension must be an integer, got {dimension!r}")
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{path}: points must be a rectangular array of floats") from None
     p = obj.get("p")
-    return gs, (float(p) if p is not None else None)
+    if p is not None:
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise InputError(f"{path}: p must be a number, got {p!r}")
+        try:
+            p = float(p)
+        except OverflowError:
+            raise InputError(f"{path}: p does not fit in a float") from None
+    gs = GeneratingSet(dimension=dimension, points=pts,
+                       label=obj.get("label", ""))
+    return gs, p

@@ -26,18 +26,19 @@ import numpy as np
 
 from . import __version__
 from .balance import type1_represent
-from .bodies import (GeneratingSet, PBody, delta_nonconvexity, envelope_gauge,
-                     fmt17, lp_ball_body, load_generating_set_json,
-                     save_generating_set_json)
+from .bodies import (GeneratingSet, PBody, delta_nonconvexity, fmt17,
+                     generating_set_to_json, lp_ball_body,
+                     load_generating_set_json, save_generating_set_json)
 from .cube import (Calibration, VertexSet, alesker_chain, chain_constants,
                    chain_cube_certificate, counting_select,
                    cube_quotient, cubic_quotient_from_nonconvexity,
-                   l1_to_cube_operator, pnormed_quotient, vector_of_mask,
-                   vertex_generating_set, vertex_set_from_generating_set)
+                   pnormed_quotient, vertex_generating_set,
+                   vertex_set_from_generating_set)
 from .dvoretzky import dvoretzky_search, ellipsoid_gamma_represent
 from .errors import (BudgetError, ContractionError, InputError,
                      NumericalError, PhaseError)
-from .hulls import approx2_transform, verify_pconv_contraction
+from .hulls import (DeltaMCertificate, GammaOverDeltaM, approx2_transform,
+                    verify_pconv_contraction)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -95,6 +96,25 @@ def _parse_scalar(text):
         return text
 
 
+# RunConfig field -> declared type ("str", "int" or "float"), for checking
+# config-file values; calibration is built from the const.* keys instead
+FIELD_TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)
+               if f.name != "calibration"}
+
+
+def _config_value(key, kind, value):
+    """A config-file value checked against its field type; InputError if it misfits."""
+    if kind == "str":
+        return str(value)
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    allowed = int if kind == "int" else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind == "int" else "a number"
+        raise InputError(f"config key {key!r} must be {noun}, got {value!r}")
+    return value
+
+
 def read_config_file(path):
     """Flat key=value lines; # starts a comment; later keys win."""
     out = {}
@@ -119,8 +139,11 @@ def build_config(args) -> RunConfig:
         for key in list(file_cfg):
             name = key[6:] if key.startswith("const.") else key
             if name in CONST_NAMES:
-                const_file[name] = float(file_cfg.pop(key))
-        merged.update(file_cfg)
+                value = file_cfg.pop(key)
+                const_file[name] = _config_value(key, "float", value)
+        merged.update({key: _config_value(key, FIELD_TYPES[key], value)
+                       if key in FIELD_TYPES else value
+                       for key, value in file_cfg.items()})
         merged["calibration"] = Calibration.from_mapping(const_file) \
             if const_file else Calibration()
     field_names = {f.name for f in fields(RunConfig)}
@@ -252,7 +275,6 @@ def cmd_generate(cfg: RunConfig):
     elif cfg.out:
         save_generating_set_json(S, cfg.out, p=p)
     else:
-        from .bodies import generating_set_to_json
         sys.stdout.write(generating_set_to_json(S, p=p))
     return EXIT_PASS
 
@@ -307,7 +329,7 @@ def verify_pconv(cfg: RunConfig):
         S, p = _loaded_input(cfg)
         if p is None:
             raise InputError("pconv verification needs a generating set with p")
-        body = PBody(S, p)
+        body = _body_from(S, p)
     else:
         # no instance file: check the signed basis in dimension n (default 3)
         if cfg.p is None:
@@ -328,7 +350,6 @@ def verify_pconv(cfg: RunConfig):
 
 def _random_hull_element(S, theta, m, depth, rng):
     """A random average-of-averages series element, as nested certificates."""
-    from .hulls import DeltaMCertificate, GammaOverDeltaM
     k = S.count
     terms = []
     for level in range(depth):
@@ -356,13 +377,10 @@ def verify_approx2(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     trials = min(cfg.trials, 200)
     worst_scale, worst_err, samples = 0.0, 0.0, []
-    target = None
     for t in range(trials):
         m = int(rng.choice([2, 3, 5]))
         outer = _random_hull_element(S, theta, m, depth=6, rng=rng)
         rep, scale = approx2_transform(S, theta, outer)
-        phi = theta ** (1.0 / m)
-        target = (1.0 - theta) * phi ** (1 - m) / (m * (1.0 - phi))
         err = float(np.linalg.norm(scale * rep.evaluate(S) - outer.evaluate(S)))
         worst_scale = max(worst_scale, scale)
         worst_err = max(worst_err, err)
@@ -742,10 +760,10 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NumericalError, PhaseError, ContractionError) as exc:
+    except (NumericalError, PhaseError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,6 +13,7 @@ the all-plus vertex.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,7 @@ import numpy as np
 from .bodies import GeneratingSet, PBody, delta_nonconvexity, envelope_gauge
 from .errors import BudgetError, InputError, NumericalError, PhaseError
 from .hulls import (DeltaMCertificate, GammaOverDeltaM, GammaRepresentation,
-                    approx2_transform, pconv_contraction_bound)
+                    approx2_transform, flatten_scale, pconv_contraction_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +117,6 @@ class VertexSet:
     def to_points(self):
         return np.array([self.vector(m) for m in sorted(self.members)], dtype=float)
 
-    def pattern(self, mask):
-        return "".join("-" if (mask >> j) & 1 else "+" for j in range(self.n))
-
 
 def mask_of_vector(row):
     mask = 0
@@ -130,36 +128,6 @@ def mask_of_vector(row):
 
 def vector_of_mask(n, mask):
     return np.array([1.0 - 2.0 * ((mask >> j) & 1) for j in range(n)])
-
-
-def save_vertex_set(V: VertexSet, path):
-    with open(path, "w") as fh:
-        for mask in sorted(V.members):
-            fh.write(V.pattern(mask) + "\n")
-
-
-def load_vertex_set(path) -> VertexSet:
-    masks = set()
-    n = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if n is None:
-                n = len(line)
-            elif len(line) != n:
-                raise InputError("inconsistent vertex line lengths")
-            mask = 0
-            for j, ch in enumerate(line):
-                if ch == "-":
-                    mask |= 1 << j
-                elif ch != "+":
-                    raise InputError(f"bad vertex character {ch!r}")
-            masks.add(mask)
-    if n is None:
-        raise InputError("empty vertex file")
-    return VertexSet(n=n, members=frozenset(masks))
 
 
 def vertex_set_from_generating_set(S: GeneratingSet) -> VertexSet:
@@ -187,47 +155,14 @@ def _split_classes(classes, j):
     return out
 
 
-def find_shattered(V: VertexSet, target_size, node_budget=10 ** 7):
-    """Lexicographically first coordinate subset of the given size shattered by V.
+def _max_shattered(V: VertexSet, node_budget=10 ** 7):
+    """Largest shattered subset, lexicographically first among the largest.
 
     Depth-first over subsets in lexicographic order, pruning prefixes that
     already fail -- shattering is closed under taking subsets, so a failed
-    prefix kills the whole branch.  Returns None only when the search ran to
-    completion, so absence is proven; exceeding the node budget raises
-    BudgetError instead.
+    prefix kills the whole branch -- and branches too short to beat the best.
+    Exceeding the node budget raises BudgetError.
     """
-    if not 0 <= target_size <= V.n:
-        raise InputError("target size out of range")
-    if target_size == 0:
-        return ()
-    if V.count < (1 << target_size):
-        return None
-    nodes = 0
-    root = [list(V.members)]
-
-    def extend(coords, classes, start):
-        nonlocal nodes
-        for j in range(start, V.n - (target_size - len(coords) - 1)):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("shattered-subset search budget exhausted",
-                                  nodes=nodes)
-            refined = _split_classes(classes, j)
-            if refined is None:
-                continue
-            picked = coords + (j,)
-            if len(picked) == target_size:
-                return picked
-            found = extend(picked, refined, j + 1)
-            if found is not None:
-                return found
-        return None
-
-    return extend((), root, 0)
-
-
-def _max_shattered(V: VertexSet, node_budget=10 ** 7):
-    """Largest shattered subset, lexicographically first among the largest."""
     nodes = 0
     best = ()
     root = [list(V.members)]
@@ -744,8 +679,7 @@ class QuotientReport:
             "vertex_certificates": self.vertex_certificates,
             "certificates": self.certificates,
         }
-        import json as _json
-        return _json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
 
 
 def _sanitize(obj):
@@ -962,8 +896,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
 
     theta_asm = 0.75
     flat_m = 2 * M
-    phi = theta_asm ** (1.0 / flat_m)
-    flat_scale = (1.0 - theta_asm) * phi ** (1 - flat_m) / (flat_m * (1.0 - phi))
+    phi, flat_scale = flatten_scale(theta_asm, flat_m)
     C_over_eps = a_s * flat_scale / (1.0 - theta_asm)
     theta_formula = 1.0 - cal.c * d ** -2 * epsilon ** 5 \
         / (1.0 - math.log(epsilon))
@@ -989,8 +922,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     for q in range(queries):
         x = points[q]
         rep = represent_cube_point(report, S, x)
-        achieved = C_over_eps * rep.evaluate(S)[sigma_idx]
-        residual = float(np.linalg.norm(x - achieved))
+        residual = rep.residual_norm * C_over_eps
         ok = residual <= query_tolerance
         verified += ok
         records.append({"query": [float(v) for v in x],

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import GeneratingSet, fmt17
+from .bodies import GeneratingSet
 from .errors import ContractionError, InputError, NumericalError
 from .hulls import GammaRepresentation
 from .optim import Ellipsoid, mvee
-
-ENORM_TOL = 1e-9
 
 
 @dataclass
@@ -145,7 +143,7 @@ def ellipsoid_gamma_represent(projected: GeneratingSet, E: Ellipsoid, theta, y,
     if y.shape != (projected.dimension,):
         raise InputError("point dimension mismatch")
     M = E.shape_matrix / E.scale
-    L = np.linalg.cholesky(M + ENORM_TOL * 0.0)
+    L = np.linalg.cholesky(M)
     W = projected.points @ L          # rows: whitened generators
     wnorms = np.linalg.norm(W, axis=1)
     if wnorms.max() > 1.0 + 1e-6:

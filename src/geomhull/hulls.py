@@ -4,20 +4,21 @@ Three hulls of a generating set S appear here: the envelope ball (handled in
 bodies), the m-term average hull (points (1/m) sum alpha_i s_i with integer
 multiplicity budget m), and the theta-geometric hull (series
 (1-theta) sum theta^k lambda_k s_k with |lambda_k| <= 1).  Membership in the
-average hull is decided exactly by branch-and-bound; geometric-hull
-membership is one-sided, so verdicts are member / unknown.
+average hull is decided exactly by branch-and-bound.  Geometric-hull points
+travel as representations: the contraction bound says how far such a series
+can stick out of a p-convex ball, and the flattening transform turns a series
+over m-term averages into a plain series over S.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import GeneratingSet, PBody, fmt17
+from .bodies import GeneratingSet, PBody
 from .errors import InputError
 from .optim import LPProblem, solve_lp
 
@@ -54,25 +55,6 @@ class GammaRepresentation:
         for level, lam, idx in self.terms:
             x += (1.0 - self.theta) * self.theta ** level * lam * S.points[idx]
         return x
-
-    def to_json(self):
-        rows = ",\n".join(
-            f"    [{level}, {fmt17(lam)}, {idx}]" for level, lam, idx in self.terms)
-        body = "" if not self.terms else "\n" + rows + "\n  "
-        return ("{\n"
-                f'  "theta": {fmt17(self.theta)},\n'
-                f'  "truncation_depth": {self.truncation_depth},\n'
-                f'  "residual_norm": {fmt17(self.residual_norm)},\n'
-                f'  "terms": [{body}]\n'
-                "}\n")
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        terms = [(int(k), float(l), int(i)) for k, l, i in obj["terms"]]
-        return cls(theta=float(obj["theta"]), terms=terms,
-                   truncation_depth=int(obj["truncation_depth"]),
-                   residual_norm=float(obj["residual_norm"]))
 
 
 @dataclass
@@ -212,85 +194,6 @@ def delta_m_membership(S: GeneratingSet, m: int, x, node_budget=10 ** 6) -> Delt
 # geometric hull
 # ---------------------------------------------------------------------------
 
-def default_truncation_depth(S: GeneratingSet, theta, tolerance):
-    """Depth K with tail (1-theta) sum_{k>K} theta^k max||s|| below tolerance."""
-    diameter = float(np.linalg.norm(S.points, axis=1).max())
-    if tolerance >= diameter:
-        return 0
-    return max(0, math.ceil(math.log(tolerance / diameter) / math.log(theta)))
-
-
-def gamma_greedy_represent(S: GeneratingSet, theta, x, K=None,
-                           tolerance=1e-9) -> GammaRepresentation:
-    """Greedy geometric-series representation of x over S.
-
-    At level k with residual r, picks the generator s and coefficient
-    lambda = clamp(<r,s> / ((1-theta) theta^k ||s||^2), [-1,1]) that minimize
-    the next residual, lowest index first on ties.  Always returns the best
-    representation found; success means residual_norm <= tolerance.
-    """
-    if not 0 < theta < 1:
-        raise InputError("theta must lie in (0, 1)")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (S.dimension,):
-        raise InputError("point dimension mismatch")
-    if K is None:
-        K = default_truncation_depth(S, theta, tolerance)
-    P = S.points
-    sq = (P * P).sum(axis=1)
-    r = x.copy()
-    terms = []
-    for k in range(K + 1):
-        if np.linalg.norm(r) <= tolerance:
-            break
-        w = (1.0 - theta) * theta ** k
-        lam = np.clip(P @ r / (w * sq), -1.0, 1.0)
-        # residual^2 after subtracting w*lam_i*s_i, evaluated for every generator
-        new_sq = (r @ r) - 2.0 * w * lam * (P @ r) + (w * lam) ** 2 * sq
-        i = int(np.argmin(np.round(new_sq, 12)))  # rounding keeps ties index-stable
-        if abs(lam[i]) > 1e-15:
-            terms.append((k, float(lam[i]), i))
-            r = r - w * lam[i] * P[i]
-    return GammaRepresentation(theta=theta, terms=terms, truncation_depth=K,
-                               residual_norm=float(np.linalg.norm(r)))
-
-
-@dataclass
-class GammaMembership:
-    """One-sided geometric-hull verdict: member (with witness) or unknown."""
-
-    status: str  # member | unknown
-    representation: GammaRepresentation
-
-
-def gamma_membership(S: GeneratingSet, theta, x, K=None,
-                     tolerance=1e-9) -> GammaMembership:
-    rep = gamma_greedy_represent(S, theta, x, K=K, tolerance=tolerance)
-    status = "member" if rep.residual_norm <= tolerance else "unknown"
-    return GammaMembership(status=status, representation=rep)
-
-
-def gamma_rescale(rep: GammaRepresentation, new_theta):
-    """Re-express a theta-hull representation at a larger theta.
-
-    Returns (representation, scale) with scale = (1-alpha)/(1-theta) for
-    alpha = rep.theta: coefficients shrink by (alpha/theta)^level and the new
-    representation evaluates to 1/scale times the old value.
-    """
-    alpha = rep.theta
-    if not new_theta > alpha:
-        raise InputError("new theta must exceed the representation's theta")
-    if not new_theta < 1:
-        raise InputError("theta must lie in (0, 1)")
-    scale = (1.0 - alpha) / (1.0 - new_theta)
-    terms = [(level, lam * (alpha / new_theta) ** level, idx)
-             for level, lam, idx in rep.terms]
-    out = GammaRepresentation(theta=new_theta, terms=terms,
-                              truncation_depth=rep.truncation_depth,
-                              residual_norm=rep.residual_norm / scale)
-    return out, scale
-
-
 def pconv_contraction_bound(p, theta):
     """How far the geometric hull of a p-ball can stick out: p^(-1/p)(1-theta)^(1-1/p)."""
     if not 0 < p <= 1:
@@ -351,13 +254,23 @@ class GammaOverDeltaM:
         return x
 
 
+def flatten_scale(theta, m):
+    """Ratio and scale of a theta-series over m-term averages, flattened.
+
+    Returns (phi, scale) with phi = theta^(1/m) and
+    scale = (1-theta) phi^(1-m) / (m (1-phi)): the flattened series at ratio
+    phi, times scale, evaluates to the original series.
+    """
+    phi = theta ** (1.0 / m)
+    return phi, (1.0 - theta) * phi ** (1 - m) / (m * (1.0 - phi))
+
+
 def approx2_transform(S: GeneratingSet, theta, outer: GammaOverDeltaM):
     """Flatten a geometric series over m-term averages into a plain series.
 
     Each level-k average splits into its m unit slots at levels km..km+m-1 of
-    a representation with ratio theta^(1/m); the exact scale
-    (1-theta) * theta^((1-m)/m) / (m (1 - theta^(1/m)))
-    never exceeds 2 theta / (3 theta - 1) once theta > 1/3.
+    a representation with ratio theta^(1/m); the exact scale from
+    flatten_scale never exceeds 2 theta / (3 theta - 1) once theta > 1/3.
     Returns (representation, scale) with scale * eval(rep) = eval(outer).
     """
     if not 1.0 / 3.0 < theta < 1:
@@ -365,8 +278,7 @@ def approx2_transform(S: GeneratingSet, theta, outer: GammaOverDeltaM):
     m = outer.m
     if m < 1:
         raise InputError("m must be at least 1")
-    phi = theta ** (1.0 / m)
-    scale = (1.0 - theta) * phi ** (1 - m) / (m * (1.0 - phi))
+    phi, scale = flatten_scale(theta, m)
     terms = []
     for level, lam, cert in outer.terms:
         if abs(lam) > 1 + 1e-12:

@@ -279,11 +279,6 @@ class Ellipsoid:
         y = np.asarray(y, dtype=float)
         return float(y @ self.shape_matrix @ y) <= self.scale * (1 + tolerance)
 
-    def axis_points(self):
-        """Boundary points along the principal axes, one per eigen-direction."""
-        eigval, eigvec = np.linalg.eigh(self.shape_matrix)
-        return (np.sqrt(self.scale / eigval) * eigvec).T
-
 
 def mvee(points, tolerance=1e-7, max_iter=100000) -> Ellipsoid:
     """Minimum-volume origin-symmetric ellipsoid enclosing the given points.

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geomhull.balance import (Tq_estimate, bN_estimate, corollary_l1_bound,
-                              elton_theta, euclidean_space, exhaustive_signs,
-                              greedy_signs, halving_step, l1_space,
-                              type1_represent, type2_theta)
+from geomhull.balance import (exhaustive_signs, greedy_signs, halving_step,
+                              type1_represent)
 from geomhull.bodies import GeneratingSet, envelope_gauge
 from geomhull.errors import InputError
 
@@ -48,32 +46,6 @@ class TestGreedySigns:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             greedy_signs(np.zeros((0, 2)))
-
-
-class TestConstants:
-    def test_bN_euclidean_sandwich(self):
-        space = euclidean_space(3)
-        lower, upper = bN_estimate(space, 8, trials=5, seed=0)
-        assert upper == pytest.approx(8 ** -0.5)
-        assert 0.0 <= lower <= upper + 1e-9
-
-    def test_bN_l1_lower_positive(self):
-        lower, upper = bN_estimate(l1_space(2), 4, trials=5, seed=1)
-        assert upper == 1.0
-        assert lower >= 0.0
-
-    def test_Tq_euclidean_at_most_one(self):
-        rep = Tq_estimate(euclidean_space(4), 2.0, 6, trials=5, seed=2)
-        # Euclidean spaces have type 2 with constant 1 (Parseval on average)
-        assert rep.Tq_lower <= 1.0 + 1e-9
-        assert rep.q_prime == pytest.approx(2.0)
-        assert rep.witness is not None
-
-    def test_Tq_domain(self):
-        with pytest.raises(InputError):
-            Tq_estimate(euclidean_space(2), 1.0, 4)
-        with pytest.raises(InputError):
-            Tq_estimate(euclidean_space(2), 2.0, 21)
 
 
 class TestHalving:
@@ -134,46 +106,3 @@ class TestType1Represent:
         S = _circle(8)
         with pytest.raises(InputError):
             type1_represent(S, 0.5, 2, np.array([2.0, 0.0]))
-
-
-class TestThetaFormulas:
-    def test_type2_theta_reference_value(self):
-        theta, scale = type2_theta(2.0, 1.0)
-        want = 1.0 - 0.25 * ((math.sqrt(2) - 1) / 2.0) ** 2
-        assert theta == pytest.approx(want, rel=1e-12)
-        assert scale == 12.0
-
-    def test_type2_theta_domain(self):
-        with pytest.raises(InputError):
-            type2_theta(1.0, 1.0)
-        with pytest.raises(InputError):
-            type2_theta(2.0, 0.5)
-
-    def test_elton_theta_reference_value(self):
-        # 1 - (1/2) * 100^(-ln ln 100), natural logs
-        assert elton_theta(100, C=1.0) == pytest.approx(0.9995588251438865,
-                                                        rel=1e-12)
-
-    def test_elton_theta_monotone_in_C(self):
-        assert elton_theta(100, C=2.0) > elton_theta(100, C=1.0)
-        assert 0.0 < elton_theta(2, C=10.0) < 1.0
-
-    def test_elton_theta_domain(self):
-        with pytest.raises(InputError):
-            elton_theta(1)
-        with pytest.raises(InputError):
-            elton_theta(4, C=0.5)
-        with pytest.raises(InputError):
-            elton_theta(4, c0=0.2)
-
-    def test_corollary_l1_reference_value(self):
-        bound, A = corollary_l1_bound(4.0, 0.5)
-        assert A == pytest.approx(32.0)
-        # 0.05 * exp(ln 32 / ln ln 32), computed by hand
-        assert bound == pytest.approx(0.81259, abs=2e-4)
-
-    def test_corollary_l1_domain(self):
-        with pytest.raises(InputError):
-            corollary_l1_bound(1.0, 0.5)   # A = 8 below e^e
-        with pytest.raises(InputError):
-            corollary_l1_bound(4.0, 1.0)

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from geomhull.bodies import (GeneratingSet, PBody, cube_sandwich,
-                             delta_nonconvexity, dx_estimate, envelope_gauge,
-                             fmt17, generating_set_to_json, load_generating_set_csv,
+from geomhull.bodies import (GeneratingSet, PBody, delta_nonconvexity,
+                             envelope_gauge, fmt17, generating_set_to_json,
                              load_generating_set_json, lp_ball_body,
-                             p_gauge_upper, save_generating_set_csv,
-                             save_generating_set_json)
-from geomhull.errors import InputError, PhaseError
+                             p_gauge_upper, save_generating_set_json)
+from geomhull.errors import InputError
 
 
 class TestGeneratingSet:
@@ -93,42 +91,6 @@ class TestDelta:
             delta_nonconvexity(body, method="banana")
 
 
-class TestCubeSandwich:
-    def test_cube_vertices_give_one(self):
-        import itertools
-        pts = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
-        assert cube_sandwich(GeneratingSet(3, pts)) == 1.0
-
-    def test_scaled_basis_gives_n(self):
-        n = 3
-        S = GeneratingSet(n, float(n) * np.eye(n))
-        assert cube_sandwich(S) == pytest.approx(float(n))
-
-    def test_cross_polytope_fails(self):
-        S = GeneratingSet(2, np.eye(2))
-        with pytest.raises(PhaseError) as err:
-            cube_sandwich(S)
-        assert err.value.phase == "cube-sandwich"
-
-
-class TestDxEstimate:
-    def test_cross_polytope_sqrt_n(self):
-        for n in (3, 4):
-            S = GeneratingSet(n, np.eye(n))
-            assert dx_estimate(S) == pytest.approx(math.sqrt(n), rel=1e-4)
-
-    def test_cube_vertices_sqrt_n(self):
-        import itertools
-        pts = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
-        S = GeneratingSet(3, pts)
-        assert dx_estimate(S) == pytest.approx(math.sqrt(3), rel=1e-4)
-
-    def test_at_least_one(self):
-        rng = np.random.default_rng(5)
-        S = GeneratingSet(3, rng.standard_normal((7, 3)))
-        assert dx_estimate(S) >= 1.0
-
-
 class TestIO:
     def test_json_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -138,14 +100,6 @@ class TestIO:
         T, p = load_generating_set_json(path)
         assert p == 0.5
         assert T.label == "cloud"
-        assert np.array_equal(T.points, S.points)
-
-    def test_csv_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        S = GeneratingSet(2, rng.standard_normal((4, 2)))
-        path = tmp_path / "s.csv"
-        save_generating_set_csv(S, path)
-        T = load_generating_set_csv(path)
         assert np.array_equal(T.points, S.points)
 
     def test_json_bytes_deterministic(self):

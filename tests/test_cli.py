@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geomhull.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC,
                           EXIT_PASS, main, read_config_file)
@@ -86,6 +87,17 @@ class TestVerify:
     def test_pconv_passes(self, lp_ball_file):
         assert run("verify", "pconv", "--input", lp_ball_file, "--theta",
                    "0.5", "--samples", "300") == EXIT_PASS
+
+    def test_pconv_input_matches_flags(self, lp_ball_file, capsys):
+        # an lp-ball file gets the same closed-form gauge as --p/--n
+        args = ("--theta", "0.5", "--samples", "300")
+        assert run("verify", "pconv", "--input", lp_ball_file,
+                   *args) == EXIT_PASS
+        from_file = json.loads(capsys.readouterr().out)
+        assert run("verify", "pconv", "--p", "0.5", "--n", "4",
+                   *args) == EXIT_PASS
+        from_flags = json.loads(capsys.readouterr().out)
+        assert from_file["realized"] == from_flags["realized"]
 
     def test_pconv_from_flags_without_input(self):
         assert run("verify", "pconv", "--p", "0.5", "--theta", "0.75",
@@ -189,6 +201,14 @@ class TestConfig:
         assert run("run", "cube-quotient", "--input", cube_file,
                    "--config", str(cfgfile)) == EXIT_INPUT
 
+    def test_numeric_coords_read_as_a_list(self, lp_ball_file, tmp_path):
+        # "coords = 3" parses as an int; it must still reach the coordinate
+        # check, which rejects a one-coordinate subspace as too small
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("coords = 3\n")
+        assert run("run", "cubic-from-delta", "--input", lp_ball_file,
+                   "--config", str(cfgfile)) == EXIT_INPUT
+
     def test_read_config_file_parsing(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("# comment\nseed=3\neps=0.25 # tail\nname=abc\n")
@@ -210,3 +230,77 @@ class TestConfig:
         assert run("calibrate", "--config", calfile) == EXIT_PASS
         again = json.loads(capsys.readouterr().out)
         assert again["calibration"] == printed["calibration"]
+
+
+# (case, flag carrying the bad file, file text; None makes a directory)
+MALFORMED = [
+    ("truncated-json", "input", '{"dimension": 2, "points": [[1, 0], [0'),
+    ("top-level-list", "input", "[[1, 0], [0, 1]]"),
+    ("dimension-word", "input",
+     '{"dimension": "two", "points": [[1, 0], [0, 1]]}'),
+    ("dimension-fraction", "input",
+     '{"dimension": 2.7, "points": [[1, 0], [0, 1]]}'),
+    ("dimension-zero", "input", '{"dimension": 0, "points": []}'),
+    ("ragged-points", "input", '{"dimension": 2, "points": [[1, 0], [0]]}'),
+    ("points-3d", "input", '{"dimension": 1, "points": [[[1]], [[-1]]]}'),
+    ("points-huge-int", "input",
+     '{"dimension": 1, "points": [[1%s]]}' % ("0" * 400)),
+    ("p-word", "input",
+     '{"dimension": 2, "points": [[1, 0], [0, 1]], "p": "x"}'),
+    ("p-huge-int", "input",
+     '{"dimension": 2, "points": [[1, 0], [0, 1]], "p": 1%s}' % ("0" * 400)),
+    ("input-directory", "input", None),
+    ("const-word", "config", "const.c = abc\n"),
+    ("seed-word", "config", "seed = abc\n"),
+    ("eps-word", "config", "eps = abc\n"),
+]
+
+
+@pytest.mark.parametrize("flag,text", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_two(flag, text, tmp_path, capsys):
+    path = tmp_path / "bad"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert run("verify", "approx2", "--trials", "2",
+               f"--{flag}", str(path)) == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+_numbers = st.integers(-3, 3) | st.floats()
+_points = st.lists(st.lists(_numbers, max_size=3), max_size=6)
+_instance = st.fixed_dictionaries(
+    {"dimension": st.integers(-1, 3) | _json, "points": _points | _json},
+    optional={"p": st.floats(0, 2) | _json, "label": _json})
+
+
+@st.composite
+def _lp_ball(draw):
+    """Signed-basis files, the shape that takes the closed-form gauge."""
+    n = draw(st.integers(1, 3))
+    eye = np.eye(n)
+    return {"dimension": n, "points": np.vstack([eye, -eye]).tolist(),
+            "p": draw(_numbers)}
+
+
+# run cube-quotient and verify main are left out: their slot budget grows
+# with the square of the largest coordinate, so one fuzzed number can ask
+# for gigabytes
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_json | _instance | _lp_ball(),
+       command=st.sampled_from([("verify", "delta"),
+                                ("verify", "pconv", "--samples", "5")]))
+def test_fuzzed_input_file_never_crashes(obj, command, tmp_path):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(obj))
+    assert run(*command, "--input", str(path)) in (
+        EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_BUDGET)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from geomhull.bodies import GeneratingSet, PBody, envelope_gauge
-from geomhull.cube import (Calibration, VertexSet, alesker_chain,
-                           chain_constants, chain_cube_certificate,
-                           counting_select, cube_quotient,
-                           cubic_quotient_from_nonconvexity, find_shattered,
-                           l1_to_cube_operator, load_vertex_set,
-                           mask_of_vector, pnormed_quotient,
-                           represent_cube_point, save_vertex_set,
+from geomhull.cube import (Calibration, VertexSet, _max_shattered,
+                           alesker_chain, chain_constants,
+                           chain_cube_certificate, counting_select,
+                           cube_quotient, cubic_quotient_from_nonconvexity,
+                           l1_to_cube_operator, mask_of_vector,
+                           pnormed_quotient, represent_cube_point,
                            subsample_vertex_fit, vector_of_mask,
                            vertex_generating_set, vertex_set_from_generating_set)
 from geomhull.errors import BudgetError, InputError, PhaseError
@@ -44,59 +43,29 @@ class TestVertexSet:
         V = VertexSet.full(3)
         assert V.count == 8
 
-    def test_file_roundtrip(self, tmp_path):
-        V = VertexSet(4, frozenset([0, 3, 9, 15]))
-        path = tmp_path / "v.txt"
-        save_vertex_set(V, path)
-        assert load_vertex_set(path) == V
-
     def test_generating_set_roundtrip(self):
         V = VertexSet(3, frozenset([0, 5, 6]))
         S = vertex_generating_set(V)
         assert vertex_set_from_generating_set(S) == V
 
-    def test_pattern_string(self):
-        V = VertexSet.full(2)
-        assert V.pattern(0) == "++"
-        assert V.pattern(3) == "--"
 
-
-class TestFindShattered:
+class TestMaxShattered:
     def test_three_points_shatter_one_not_two(self):
         V = VertexSet.from_points(np.array([[1.0, 1.0], [1.0, -1.0],
                                             [-1.0, 1.0]]))
-        assert find_shattered(V, 1) == (0,)
-        assert find_shattered(V, 2) is None
-
-    def test_full_cube_shatters_everything(self):
-        V = VertexSet.full(3)
-        assert find_shattered(V, 3) == (0, 1, 2)
+        assert _max_shattered(V) == (0,)
 
     def test_lexicographically_first_witness(self):
         # shatters {1,2} but not any pair containing 0
         pts = np.array([[1.0, s1, s2] for s1 in (-1.0, 1.0)
                         for s2 in (-1.0, 1.0)])
         V = VertexSet.from_points(pts)
-        assert find_shattered(V, 2) == (1, 2)
-
-    def test_sauer_shelah_guarantee(self):
-        # |V| > C(n,0) + C(n,1) forces a shattered pair
-        rng = np.random.default_rng(0)
-        n = 6
-        for _ in range(10):
-            masks = rng.choice(2 ** n, size=n + 2, replace=False)
-            V = VertexSet(n, frozenset(int(m) for m in masks))
-            assert find_shattered(V, 2) is not None
+        assert _max_shattered(V) == (1, 2)
 
     def test_budget_error(self):
         V = VertexSet.full(8)
         with pytest.raises(BudgetError):
-            find_shattered(V, 8, node_budget=3)
-
-    def test_target_validation(self):
-        assert find_shattered(VertexSet.full(2), 0) == ()
-        with pytest.raises(InputError):
-            find_shattered(VertexSet.full(2), 3)
+            _max_shattered(V, node_budget=3)
 
 
 class TestChainConstants:

@@ -3,15 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
 from geomhull.bodies import GeneratingSet, lp_ball_body
 from geomhull.errors import InputError
 from geomhull.hulls import (DeltaMCertificate, GammaOverDeltaM,
                             GammaRepresentation, approx2_transform,
-                            default_truncation_depth, delta_m_membership,
-                            gamma_greedy_represent, gamma_membership,
-                            gamma_rescale, pconv_contraction_bound,
+                            delta_m_membership, pconv_contraction_bound,
                             verify_pconv_contraction)
 
 
@@ -34,68 +30,6 @@ class TestGammaRepresentation:
         rep = GammaRepresentation(0.5, [(0, 1.0, 0), (2, -0.5, 1)], 4)
         want = 0.5 * (S.points[0] - 0.5 * 0.25 * S.points[1])
         assert np.abs(rep.evaluate(S) - want).max() < 1e-15
-
-    def test_json_roundtrip(self):
-        rep = GammaRepresentation(0.75, [(0, 1 / 3, 2), (5, -0.125, 0)], 7,
-                                  residual_norm=1e-12)
-        back = GammaRepresentation.from_json(rep.to_json())
-        assert back.theta == rep.theta
-        assert back.terms == rep.terms
-        assert back.truncation_depth == rep.truncation_depth
-
-
-class TestGreedy:
-    def test_recovers_synthetic_series_points(self):
-        S = _square()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            levels = sorted(rng.choice(10, size=4, replace=False))
-            true_terms = [(int(k), float(rng.uniform(-1, 1)),
-                           int(rng.integers(0, S.count))) for k in levels]
-            x = GammaRepresentation(0.5, true_terms, 10).evaluate(S)
-            rep = gamma_greedy_represent(S, 0.5, x, tolerance=1e-9)
-            assert rep.residual_norm <= 1e-9
-            assert np.abs(rep.evaluate(S) - x).max() < 1e-8
-
-    def test_unreachable_point_stays_unknown(self):
-        S = GeneratingSet(2, np.eye(2))
-        # far outside the envelope ball, no series can reach it
-        verdict = gamma_membership(S, 0.5, np.array([5.0, 5.0]))
-        assert verdict.status == "unknown"
-        assert verdict.representation.residual_norm > 1.0
-
-    def test_origin_is_trivially_represented(self):
-        S = _square()
-        rep = gamma_greedy_represent(S, 0.5, np.zeros(2))
-        assert rep.terms == []
-        assert rep.residual_norm == 0.0
-
-    def test_depth_default_covers_tolerance(self):
-        S = _square()
-        K = default_truncation_depth(S, 0.5, 1e-9)
-        assert 0.5 ** K * max(np.linalg.norm(S.points, axis=1)) <= 2e-9
-
-
-class TestRescale:
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.2, 0.7), st.floats(0.05, 0.25), st.integers(0, 2 ** 31))
-    def test_rescale_identity(self, theta, gap, seed):
-        new_theta = theta + gap
-        if new_theta >= 0.97:
-            new_theta = 0.97
-        S = _square()
-        rng = np.random.default_rng(seed)
-        terms = [(k, float(rng.uniform(-1, 1)), int(rng.integers(0, S.count)))
-                 for k in range(6)]
-        rep = GammaRepresentation(theta, terms, 6)
-        out, scale = gamma_rescale(rep, new_theta)
-        assert scale == pytest.approx((1 - theta) / (1 - new_theta))
-        assert np.abs(scale * out.evaluate(S) - rep.evaluate(S)).max() < 1e-10
-
-    def test_shrinking_theta_rejected(self):
-        rep = GammaRepresentation(0.5, [(0, 1.0, 0)], 0)
-        with pytest.raises(InputError):
-            gamma_rescale(rep, 0.4)
 
 
 class TestPconv:

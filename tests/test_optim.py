@@ -141,9 +141,6 @@ class TestMVEE:
         # boundary point along e1 has enorm 1 and support dual pairing
         assert E.enorm([0.5, 0.0]) == pytest.approx(1.0)
         assert E.support([1.0, 0.0]) == pytest.approx(0.5)
-        axes = E.axis_points()
-        for a in axes:
-            assert E.enorm(a) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGaugeMax:
