@@ -7,7 +7,8 @@ from geomhull.bodies import (GeneratingSet, PBody, delta_nonconvexity,
                              envelope_gauge, fmt17, generating_set_to_json,
                              load_generating_set_json, lp_ball_body,
                              p_gauge_upper, save_generating_set_json)
-from geomhull.errors import InputError
+from geomhull.cube import _decompose_vertex, vector_of_mask
+from geomhull.errors import InputError, PhaseError
 
 
 class TestGeneratingSet:
@@ -89,6 +90,38 @@ class TestDelta:
             delta_nonconvexity(body, method="analytic")
         with pytest.raises(InputError):
             delta_nonconvexity(body, method="banana")
+
+
+class TestCubeSandwich:
+    """The cube sandwich B_infty <= envelope ball <= d B_infty, as the quotient
+    pipeline checks it: each cube vertex must decompose inside the envelope
+    ball, and d is the largest generator coordinate."""
+
+    @staticmethod
+    def _sandwich_scale(S, m=16):
+        n = S.dimension
+        for mask in range(1 << (n - 1)):  # a vertex and its negation agree
+            a = vector_of_mask(n, mask)
+            _, elements, shrink_error = _decompose_vertex(S, a, m, {})
+            assert shrink_error ** 2 <= n * np.abs(S.points).max() ** 2 / m
+            assert envelope_gauge(S, a).value == pytest.approx(1.0, abs=1e-9)
+        return float(np.abs(S.points).max())
+
+    def test_cube_vertices_give_one(self):
+        import itertools
+        pts = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        assert self._sandwich_scale(GeneratingSet(3, pts)) == 1.0
+
+    def test_scaled_basis_gives_n(self):
+        n = 3
+        S = GeneratingSet(n, float(n) * np.eye(n))
+        assert self._sandwich_scale(S) == pytest.approx(float(n))
+
+    def test_cross_polytope_fails(self):
+        S = GeneratingSet(2, np.eye(2))
+        with pytest.raises(PhaseError) as err:
+            self._sandwich_scale(S)
+        assert err.value.phase == "sandwich"
 
 
 class TestIO:

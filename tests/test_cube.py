@@ -49,11 +49,15 @@ class TestVertexSet:
         assert vertex_set_from_generating_set(S) == V
 
 
-class TestMaxShattered:
+class TestFindShattered:
     def test_three_points_shatter_one_not_two(self):
         V = VertexSet.from_points(np.array([[1.0, 1.0], [1.0, -1.0],
                                             [-1.0, 1.0]]))
         assert _max_shattered(V) == (0,)
+
+    def test_full_cube_shatters_everything(self):
+        V = VertexSet.full(3)
+        assert _max_shattered(V) == (0, 1, 2)
 
     def test_lexicographically_first_witness(self):
         # shatters {1,2} but not any pair containing 0
@@ -62,10 +66,24 @@ class TestMaxShattered:
         V = VertexSet.from_points(pts)
         assert _max_shattered(V) == (1, 2)
 
+    def test_sauer_shelah_guarantee(self):
+        # |V| > C(n,0) + C(n,1) forces a shattered pair
+        rng = np.random.default_rng(0)
+        n = 6
+        for _ in range(10):
+            masks = rng.choice(2 ** n, size=n + 2, replace=False)
+            V = VertexSet(n, frozenset(int(m) for m in masks))
+            assert len(_max_shattered(V)) >= 2
+
     def test_budget_error(self):
         V = VertexSet.full(8)
         with pytest.raises(BudgetError):
             _max_shattered(V, node_budget=3)
+
+    def test_target_validation(self):
+        # a single vertex shatters no coordinate; the search never passes n
+        assert _max_shattered(VertexSet(2, frozenset([1]))) == ()
+        assert _max_shattered(VertexSet.full(2)) == (0, 1)
 
 
 class TestChainConstants:
