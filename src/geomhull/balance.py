@@ -8,6 +8,7 @@ geometric-series representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,17 +148,20 @@ def _exact_slots(coefficients, capacity):
     return slots
 
 
-def type1_represent(S: GeneratingSet, theta, m, x, levels=40, tolerance=1e-9,
-                    halvings=None, trace=None):
+def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     """Represent an envelope-ball point as a scaled geometric series over S.
 
     Pipeline per series level: LP-decompose the current residual, round it
-    into an equal-weight average over 2^halvings * m slots (lossless slot
-    split; any unplaced mass joins the defect), halve down to m terms, emit
-    the m-term certificate at coefficient 1, and pass the accumulated defect
-    divided by theta to the next level.  The level defect must have envelope
-    gauge <= theta or the pipeline fails with diagnostics.  Finally the
-    level certificates flatten into a representation with ratio theta^(1/m).
+    into an equal-weight average over 2^halvings * m slots, with halvings =
+    max(1, ceil(log2(16 n / m))) (lossless slot split; any unplaced mass
+    joins the defect), halve down to m terms, emit the m-term certificate at
+    coefficient 1, and pass the accumulated defect divided by theta to the
+    next level.  The level defect must have envelope gauge <= theta or the
+    pipeline fails with diagnostics.  The series stops at the first level
+    whose remaining tail theta^level * ||residual|| is at most 1e-9; since
+    every residual stays in the envelope ball, that level always comes.
+    Finally the level certificates flatten into a representation with ratio
+    theta^(1/m).
 
     Returns (representation, scale) with scale * eval(rep) = x up to the
     representation's residual_norm * scale; the scale never exceeds
@@ -172,15 +176,17 @@ def type1_represent(S: GeneratingSet, theta, m, x, levels=40, tolerance=1e-9,
     start = envelope_gauge(S, x)
     if start.value > 1 + 1e-9:
         raise InputError(f"envelope gauge {start.value:.6g} exceeds 1")
-    if halvings is None:
-        halvings = max(1, math.ceil(math.log2(max(2.0, 16.0 * S.dimension / m))))
+    halvings = max(1, math.ceil(math.log2(max(2.0, 16.0 * S.dimension / m))))
     M = 2 ** halvings * m
     r = x.copy()
     out_terms = []
     defect_log = []
-    for level in range(levels):
+    # Every accepted level leaves r = w / theta with envelope gauge <= 1, so
+    # ||r|| <= max ||s_i|| and the test below fires by level
+    # ceil(log(1e-9 / max ||s_i||) / log theta): the loop always ends.
+    for level in itertools.count():
         norm_r = np.linalg.norm(r)
-        if norm_r <= 1e-15 or theta ** level * norm_r <= tolerance:
+        if norm_r <= 1e-15 or theta ** level * norm_r <= 1e-9:
             break
         cert = envelope_gauge(S, r)
         lam = cert.coefficients * M

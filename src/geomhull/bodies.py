@@ -142,13 +142,13 @@ def _null_space(A, rcond=1e-12):
     return vt[rank:].T
 
 
-def p_gauge_upper(body: PBody, x, restarts=8, seed=0) -> GaugeCertificate:
+def p_gauge_upper(body: PBody, x, seed=0) -> GaugeCertificate:
     """Upper bound on the p-gauge of x, with a witnessing representation.
 
     Analytic for lp_ball.  Otherwise any representation x = sum lambda_i s_i
     gives the upper bound (sum |lambda_i|^p)^(1/p); the search starts from
     the envelope LP solution and descends along the representation null
-    space, keeping the best over `restarts` perturbed starts.
+    space, keeping the best over the unperturbed start and 8 perturbed ones.
     """
     x = np.asarray(x, dtype=float)
     p = body.p
@@ -168,7 +168,7 @@ def p_gauge_upper(body: PBody, x, restarts=8, seed=0) -> GaugeCertificate:
     rng = np.random.default_rng(seed)
     spread = max(1.0, np.abs(base.coefficients).max())
     best = None
-    for trial in range(restarts + 1):
+    for trial in range(9):
         lam0 = base.coefficients.copy()
         if trial > 0 and Z.shape[1] > 0:
             lam0 = lam0 + Z @ rng.standard_normal(Z.shape[1]) * spread * 0.5
@@ -207,7 +207,7 @@ def _pnorm_descent(lam, Z, p, iterations=300):
     return lam
 
 
-def delta_nonconvexity(body: PBody, restarts=32, seed=0, method="auto"):
+def delta_nonconvexity(body: PBody, seed=0, method="auto"):
     """Largest p-gauge over the envelope ball: how non-convex the body is.
 
     Analytic for lp_ball (n^(1/p-1)); otherwise a multi-start search lower
@@ -221,7 +221,7 @@ def delta_nonconvexity(body: PBody, restarts=32, seed=0, method="auto"):
         n = body.generators.dimension
         return float(n) ** (1.0 / body.p - 1.0)
     value, _ = max_gauge_over_polytope(body, body.generators.with_negations(),
-                                       restarts=restarts, seed=seed)
+                                       seed=seed)
     return max(value, 1.0)  # the p-hull ball itself sits inside the envelope
 
 

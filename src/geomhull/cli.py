@@ -46,7 +46,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
-CONST_NAMES = ("c", "C", "c0", "c1", "c2")
+CONST_NAMES = ("c", "C", "c1", "c2")
 
 
 @dataclass

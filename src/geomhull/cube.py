@@ -39,22 +39,20 @@ class Calibration:
     always show them next to the realized quantities and never claim them as
     proven.
 
-      c   final-ratio and density constant
+      c   final-ratio and density constant: a k-dimensional vertex set is
+          dense when it has at least 2^(k(1 - c eps)) members
       C   chain scale target (scale <= C/eps, slot count <= C/eps^2)
-      c0  balancing success-rate floor (reported only)
       c1  snapping factor, delta = c1 * eps  (chosen so C * c1 = 1/4)
       c2  subsample budget factor, m = smallest integer > c2 d^2 eps^-3 (1 - ln eps)
     """
 
     c: float = 0.1
     C: float = 8.0
-    c0: float = 0.9
     c1: float = 0.03125
     c2: float = 1.0
 
     def as_dict(self):
-        return {"c": self.c, "C": self.C, "c0": self.c0,
-                "c1": self.c1, "c2": self.c2}
+        return {"c": self.c, "C": self.C, "c1": self.c1, "c2": self.c2}
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -301,7 +299,7 @@ def _fiber_pairs(fiber, tau):
     return table
 
 
-def alesker_chain(V: VertexSet, epsilon, density_c=0.2, enforce_density=True,
+def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
                   node_budget=10 ** 7) -> ShatterChain:
     """Build the anchored chain: shattered core, then anchored fiber growth.
 
@@ -444,9 +442,10 @@ def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
     """Convert chain tables into average-hull certificates over S.
 
     Every table entry becomes a certificate with slot count b and scale a for
-    the chain's level constants; the projection identity is re-verified in
-    exact rationals.  Scales beyond the calibrated targets are flagged, not
-    fatal -- the calibration is a fitted record, not a guarantee.
+    the chain's level constants; alesker_chain has already verified the
+    projection identity in exact rationals.  Scales beyond the calibrated
+    targets are flagged, not fatal -- the calibration is a fitted record, not
+    a guarantee.
     """
     index = {}
     for i, row in enumerate(S.points):
@@ -470,15 +469,8 @@ def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
             alphas[index[member]] = float(scaled.numerator)
         if int(mult.sum()) > b_s:
             raise NumericalError("certificate exceeds the slot budget")
-        cert = DeltaMCertificate(m=b_s, multiplicities=mult, alphas=alphas)
-        # exact projection check, independently of the chain's own verify
-        for pos, coord in enumerate(sigma):
-            total = Fraction(0)
-            for member, coef in combo.items():
-                total += coef * (-1 if (member >> coord) & 1 else 1)
-            if total != pattern[pos]:
-                raise NumericalError("certificate projection mismatch")
-        certificates[pattern] = cert
+        certificates[pattern] = DeltaMCertificate(m=b_s, multiplicities=mult,
+                                                  alphas=alphas)
     eps = chain.epsilon
     calibration_ok = a_s <= C / eps + 1e-9 and b_s <= C / eps ** 2 + 1e-9
     return ChainCertificates(sigma=sigma, scale=a_s, m=b_s,
@@ -625,10 +617,14 @@ def _snap(x, vertex, agreement):
 # quotient pipeline
 # ---------------------------------------------------------------------------
 
+# The decomposition holds every vertex's m subsample slots as Python tuples,
+# so m = c2 d^2 eps^-3 (1 - ln eps) is capped before any of them is built.
+MAX_SUBSAMPLE = 10 ** 5
+
+
 @dataclass
 class _VertexEntry:
     certificate: DeltaMCertificate
-    snap_residual: np.ndarray
     snap_residual_sigma: np.ndarray
 
 
@@ -741,8 +737,8 @@ def _decompose_vertex(S, a, m, singleton_index):
 
 
 def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
-                  queries=32, subsample_trials=64, query_tolerance=1e-6,
-                  density_c=0.2, node_budget=10 ** 7) -> QuotientReport:
+                  queries=32, query_tolerance=1e-6,
+                  node_budget=10 ** 7) -> QuotientReport:
     """Full randomized pipeline from a cube-sandwiched set to a cube quotient.
 
     Phases: per-vertex decomposition (doubling as the sandwich check),
@@ -750,8 +746,11 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     selection of the agreement coordinates, the anchored chain over the
     selected patterns, exact lifting of the chain tables to certificates, and
     the splitting iteration that turns them into geometric representations.
-    Fails loudly with the phase name; every certificate is verified before
-    the report is returned.
+    Each vertex keeps the best of 64 sampled m-subsets; the selected patterns
+    count as dense against the calibration's c.  An instance whose subsample
+    size m exceeds MAX_SUBSAMPLE is rejected before any work.  Fails loudly
+    with the phase name; every certificate is verified before the report is
+    returned.
     """
     cal = Calibration.from_mapping(calibration)
     n = S.dimension
@@ -762,8 +761,12 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     d = float(np.abs(S.points).max())
     m = int(math.floor(cal.c2 * d * d * epsilon ** -3
                        * (1.0 - math.log(epsilon)))) + 1
+    if m > MAX_SUBSAMPLE:
+        raise InputError(f"subsample size m = {m} exceeds {MAX_SUBSAMPLE} "
+                         f"(d = {d:.6g}, eps = {epsilon:.6g})")
     delta = cal.c1 * epsilon
     quota = math.ceil(n * (1.0 - epsilon))
+    trials = 64
 
     singleton_index = {}
     for i, row in enumerate(S.points):
@@ -788,7 +791,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             raise PhaseError("decompose", "rounding error exceeds the allowance",
                              vertex=a.tolist(), error=shrink_error,
                              allowance=allowance)
-        fit = subsample_vertex_fit(elements, a, delta, m, subsample_trials,
+        fit = subsample_vertex_fit(elements, a, delta, m, trials,
                                    children[mask])
         idx = np.array([s[0] for s in slots], dtype=int)
         scal = np.array([s[1] for s in slots])
@@ -810,7 +813,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     snap_table = SnapTable(delta=delta, entries=entries)
     snap_table.verify()
     mean_square = float(np.mean(pooled_sq))
-    total_trials = subsample_trials * half
+    total_trials = trials * half
     standard_error = float(math.sqrt(max(np.mean(pooled_var), 0.0) / total_trials))
     variance_bound = 4.0 * n * d * d / m
     variance_check = {
@@ -836,9 +839,9 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             if (mask >> c) & 1:
                 pattern |= 1 << pos
         witnesses.setdefault(pattern, mask)
-    density_ok = T.count >= 2 ** (k_agree * (1.0 - density_c * epsilon))
+    density_ok = T.count >= 2 ** (k_agree * (1.0 - cal.c * epsilon))
 
-    chain = alesker_chain(T, epsilon, density_c=density_c,
+    chain = alesker_chain(T, epsilon, density_c=cal.c,
                           enforce_density=False, node_budget=node_budget)
     sigma_rel = chain.sigma[-1]
     sigma = tuple(tau[i] for i in sigma_rel)
@@ -883,13 +886,8 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         if np.abs(achieved - target).max() > 1e-9:
             raise PhaseError("certify", "vertex certificate mismatch",
                              pattern=pattern)
-        mask = 0
-        for pos, value in enumerate(pattern):
-            if value < 0:
-                mask |= 1 << pos
-        vertex_entries[mask] = _VertexEntry(
-            certificate=cert, snap_residual=rvec,
-            snap_residual_sigma=rvec[sigma_idx])
+        vertex_entries[mask_of_vector(pattern)] = _VertexEntry(
+            certificate=cert, snap_residual_sigma=rvec[sigma_idx])
         key = "".join("-" if v < 0 else "+" for v in pattern)
         vertex_certificates[key] = _sparse_cert(
             cert, {"scale": a_s, "snap_residual": snap_norm})
@@ -966,8 +964,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
             break
         a1 = np.where(r >= 0.5, 1.0, -1.0)
         a2 = np.where(r >= -0.5, 1.0, -1.0)
-        m1 = sum(1 << i for i in range(k) if a1[i] < 0)
-        m2 = sum(1 << i for i in range(k) if a2[i] < 0)
+        m1, m2 = mask_of_vector(a1), mask_of_vector(a2)
         try:
             e1, e2 = report._entries[m1], report._entries[m2]
         except KeyError:

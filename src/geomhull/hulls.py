@@ -124,15 +124,15 @@ def _node_lp(S, target, caps, commits):
     return sol.value, sol.x[:k] - sol.x[k:2 * k]
 
 
-def delta_m_membership(S: GeneratingSet, m: int, x, node_budget=10 ** 6) -> DeltaMVerdict:
+def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
     """Decide whether x lies in the m-term average hull of S.
 
     Minimizes sum ceil(|alpha_i|) subject to sum alpha_i s_i = m x by
     branch-and-bound: nodes carry per-generator caps and committed lower
     counts, each bounded below by the ceiling of an LP relaxation of
     sum max(|alpha_i|, committed_i).  Membership holds iff the optimum is
-    <= m.  Exhausting the node budget yields an undecided verdict, which is
-    distinct from non-membership.
+    <= m.  Exhausting the budget of 10^6 nodes yields an undecided verdict,
+    which is distinct from non-membership.
     """
     if m < 1:
         raise InputError("m must be at least 1")
@@ -147,7 +147,7 @@ def delta_m_membership(S: GeneratingSet, m: int, x, node_budget=10 ** 6) -> Delt
     heap = [(0, 0, np.full(k, m), np.zeros(k, dtype=int))]
     tiebreak = 1
     while heap:
-        if nodes >= node_budget:
+        if nodes >= 10 ** 6:
             return DeltaMVerdict("undecided", None, None, nodes)
         parent_bound, _, caps, commits = heapq.heappop(heap)
         if best_val is not None and parent_bound >= best_val:
@@ -205,16 +205,16 @@ def pconv_contraction_bound(p, theta):
     return p ** (-1.0 / p) * (1.0 - theta) ** (1.0 - 1.0 / p)
 
 
-def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0,
-                             depth=64):
+def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
     """Monte-Carlo check that geometric-hull points stay inside the bound.
 
     Draws random truncated series elements (uniform lambda in [-1,1], uniform
-    generator picks, the given depth), measures their p-gauge, and compares
+    generator picks, depth 64), measures their p-gauge, and compares
     the worst against pconv_contraction_bound(p, theta).
     """
     if not 0 < theta < 1:
         raise InputError("theta must lie in (0, 1)")
+    depth = 64
     rng = np.random.default_rng(seed)
     P = body.generators.points
     idx = rng.integers(0, P.shape[0], size=(samples, depth))

@@ -266,21 +266,13 @@ class Ellipsoid:
         if not self.scale > 0:
             raise InputError("scale must be positive")
 
-    def enorm(self, y):
-        y = np.asarray(y, dtype=float)
-        return float(np.sqrt((y @ self.shape_matrix @ y) / self.scale))
-
     def support(self, u):
         u = np.asarray(u, dtype=float)
         w = np.linalg.solve(self.shape_matrix, u)
         return float(np.sqrt(self.scale * (u @ w)))
 
-    def contains(self, y, tolerance=1e-9):
-        y = np.asarray(y, dtype=float)
-        return float(y @ self.shape_matrix @ y) <= self.scale * (1 + tolerance)
 
-
-def mvee(points, tolerance=1e-7, max_iter=100000) -> Ellipsoid:
+def mvee(points, tolerance=1e-7) -> Ellipsoid:
     """Minimum-volume origin-symmetric ellipsoid enclosing the given points.
 
     Points are treated with their negations (the centered formulation makes
@@ -293,7 +285,7 @@ def mvee(points, tolerance=1e-7, max_iter=100000) -> Ellipsoid:
     if np.linalg.matrix_rank(X) < n:
         raise DegeneracyError("points do not span the space")
     u = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
+    for _ in range(100000):
         V = X.T @ (u[:, None] * X)
         try:
             W = np.linalg.solve(V, X.T)
@@ -339,12 +331,12 @@ def _project_rows_to_simplex(W):
     return np.maximum(W - theta[:, None], 0.0)
 
 
-def max_gauge_over_polytope(body, polytope_vertices, restarts=32, seed=0,
-                            iterations=500):
+def max_gauge_over_polytope(body, polytope_vertices, seed=0):
     """Lower-bound the maximum of the body's gauge over a polytope hull.
 
     Multi-start projected ascent over barycentric weights: starts are the
-    barycenter, every vertex-pair midpoint, and `restarts` Dirichlet samples.
+    barycenter, every vertex-pair midpoint, and 32 Dirichlet samples, all
+    ascending together for at most 500 steps.
     Returns (value, point); the value is the body's gauge at the returned
     point, and the point's membership in the hull is re-checked by LP.
     """
@@ -359,8 +351,7 @@ def max_gauge_over_polytope(body, polytope_vertices, restarts=32, seed=0,
     eye = np.eye(v)
     pair_mid = [(eye[i] + eye[j]) / 2.0 for i in range(v) for j in range(i, v)]
     starts.append(np.asarray(pair_mid))
-    if restarts > 0:
-        starts.append(rng.dirichlet(np.ones(v), size=restarts))
+    starts.append(rng.dirichlet(np.ones(v), size=32))
     W = np.vstack(starts)
     rows = W.shape[0]
 
@@ -370,7 +361,7 @@ def max_gauge_over_polytope(body, polytope_vertices, restarts=32, seed=0,
     best_val = f.copy()
     best_X = X.copy()
     h = 1e-7
-    for _ in range(iterations):
+    for _ in range(500):
         # finite-difference gradient in point space, mapped back to weights
         Gx = np.empty_like(X)
         for d in range(n):

@@ -126,7 +126,7 @@ def test_criterion_05_chain_exact_certificates():
     for trial in range(20):
         masks = rng.choice(2 ** n, size=2 ** 9, replace=False)
         V = cube.VertexSet(n, frozenset(int(m) for m in masks))
-        chain = cube.alesker_chain(V, eps)
+        chain = cube.alesker_chain(V, eps, density_c=0.2)
         levels = chain.levels
         S = cube.vertex_generating_set(V)
         certs = cube.chain_cube_certificate(chain, S)

@@ -129,6 +129,22 @@ class TestVerify:
         assert report["realized"]["verified_fraction"] == 1.0
         assert report["report"]["sigma"] == [0, 1, 2, 3]
 
+    # dvoretzky (about 14 s) is left to acceptance criterion 09
+    @pytest.mark.parametrize("suite", ["approx2", "type1", "counting",
+                                       "alesker"])
+    def test_input_free_suite_passes_at_defaults(self, suite):
+        assert run("verify", suite) == EXIT_PASS
+
+    @pytest.mark.parametrize("command", [("run", "cube-quotient"),
+                                         ("verify", "main")])
+    def test_oversized_subsample_exits_two(self, command, tmp_path, capsys):
+        # d = 10^4 asks for m ~ 1.35e9 subsample slots per vertex
+        path = tmp_path / "far.json"
+        path.write_text('{"dimension": 2, '
+                        '"points": [[1, 1], [1, -1], [10000, 0]]}')
+        assert run(*command, "--input", str(path)) == EXIT_INPUT
+        assert "input error:" in capsys.readouterr().err
+
 
 class TestRun:
     def test_cube_quotient_byte_identical(self, cube_file, tmp_path):
@@ -291,9 +307,9 @@ def _lp_ball(draw):
             "p": draw(_numbers)}
 
 
-# run cube-quotient and verify main are left out: their slot budget grows
-# with the square of the largest coordinate, so one fuzzed number can ask
-# for gigabytes
+# run cube-quotient and verify main are left out: their subsample size m
+# grows with the square of the largest coordinate, and a file just under
+# cube.MAX_SUBSAMPLE still runs for minutes
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=_json | _instance | _lp_ball(),

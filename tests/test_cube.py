@@ -137,12 +137,12 @@ class TestAleskerChain:
 
     def test_density_gate(self):
         members = frozenset(m for m in range(16) if bin(m).count("1") % 2 == 0)
-        with pytest.raises(InputError):
-            alesker_chain(VertexSet(4, members), 0.5)  # 8 < 2^3.6
+        with pytest.raises(InputError):  # 8 < 2^(4 (1 - 0.2 * 0.5)) = 2^3.6
+            alesker_chain(VertexSet(4, members), 0.5, density_c=0.2)
 
     def test_epsilon_domain(self):
         with pytest.raises(InputError):
-            alesker_chain(VertexSet.full(2), 0.0)
+            alesker_chain(VertexSet.full(2), 0.0, density_c=1.0)
 
 
 class TestChainCertificates:
@@ -372,8 +372,8 @@ class TestCubicFromDelta:
 class TestCalibration:
     def test_defaults(self):
         cal = Calibration()
-        assert cal.as_dict() == {"c": 0.1, "C": 8.0, "c0": 0.9,
-                                 "c1": 0.03125, "c2": 1.0}
+        assert cal.as_dict() == {"c": 0.1, "C": 8.0, "c1": 0.03125,
+                                 "c2": 1.0}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError):
