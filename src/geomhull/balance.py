@@ -88,20 +88,22 @@ def exhaustive_signs(vectors) -> BalanceReport:
 # halving
 # ---------------------------------------------------------------------------
 
-def halving_step(S: GeneratingSet, terms):
+def halving_step(S: GeneratingSet, idx, scal):
     """Split a 2N-term star-hull average into an N-term average plus a defect.
 
-    terms are (generator_index, scalar) pairs with |scalar| <= 1.  Signs come
-    from greedy_signs on the term vectors; the minority sign class (at most N
-    terms) averages to v in the N-term hull, and the defect
-    ||u - v|| = ||(1/2N) sum eps_k x_k|| is checked as an identity.
+    The terms are scal[k] * s_idx[k], given as equal-length index and
+    coefficient arrays with |scal| <= 1.  Signs come from greedy_signs on the
+    term vectors; the minority sign class (at most N terms) averages to v in
+    the N-term hull, and the defect ||u - v|| = ||(1/2N) sum eps_k x_k|| is
+    checked as an identity.
     """
-    if len(terms) < 2 or len(terms) % 2 != 0:
-        raise InputError("need an even number of terms, at least 2")
-    N = len(terms) // 2
+    idx = np.asarray(idx, dtype=int)
+    scal = np.asarray(scal, dtype=float)
+    if idx.ndim != 1 or idx.shape != scal.shape or idx.size < 2 or idx.size % 2:
+        raise InputError("need equal-length index and coefficient arrays "
+                         "of even length, at least 2")
+    N = idx.size // 2
     k = S.count
-    idx = np.array([t[0] for t in terms], dtype=int)
-    scal = np.array([t[1] for t in terms], dtype=float)
     if idx.min() < 0 or idx.max() >= k:
         raise InputError("generator index out of range")
     if (np.abs(scal) > 1 + 1e-12).any():
@@ -125,27 +127,30 @@ def halving_step(S: GeneratingSet, terms):
 
 
 def _exact_slots(coefficients, capacity):
-    """Split per-generator weights into <= capacity unit slots, exactly.
+    """Split per-generator weights into capacity unit slots, exactly.
 
     Each weight |c_i| becomes floor(|c_i|) full slots of sign(c_i) plus one
     fractional slot, grouped by generator so equal slots sit adjacent (greedy
-    signs then cancel them pairwise).  Returns None if it does not fit.
+    signs then cancel them pairwise), and zero slots pad the rest.  Returns
+    (indices, coefficients) arrays, or None if the slots exceed capacity.
     """
-    slots = []
-    for i, ci in enumerate(coefficients):
-        a = abs(ci)
-        if a < 1e-15:
-            continue
-        sign = 1.0 if ci > 0 else -1.0
-        full = int(math.floor(a + 1e-12))
-        frac = a - full
-        slots.extend([(i, sign)] * full)
-        if frac > 1e-12:
-            slots.append((i, sign * frac))
-    if len(slots) > capacity:
+    c = np.asarray(coefficients, dtype=float)
+    a = np.abs(c)
+    sign = np.where(c > 0, 1.0, -1.0)
+    full = np.floor(a + 1e-12)
+    frac = a - full
+    has_frac = frac > 1e-12
+    counts = full.astype(int) + has_frac
+    total = int(counts.sum())
+    if total > capacity:
         return None
-    slots.extend([(0, 0.0)] * (capacity - len(slots)))
-    return slots
+    idx = np.zeros(capacity, dtype=int)
+    coef = np.zeros(capacity)
+    idx[:total] = np.repeat(np.arange(c.size), counts)
+    coef[:total] = sign[idx[:total]]
+    last = np.cumsum(counts) - 1
+    coef[last[has_frac]] = (sign * frac)[has_frac]
+    return idx, coef
 
 
 def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
@@ -196,8 +201,8 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
             shrink *= 0.95
             slots = _exact_slots(lam * shrink, M)
         for h in range(halvings):
-            n_in = len(slots)
-            vcert, d = halving_step(S, slots)
+            n_in = len(slots[0])
+            vcert, d = halving_step(S, *slots)
             defect_log.append(d)
             if trace is not None:
                 trace.append({"level": level, "halving": h,
@@ -214,9 +219,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
                 defects=defect_log, m=m, halvings=halvings)
         out_terms.append((level, 1.0, vcert))
         r = w / theta
-    depth = max(len(out_terms) - 1, 0)
-    container = GammaOverDeltaM(theta=theta, m=m,
-                                terms=out_terms, truncation_depth=depth)
+    container = GammaOverDeltaM(theta=theta, m=m, terms=out_terms)
     rep, flatten_scale = approx2_transform(S, theta, container)
     total_scale = flatten_scale / (1.0 - theta)
     tail = theta ** len(out_terms) * np.linalg.norm(r) if out_terms else np.linalg.norm(r)

@@ -362,8 +362,7 @@ def _random_hull_element(S, theta, m, depth, rng):
         lam = rng.uniform(-1.0, 1.0)
         cert = DeltaMCertificate(m=m, multiplicities=mult, alphas=alphas_full)
         terms.append((level, lam, cert))
-    return GammaOverDeltaM(theta=theta, m=m, terms=terms,
-                           truncation_depth=depth - 1)
+    return GammaOverDeltaM(theta=theta, m=m, terms=terms)
 
 
 def verify_approx2(cfg: RunConfig):

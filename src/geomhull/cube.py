@@ -229,14 +229,6 @@ class ShatterChain:
         if len(self.anchor) != self.n:
             raise InputError("anchor length mismatch")
 
-    @property
-    def scale(self):
-        return chain_constants(self.levels)[0]
-
-    @property
-    def slot_count(self):
-        return chain_constants(self.levels)[1]
-
     def verify(self, V: VertexSet):
         """Re-check every representation entry in exact rational arithmetic."""
         sigma = self.sigma[-1]
@@ -617,9 +609,12 @@ def _snap(x, vertex, agreement):
 # quotient pipeline
 # ---------------------------------------------------------------------------
 
-# The decomposition holds every vertex's m subsample slots as Python tuples,
-# so m = c2 d^2 eps^-3 (1 - ln eps) is capped before any of them is built.
-MAX_SUBSAMPLE = 10 ** 5
+# A time budget on m = c2 d^2 eps^-3 (1 - ln eps), checked before any work:
+# each query's flattened series has 2 b m slots per level, b = chain_N.
+# Measured at n = 2 only (points [[1,1],[1,-1],[d,0]], default flags, 2-core
+# host): `run cube-quotient` took 12 s at m = 5,419, 18 s at m = 9,875 and
+# 21 s at m = 12,191.
+MAX_SUBSAMPLE = 10 ** 4
 
 
 @dataclass
@@ -702,38 +697,36 @@ def _sparse_cert(cert: DeltaMCertificate, extra=None):
 
 
 def _decompose_vertex(S, a, m, singleton_index):
-    """Equal-weight star decomposition of a vertex: slot list and element array.
+    """Equal-weight star decomposition of a vertex, as an average certificate.
 
-    Members of S get the one-slot fast path; otherwise the envelope LP
-    coefficients are split into at most N equal slots after a slight shrink
-    that keeps the slot count within budget.  The shrink error is charged
-    against the subsample variance allowance by the caller.
+    Returns (certificate, shrink_error): the vertex, slightly shrunk, as an
+    N-term average over S whose N slots are the decomposition's elements.
+    Members of S (up to sign) take all m slots; otherwise the envelope LP
+    coefficients are shrunk so that each generator's weight rounds up to a
+    slot count within N.  The shrink error is charged against the subsample
+    variance allowance by the caller.
     """
     key = mask_of_vector(a)
     if key in singleton_index:
         idx, sign = singleton_index[key]
-        slots = [(idx, float(sign))] * m
-        return slots, np.tile(a, (m, 1)), 0.0
+        mult = m * np.bincount([idx], minlength=S.count)
+        return DeltaMCertificate(m=m, multiplicities=mult, alphas=sign * mult), 0.0
     cert = envelope_gauge(S, a)
     gauge = cert.value
     if gauge > 1.0 + 1e-6:
         raise PhaseError("sandwich", "a cube vertex escapes the envelope",
                          vertex=a.tolist(), gauge=gauge)
     lam = cert.coefficients
-    nz = np.nonzero(np.abs(lam) > 1e-12)[0]
-    N = max(2 * m, 8 * len(nz))
-    rho = min(1.0, (N - len(nz)) / (N * max(gauge, 1e-12)))
-    slots = []
-    for i in nz:
-        weight = rho * abs(lam[i]) * N
-        count = max(1, math.ceil(weight - 1e-12))
-        slots.extend([(int(i), float(np.sign(lam[i]) * weight / count))] * count)
-    if len(slots) > N:
+    live = np.abs(lam) > 1e-12
+    nz = int(live.sum())
+    N = max(2 * m, 8 * nz)
+    rho = min(1.0, (N - nz) / (N * max(gauge, 1e-12)))
+    weight = np.where(live, rho * np.abs(lam) * N, 0.0)
+    mult = np.where(live, np.maximum(1, np.ceil(weight - 1e-12)), 0).astype(int)
+    if mult.sum() > N:
         raise NumericalError("slot split exceeded its budget")
-    slots.extend([(0, 0.0)] * (N - len(slots)))
-    elements = np.array([s * S.points[i] for i, s in slots])
-    shrink_error = float(np.linalg.norm(a - elements.mean(axis=0)))
-    return slots, elements, shrink_error
+    avg = DeltaMCertificate(m=N, multiplicities=mult, alphas=np.sign(lam) * weight)
+    return avg, float(np.linalg.norm(a - avg.evaluate(S)))
 
 
 def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
@@ -786,15 +779,14 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     allowance = n * d * d / m
     for mask in range(half):
         a = vector_of_mask(n, mask)
-        slots, elements, shrink_error = _decompose_vertex(S, a, m, singleton_index)
+        avg, shrink_error = _decompose_vertex(S, a, m, singleton_index)
         if shrink_error ** 2 > allowance + 1e-9:
             raise PhaseError("decompose", "rounding error exceeds the allowance",
                              vertex=a.tolist(), error=shrink_error,
                              allowance=allowance)
-        fit = subsample_vertex_fit(elements, a, delta, m, trials,
-                                   children[mask])
-        idx = np.array([s[0] for s in slots], dtype=int)
-        scal = np.array([s[1] for s in slots])
+        idx, scal = avg.slots()
+        fit = subsample_vertex_fit(scal[:, None] * S.points[idx], a, delta, m,
+                                   trials, children[mask])
         chosen = np.array(fit.chosen, dtype=int)
         mult = np.bincount(idx[chosen], minlength=S.count)
         alphas = np.bincount(idx[chosen], weights=scal[chosen], minlength=S.count)
@@ -982,8 +974,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
         if np.abs(r).max() > 1.0 + 1e-9:
             raise PhaseError("assemble", "splitting residual left the ball",
                              level=level, residual=float(np.abs(r).max()))
-    outer = GammaOverDeltaM(theta=theta, m=M2, terms=terms,
-                            truncation_depth=terms[-1][0] if terms else 0)
+    outer = GammaOverDeltaM(theta=theta, m=M2, terms=terms)
     rep, flat_scale = approx2_transform(S, theta, outer)
     total = report.constants_used["chain_scale"] * flat_scale / (1.0 - theta)
     if abs(total - report.C_over_eps) > 1e-9 * report.C_over_eps:

@@ -176,7 +176,4 @@ def ellipsoid_gamma_represent(projected: GeneratingSet, E: Ellipsoid, theta, y,
         z = z - znorm * sign * W[i]
         znorm = float(np.linalg.norm(z))
         level += 1
-    rep = GammaRepresentation(theta=theta, terms=terms,
-                              truncation_depth=max(level - 1, 0),
-                              residual_norm=znorm)
-    return rep
+    return GammaRepresentation(theta=theta, terms=terms, residual_norm=znorm)

@@ -27,14 +27,14 @@ from .optim import LPProblem, solve_lp
 class GammaRepresentation:
     """Truncated geometric-series representation of a point over a generating set.
 
-    Terms are (level, lambda, generator_index) with strictly increasing levels;
-    the point is (1-theta) sum theta^level * lambda * s_index plus a residual
-    of Euclidean norm residual_norm.
+    Terms are a list of (level, lambda, generator_index) tuples with strictly
+    increasing levels, the last level being the truncation depth; the point
+    is (1-theta) sum theta^level * lambda * s_index plus a residual of
+    Euclidean norm residual_norm.
     """
 
     theta: float
     terms: list
-    truncation_depth: int
     residual_norm: float = 0.0
 
     def __post_init__(self):
@@ -44,17 +44,17 @@ class GammaRepresentation:
         for level, lam, idx in self.terms:
             if level <= last:
                 raise InputError("levels must be strictly increasing")
-            if level > self.truncation_depth:
-                raise InputError("level exceeds the truncation depth")
             if abs(lam) > 1 + 1e-12:
                 raise InputError(f"|lambda| = {abs(lam)} exceeds 1")
             last = level
 
     def evaluate(self, S: GeneratingSet):
-        x = np.zeros(S.dimension)
-        for level, lam, idx in self.terms:
-            x += (1.0 - self.theta) * self.theta ** level * lam * S.points[idx]
-        return x
+        """One weighted gather; Python-float powers and an in-order row sum
+        give the bits of the term-by-term sum."""
+        theta, c = self.theta, 1.0 - self.theta
+        w = np.array([c * theta ** level * lam for level, lam, _ in self.terms])
+        idx = [i for _, _, i in self.terms]
+        return (w[:, None] * S.points[idx]).sum(axis=0)
 
 
 @dataclass
@@ -81,13 +81,19 @@ class DeltaMCertificate:
         return S.points.T @ self.alphas / self.m
 
     def slots(self):
-        """Expand into exactly m unit-coefficient slots (index, coefficient)."""
-        out = []
-        for i, mult in enumerate(self.multiplicities):
-            if mult > 0:
-                out.extend([(i, self.alphas[i] / mult)] * int(mult))
-        out.extend([(0, 0.0)] * (self.m - len(out)))
-        return out
+        """Expand into exactly m unit slots as (indices, coefficients) arrays.
+
+        Generator i fills multiplicities[i] adjacent slots of coefficient
+        alphas[i] / multiplicities[i], generators in index order; the slots
+        past the total multiplicity are index 0 with coefficient 0.
+        """
+        counts = self.multiplicities
+        used = np.repeat(np.arange(counts.size), counts)
+        idx = np.zeros(self.m, dtype=int)
+        coef = np.zeros(self.m)
+        idx[:used.size] = used
+        coef[:used.size] = self.alphas[used] / counts[used]
+        return idx, coef
 
 
 @dataclass
@@ -245,7 +251,6 @@ class GammaOverDeltaM:
     theta: float
     m: int
     terms: list  # (level, lambda, DeltaMCertificate)
-    truncation_depth: int
 
     def evaluate(self, S: GeneratingSet):
         x = np.zeros(S.dimension)
@@ -279,17 +284,19 @@ def approx2_transform(S: GeneratingSet, theta, outer: GammaOverDeltaM):
     if m < 1:
         raise InputError("m must be at least 1")
     phi, scale = flatten_scale(theta, m)
-    terms = []
-    for level, lam, cert in outer.terms:
+    for _, lam, cert in outer.terms:
         if abs(lam) > 1 + 1e-12:
             raise InputError("outer lambda exceeds 1")
         if cert.m != m:
             raise InputError("certificate budget differs from the container's m")
-        for j, (gen, beta) in enumerate(cert.slots()):
-            mu = lam * beta * phi ** (m - 1 - j)
-            if mu != 0.0:
-                terms.append((level * m + j, float(mu), gen))
-    rep = GammaRepresentation(theta=phi, terms=terms,
-                              truncation_depth=outer.truncation_depth * m + m - 1,
-                              residual_norm=0.0)
-    return rep, scale
+    if not outer.terms:
+        return GammaRepresentation(theta=phi, terms=[]), scale
+    powers = np.array([phi ** (m - 1 - j) for j in range(m)])
+    levels, lams, certs = zip(*outer.terms)
+    gens, betas = zip(*(cert.slots() for cert in certs))
+    mu = np.array(lams)[:, None] * np.array(betas) * powers
+    flat_levels = np.array(levels)[:, None] * m + np.arange(m)
+    keep = mu != 0.0
+    terms = list(zip(flat_levels[keep].tolist(), mu[keep].tolist(),
+                     np.array(gens)[keep].tolist()))
+    return GammaRepresentation(theta=phi, terms=terms), scale

@@ -84,8 +84,7 @@ def test_criterion_03_approx2_transform():
                 alphas[i] += rng.uniform(-1, 1)
             terms.append((level, float(rng.uniform(-1, 1)),
                           hulls.DeltaMCertificate(m, mult, alphas)))
-        outer = hulls.GammaOverDeltaM(theta=theta, m=m, terms=terms,
-                                      truncation_depth=5)
+        outer = hulls.GammaOverDeltaM(theta=theta, m=m, terms=terms)
         rep, scale = hulls.approx2_transform(S, theta, outer)
         worst_scale = max(worst_scale, scale)
         err = float(np.linalg.norm(scale * rep.evaluate(S)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geomhull.balance import (exhaustive_signs, greedy_signs, halving_step,
-                              type1_represent)
+from geomhull.balance import (_exact_slots, exhaustive_signs, greedy_signs,
+                              halving_step, type1_represent)
 from geomhull.bodies import GeneratingSet, envelope_gauge
 from geomhull.errors import InputError
 
@@ -52,24 +52,44 @@ class TestHalving:
     def test_halves_and_identity(self):
         S = _circle(8)
         rng = np.random.default_rng(3)
-        terms = [(int(rng.integers(0, 8)), float(rng.uniform(-1, 1)))
-                 for _ in range(16)]
-        cert, defect = halving_step(S, terms)
+        idx = rng.integers(0, 8, size=16)
+        scal = rng.uniform(-1, 1, size=16)
+        cert, defect = halving_step(S, idx, scal)
         assert cert.m == 8
         # defect == distance between the 16-term and 8-term averages
-        u = sum(s * S.points[i] for i, s in terms) / 16.0
+        u = sum(s * S.points[i] for i, s in zip(idx, scal)) / 16.0
         assert np.linalg.norm(u - cert.evaluate(S)) == pytest.approx(defect)
         assert defect <= math.sqrt(16) / 16 + 1e-12
 
     def test_odd_count_rejected(self):
         S = _circle(4)
         with pytest.raises(InputError):
-            halving_step(S, [(0, 1.0), (1, 0.5), (2, -0.5)])
+            halving_step(S, [0, 1, 2], [1.0, 0.5, -0.5])
 
     def test_scalar_cap_enforced(self):
         S = _circle(4)
         with pytest.raises(InputError):
-            halving_step(S, [(0, 2.0), (1, 0.5)])
+            halving_step(S, [0, 1], [2.0, 0.5])
+
+    def test_length_mismatch_rejected(self):
+        S = _circle(4)
+        with pytest.raises(InputError):
+            halving_step(S, [0, 1, 2, 3], [1.0, 0.5])
+
+
+class TestExactSlots:
+    def test_layout(self):
+        idx, coef = _exact_slots([2.5, 0.0, -1.0, -0.25], 8)
+        # floor(|c|) full slots of sign(c), then the fraction, per generator
+        assert idx.tolist() == [0, 0, 0, 2, 3, 0, 0, 0]
+        assert coef.tolist() == [1.0, 1.0, 0.5, -1.0, -0.25, 0.0, 0.0, 0.0]
+
+    def test_exact_fit_and_over_capacity(self):
+        idx, coef = _exact_slots([1.0, -2.0], 3)
+        assert idx.tolist() == [0, 1, 1]
+        assert coef.tolist() == [1.0, -1.0, -1.0]
+        assert _exact_slots([1.0, -2.0], 2) is None
+        assert _exact_slots([1.5], 1) is None
 
 
 class TestType1Represent:

@@ -34,13 +34,15 @@ class TestGauges:
         assert np.abs(body.batch_gauge(X) - want).max() < 1e-12
 
     def test_p_gauge_search_matches_analytic(self):
-        body = lp_ball_body(2, 0.5)
+        # a generic body over the lp-ball generators, so the search runs
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            x = rng.uniform(-1, 1, size=2)
-            exact = float((np.abs(x) ** 0.5).sum() ** 2.0)
-            cert = p_gauge_upper(body, x, seed=2)
-            assert cert.value == pytest.approx(exact, rel=1e-5, abs=1e-9)
+        for n in (2, 3):
+            body = PBody(lp_ball_body(n, 0.5).generators, 0.5)
+            for _ in range(10):
+                x = rng.uniform(-1, 1, size=n)
+                exact = float((np.abs(x) ** 0.5).sum() ** 2.0)
+                cert = p_gauge_upper(body, x, seed=2)
+                assert cert.value == pytest.approx(exact, rel=1e-5, abs=1e-9)
 
     def test_envelope_gauge_known_values(self):
         S = GeneratingSet(2, np.eye(2))
@@ -102,7 +104,7 @@ class TestCubeSandwich:
         n = S.dimension
         for mask in range(1 << (n - 1)):  # a vertex and its negation agree
             a = vector_of_mask(n, mask)
-            _, elements, shrink_error = _decompose_vertex(S, a, m, {})
+            _, shrink_error = _decompose_vertex(S, a, m, {})
             assert shrink_error ** 2 <= n * np.abs(S.points).max() ** 2 / m
             assert envelope_gauge(S, a).value == pytest.approx(1.0, abs=1e-9)
         return float(np.abs(S.points).max())

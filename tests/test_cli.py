@@ -138,12 +138,14 @@ class TestVerify:
     @pytest.mark.parametrize("command", [("run", "cube-quotient"),
                                          ("verify", "main")])
     def test_oversized_subsample_exits_two(self, command, tmp_path, capsys):
-        # d = 10^4 asks for m ~ 1.35e9 subsample slots per vertex
-        path = tmp_path / "far.json"
-        path.write_text('{"dimension": 2, '
-                        '"points": [[1, 1], [1, -1], [10000, 0]]}')
-        assert run(*command, "--input", str(path)) == EXIT_INPUT
-        assert "input error:" in capsys.readouterr().err
+        # d = 10^4 asks for m ~ 1.35e9 subsample slots per vertex, d = 85
+        # for m ~ 97,900: within memory, but minutes of work
+        for d in (10000, 85):
+            path = tmp_path / "far.json"
+            path.write_text('{"dimension": 2, '
+                            f'"points": [[1, 1], [1, -1], [{d}, 0]]}}')
+            assert run(*command, "--input", str(path)) == EXIT_INPUT
+            assert "input error:" in capsys.readouterr().err
 
 
 class TestRun:

@@ -107,8 +107,7 @@ class TestAleskerChain:
         chain = alesker_chain(V, 0.5, density_c=1.0)
         assert len(chain.sigma) == 1
         assert chain.sigma[0] == (0, 1, 2, 3)
-        assert chain.scale == 1
-        assert chain.slot_count == 1
+        assert chain_constants(chain.levels) == (1, 1)
         chain.verify(V)
 
     def test_hamming_ball_grows_three_levels(self):
@@ -116,7 +115,7 @@ class TestAleskerChain:
         chain = alesker_chain(V, 0.125, density_c=1.0, enforce_density=False)
         assert len(chain.sigma) - 1 == 3
         assert chain.sigma[-1] == tuple(range(10))
-        assert (chain.scale, chain.slot_count) == (15, 120)
+        assert chain_constants(chain.levels) == (15, 120)
         chain.verify(V)   # exact rational identity at all 1024 patterns
 
     def test_rep_table_is_dyadic_rational(self):

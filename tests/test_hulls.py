@@ -19,15 +19,13 @@ def _square():
 class TestGammaRepresentation:
     def test_level_monotonicity_enforced(self):
         with pytest.raises(InputError):
-            GammaRepresentation(0.5, [(1, 0.5, 0), (1, 0.5, 1)], 2)
+            GammaRepresentation(0.5, [(1, 0.5, 0), (1, 0.5, 1)])
         with pytest.raises(InputError):
-            GammaRepresentation(0.5, [(0, 1.5, 0)], 1)
-        with pytest.raises(InputError):
-            GammaRepresentation(0.5, [(3, 0.5, 0)], 2)
+            GammaRepresentation(0.5, [(0, 1.5, 0)])
 
     def test_evaluate_matches_series(self):
         S = _square()
-        rep = GammaRepresentation(0.5, [(0, 1.0, 0), (2, -0.5, 1)], 4)
+        rep = GammaRepresentation(0.5, [(0, 1.0, 0), (2, -0.5, 1)])
         want = 0.5 * (S.points[0] - 0.5 * 0.25 * S.points[1])
         assert np.abs(rep.evaluate(S) - want).max() < 1e-15
 
@@ -62,8 +60,7 @@ class TestApprox2:
                 alphas[i] += rng.uniform(-1, 1)
             terms.append((level, float(rng.uniform(-1, 1)),
                           DeltaMCertificate(m, mult, alphas)))
-        return GammaOverDeltaM(theta=theta, m=m, terms=terms,
-                               truncation_depth=depth - 1)
+        return GammaOverDeltaM(theta=theta, m=m, terms=terms)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_exact_reconstruction_and_scale(self, m):
@@ -83,7 +80,7 @@ class TestApprox2:
 
     def test_theta_domain(self):
         S = _square()
-        outer = GammaOverDeltaM(theta=0.25, m=2, terms=[], truncation_depth=0)
+        outer = GammaOverDeltaM(theta=0.25, m=2, terms=[])
         with pytest.raises(InputError):
             approx2_transform(S, 0.25, outer)
 
@@ -97,14 +94,12 @@ class TestDeltaMCertificate:
 
     def test_slots_expand_exactly_m(self):
         cert = DeltaMCertificate(5, np.array([2, 1]), np.array([1.5, -0.25]))
-        slots = cert.slots()
-        assert len(slots) == 5
+        idx, coef = cert.slots()
         # slot coefficients recombine to the alphas
-        total = {}
-        for i, cval in slots:
-            total[i] = total.get(i, 0.0) + cval
-        assert total[0] == pytest.approx(1.5)
-        assert total[1] == pytest.approx(-0.25)
+        assert np.bincount(idx, weights=coef) == pytest.approx([1.5, -0.25])
+        # generator by generator, then zero slots up to m
+        assert idx.tolist() == [0, 0, 1, 0, 0]
+        assert coef.tolist() == [0.75, 0.75, -0.25, 0.0, 0.0]
 
 
 def _zonogon_member(S, mult, m, x, tol=1e-9):
