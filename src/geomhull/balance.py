@@ -1,6 +1,6 @@
 """Sign balancing and the balanced representation pipeline.
 
-Sequential and exhaustive sign choices for vector tuples, the halving step
+Sequential sign choices for vector tuples, the halving step
 that turns a 2N-term average into an N-term average plus a small defect, and
 the end-to-end pipeline that converts envelope-ball membership into a
 geometric-series representation.
@@ -25,7 +25,6 @@ class BalanceReport:
     signs: np.ndarray
     sum_norm: float
     bound_used: float
-    method: str
 
 
 def greedy_signs(vectors) -> BalanceReport:
@@ -55,33 +54,7 @@ def greedy_signs(vectors) -> BalanceReport:
     if sum_norm > bound * (1 + 1e-9) + 1e-12:
         raise NumericalError("greedy final bound violated")
     return BalanceReport(N=N, signs=signs, sum_norm=sum_norm,
-                         bound_used=bound, method="greedy")
-
-
-def _half_sign_chunks(N, chunk=1 << 18):
-    """All sign patterns with the first sign fixed +1, in manageable blocks."""
-    total = 1 << (N - 1)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        bits = (idx[:, None] >> np.arange(N - 1)[None, :]) & 1
-        yield np.hstack([np.ones((idx.size, 1)), 1.0 - 2.0 * bits])
-
-
-def exhaustive_signs(vectors) -> BalanceReport:
-    """Best sign assignment by full enumeration (first sign +1 by symmetry)."""
-    X = np.atleast_2d(np.asarray(vectors, dtype=float))
-    N = X.shape[0]
-    if N > 24:
-        raise InputError("exhaustive sign search is capped at 24 vectors")
-    best = None
-    for E in _half_sign_chunks(N):
-        vals = np.linalg.norm(E @ X, axis=1)
-        j = int(np.argmin(vals))
-        if best is None or vals[j] < best[0]:
-            best = (float(vals[j]), E[j].copy())
-    bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
-    return BalanceReport(N=N, signs=best[1], sum_norm=best[0],
-                         bound_used=bound, method="exhaustive")
+                         bound_used=bound)
 
 
 # ---------------------------------------------------------------------------

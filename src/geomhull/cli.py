@@ -32,7 +32,7 @@ from .bodies import (GeneratingSet, PBody, delta_nonconvexity, fmt17,
 from .cube import (Calibration, VertexSet, alesker_chain, chain_constants,
                    chain_cube_certificate, counting_select,
                    cube_quotient, cubic_quotient_from_nonconvexity,
-                   pnormed_quotient, vertex_generating_set,
+                   density_threshold, pnormed_quotient, vertex_generating_set,
                    vertex_set_from_generating_set)
 from .dvoretzky import dvoretzky_search, ellipsoid_gamma_represent
 from .errors import (BudgetError, ContractionError, InputError,
@@ -218,7 +218,7 @@ def _loaded_input(cfg: RunConfig):
 
 def _sample_vertex_subset(n, count, seed):
     if n < 1 or n > 16:
-        raise InputError("vertex sampling capped at dimension 16")
+        raise InputError("vertex sampling needs dimension 1..16")
     if count > 2 ** n:
         raise InputError(f"cannot draw {count} distinct vertices from "
                          f"{2 ** n}")
@@ -246,7 +246,8 @@ def cmd_generate(cfg: RunConfig):
             raise InputError("random-vertex-subset needs --n")
         count = cfg.count
         if count is None:
-            count = math.ceil(2.0 ** (cfg.n * (1.0 - cfg.calibration.c * cfg.eps)))
+            count = math.ceil(density_threshold(cfg.n, cfg.calibration.c,
+                                                cfg.eps))
         V = _sample_vertex_subset(cfg.n, count, cfg.seed)
         S = vertex_generating_set(V, label="random-vertex-subset")
         p = cfg.p
@@ -401,8 +402,8 @@ def verify_type1(cfg: RunConfig):
         angles = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
         S = GeneratingSet(2, np.column_stack([np.cos(angles), np.sin(angles)]),
                           label="circle-32")
-    theta = cfg.theta if cfg.theta > 1.0 / 3.0 else 0.5
-    m = cfg.m if cfg.m else 4
+    theta = cfg.theta
+    m = cfg.m if cfg.m is not None else 4
     rng = np.random.default_rng(cfg.seed)
     trials = min(cfg.trials, 200)
     worst_err, worst_defect_ratio, samples = 0.0, 0.0, []
@@ -436,8 +437,8 @@ def verify_alesker(cfg: RunConfig):
         S, _ = _loaded_input(cfg)
         V = vertex_set_from_generating_set(S)
     else:
-        n = cfg.n if cfg.n else 10
-        count = math.ceil(2.0 ** (n * (1.0 - cfg.calibration.c * cfg.eps)))
+        n = cfg.n if cfg.n is not None else 10
+        count = math.ceil(density_threshold(n, cfg.calibration.c, cfg.eps))
         V = _sample_vertex_subset(n, count, cfg.seed)
         S = vertex_generating_set(V, label="random-vertex-subset")
     chain = alesker_chain(V, cfg.eps, density_c=cfg.calibration.c,
@@ -465,9 +466,9 @@ def verify_alesker(cfg: RunConfig):
 
 
 def verify_counting(cfg: RunConfig):
-    n = cfg.n if cfg.n else 8
-    if n > 12:
-        raise InputError("counting verification capped at dimension 12")
+    n = cfg.n if cfg.n is not None else 8
+    if not 3 <= n <= 12:   # both subset sizes n - 1 and n - 2 must be positive
+        raise InputError("counting verification needs dimension 3..12")
     rng = np.random.default_rng(cfg.seed)
     samples = []
     ok = True
@@ -525,13 +526,13 @@ def verify_dvoretzky(cfg: RunConfig):
     if cfg.input:
         S, _ = _loaded_input(cfg)
     else:
-        n = cfg.n if cfg.n else 40
-        count = cfg.count if cfg.count else 500
+        n = cfg.n if cfg.n is not None else 40
+        count = cfg.count if cfg.count is not None else 500
         rng = np.random.default_rng(cfg.seed + 1)
         pts = rng.standard_normal((count, n))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         S = GeneratingSet(n, pts, label="sphere-sample")
-    k = cfg.k if cfg.k else 3
+    k = cfg.k if cfg.k is not None else 3
     result = dvoretzky_search(S, k, cfg.eta, cfg.trials, cfg.seed)
     eta_real = result.ellipticity - 1.0
     theta = 0.5
@@ -647,7 +648,7 @@ def run_cubic_from_delta(cfg: RunConfig):
 
 def run_dvoretzky_search(cfg: RunConfig):
     S, _ = _loaded_input(cfg)
-    k = cfg.k if cfg.k else 3
+    k = cfg.k if cfg.k is not None else 3
     result = dvoretzky_search(S, k, cfg.eta, cfg.trials, cfg.seed)
     payload = json.loads(result.to_json())
     payload["calibration"] = cfg.calibration.as_dict()

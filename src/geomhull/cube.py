@@ -193,6 +193,11 @@ def chain_constants(k):
     return 2 ** (k + 1) - 1, 2 * 4 ** k - 2 ** k
 
 
+def density_threshold(n, c, epsilon):
+    """Member count 2^(n(1 - c eps)) that makes an n-dim vertex set dense."""
+    return 2.0 ** (n * (1.0 - c * epsilon))
+
+
 @dataclass
 class ShatterChain:
     """Anchored increasing chain of coordinate subsets with exact dyadic tables.
@@ -207,17 +212,14 @@ class ShatterChain:
     levels: int
     sigma: list
     tau: list
-    anchor: tuple
-    fiber_tables: list
     rep_table: dict
     epsilon: float
-    n: int
 
     def __post_init__(self):
         if self.levels < 0 or len(self.sigma) != self.levels + 1:
             raise InputError("sigma must hold one subset per level")
-        if len(self.tau) != self.levels or len(self.fiber_tables) != self.levels:
-            raise InputError("tau and fiber tables must cover every growth level")
+        if len(self.tau) != self.levels:
+            raise InputError("tau must cover every growth level")
         for k in range(self.levels):
             grown = tuple(sorted(set(self.sigma[k]) | set(self.tau[k])))
             if grown != tuple(sorted(self.sigma[k + 1])):
@@ -226,8 +228,6 @@ class ShatterChain:
                 raise InputError("tau overlaps the previous sigma")
             if not self.tau[k]:
                 raise InputError("empty tau level")
-        if len(self.anchor) != self.n:
-            raise InputError("anchor length mismatch")
 
     def verify(self, V: VertexSet):
         """Re-check every representation entry in exact rational arithmetic."""
@@ -313,7 +313,7 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
         raise InputError("chain construction is limited to dimension 14")
     if V.count == 0:
         raise InputError("empty vertex set")
-    threshold = 2 ** (V.n * (1.0 - density_c * epsilon))
+    threshold = density_threshold(V.n, density_c, epsilon)
     if enforce_density and V.count < threshold:
         raise InputError(
             f"vertex set too sparse: {V.count} < 2^(n(1-c eps)) = {threshold:.1f}")
@@ -326,9 +326,9 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
     best_state = {"level": 0}
 
     def search(level, sigma, anchor_bits, free_coords):
-        """Returns (sigma_list, tau_list, fiber_tables, anchor) or None."""
+        """Returns (sigma_list, tau_list, fiber_tables) or None."""
         if level > levels_wanted or len(sigma) == V.n:
-            return [tuple(sigma)], [], [], anchor_bits
+            return [tuple(sigma)], [], []
         fiber_all = [m for m in members
                      if all(((m >> c) & 1) == ((anchor_bits >> c) & 1)
                             for c in sigma)]
@@ -354,20 +354,19 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
             grown = tuple(sorted(set(sigma) | set(tau)))
             deeper = search(level + 1, grown, bits, tau)
             if deeper is not None:
-                sig, taus, tables, anchor = deeper
-                return [tuple(sigma)] + sig, [tau] + taus, [pairs] + tables, anchor
+                sig, taus, tables = deeper
+                return [tuple(sigma)] + sig, [tau] + taus, [pairs] + tables
         return None
 
     if levels_wanted == 0 or len(sigma0) == V.n:
-        outcome = [tuple(sigma0)], [], [], 0
+        outcome = [tuple(sigma0)], [], []
     else:
         outcome = search(1, sigma0, 0, sigma0)
     if outcome is None:
         raise PhaseError("chain", "no anchor extension grows the chain",
                          level=best_state["level"] + 1, sigma0=sigma0)
-    sigma_list, tau_list, fiber_tables, anchor_bits = outcome
+    sigma_list, tau_list, fiber_tables = outcome
     levels = len(tau_list)
-    anchor = tuple(1 - 2 * ((anchor_bits >> j) & 1) for j in range(V.n))
 
     # level-0 table: each core pattern maps to one witness with coefficient 1
     core_groups = _group_by_projection(members, sigma_list[0])
@@ -401,8 +400,7 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
         table = grown
 
     chain = ShatterChain(levels=levels, sigma=sigma_list, tau=tau_list,
-                         anchor=anchor, fiber_tables=fiber_tables,
-                         rep_table=table, epsilon=float(epsilon), n=V.n)
+                         rep_table=table, epsilon=float(epsilon))
     chain.verify(V)
     return chain
 
@@ -420,7 +418,6 @@ def _all_patterns(k):
 class ChainCertificates:
     """Average-hull certificates for every pattern the chain reaches."""
 
-    sigma: tuple
     scale: int
     m: int
     certificates: dict
@@ -429,44 +426,78 @@ class ChainCertificates:
     m_target: float
 
 
+def _lift_chain(chain: ShatterChain, parts, S: GeneratingSet, sigma_idx, m):
+    """Lift the chain's dyadic tables to certificates over S, checked on sigma.
+
+    parts maps each chain member to (certificate, displacement): an m-slot
+    average over S and the offset that carries it onto the member.  A table
+    entry sum_j c_j member_j lifts to sum_j c_j 2^levels cert_j over
+    chain_N * m slots and to the displacement sum_j c_j disp_j; the chain
+    scale times the certificate plus the displacement is re-evaluated in
+    floats and must hit the pattern on sigma to 1e-9.  Returns
+    {pattern: (certificate, displacement)} in pattern order.
+    """
+    a_s, b_s = chain_constants(chain.levels)
+    weight = 1 << chain.levels
+    budget = b_s * m
+    lifted = {}
+    for pattern, combo in sorted(chain.rep_table.items()):
+        mult = np.zeros(S.count, dtype=int)
+        alphas = np.zeros(S.count)
+        rvec = np.zeros(S.dimension)
+        for member, coef in combo.items():
+            scaled = coef * weight
+            if scaled.denominator != 1:
+                raise NumericalError("non-dyadic chain coefficient")
+            cert, displacement = parts[member]
+            mult += abs(scaled.numerator) * cert.multiplicities
+            alphas += scaled.numerator * cert.alphas
+            rvec += float(coef) * displacement
+        if int(mult.sum()) > budget:
+            raise PhaseError("certify", "lifted certificate exceeds its budget",
+                             pattern=pattern)
+        cert = DeltaMCertificate(m=budget, multiplicities=mult, alphas=alphas)
+        achieved = a_s * cert.evaluate(S)[sigma_idx] + rvec[sigma_idx]
+        if np.abs(achieved - np.array(pattern, dtype=float)).max() > 1e-9:
+            raise PhaseError("certify", "vertex certificate mismatch",
+                             pattern=pattern)
+        lifted[pattern] = (cert, rvec)
+    return lifted
+
+
 def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
                            C=8.0) -> ChainCertificates:
-    """Convert chain tables into average-hull certificates over S.
+    """Lift the chain tables to average-hull certificates over S.
 
-    Every table entry becomes a certificate with slot count b and scale a for
-    the chain's level constants; alesker_chain has already verified the
-    projection identity in exact rationals.  Scales beyond the calibrated
-    targets are flagged, not fatal -- the calibration is a fitted record, not
-    a guarantee.
+    Each chain member is a row of S, a one-slot certificate with no
+    displacement, so every pattern gets a certificate with the chain's slot
+    count b and scale a.  The lift re-evaluates each certificate against its
+    pattern on sigma in floats (a mismatch is PhaseError "certify"), a check
+    independent of the exact rational one alesker_chain runs on the table.
+    Scales beyond the calibrated targets are flagged, not fatal -- the
+    calibration is a fitted record, not a guarantee.
     """
     index = {}
     for i, row in enumerate(S.points):
         if not np.all(np.abs(row) == 1.0):
             raise InputError("generating set must consist of cube vertices")
         index[mask_of_vector(row)] = i
+    members = {member for combo in chain.rep_table.values() for member in combo}
+    if not members <= index.keys():
+        raise InputError("chain member missing from the generating set")
+    zero = np.zeros(S.dimension)
+    parts = {}
+    for member in members:
+        unit = np.bincount([index[member]], minlength=S.count)
+        parts[member] = (DeltaMCertificate(m=1, multiplicities=unit,
+                                           alphas=unit), zero)
+    sigma_idx = np.array(chain.sigma[-1], dtype=int)
+    lifted = _lift_chain(chain, parts, S, sigma_idx, 1)
     a_s, b_s = chain_constants(chain.levels)
-    weight = 1 << chain.levels
-    sigma = tuple(chain.sigma[-1])
-    certificates = {}
-    for pattern, combo in chain.rep_table.items():
-        mult = np.zeros(S.count, dtype=int)
-        alphas = np.zeros(S.count)
-        for member, coef in combo.items():
-            if member not in index:
-                raise InputError("chain member missing from the generating set")
-            scaled = coef * weight
-            if scaled.denominator != 1:
-                raise NumericalError("non-dyadic chain coefficient")
-            mult[index[member]] = abs(scaled.numerator)
-            alphas[index[member]] = float(scaled.numerator)
-        if int(mult.sum()) > b_s:
-            raise NumericalError("certificate exceeds the slot budget")
-        certificates[pattern] = DeltaMCertificate(m=b_s, multiplicities=mult,
-                                                  alphas=alphas)
     eps = chain.epsilon
     calibration_ok = a_s <= C / eps + 1e-9 and b_s <= C / eps ** 2 + 1e-9
-    return ChainCertificates(sigma=sigma, scale=a_s, m=b_s,
-                             certificates=certificates,
+    return ChainCertificates(scale=a_s, m=b_s,
+                             certificates={p: c for p, (c, _) in lifted.items()},
                              calibration_ok=calibration_ok,
                              scale_target=C / eps, m_target=C / eps ** 2)
 
@@ -504,7 +535,7 @@ def counting_select(candidates, k):
 
 
 # ---------------------------------------------------------------------------
-# subsampling and snapping
+# subsampling
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -514,95 +545,44 @@ class SubsampleFit:
     x: np.ndarray
     chosen: tuple
     agreement_set: tuple
-    agreement_count: int
-    mean_square_vs_average: float
     mean_square_vs_vertex: float
     deviation_variance: float
-    variance_bound: float
-    trials: int
-    m: int
 
 
 def subsample_vertex_fit(elements, vertex, delta, m, trials, seed) -> SubsampleFit:
     """Sample uniform m-subsets of the decomposition, keep the best agreement.
 
     The winning average maximizes the number of coordinates within delta of
-    the target vertex (first winner kept on ties).  The mean squared distance
-    of the subset average to the full average is reported against the n d^2/m
-    allowance, d being the largest sup-norm among the elements.
+    the target vertex (first winner kept on ties).  The mean and sample
+    variance over the trials of the squared distance from subset average to
+    vertex are returned for the caller's n d^2/m allowance check.
     """
     elements = np.asarray(elements, dtype=float)
     vertex = np.asarray(vertex, dtype=float)
     if elements.ndim != 2 or elements.shape[1] != vertex.shape[0]:
         raise InputError("decomposition and vertex dimensions differ")
-    N, n = elements.shape
+    N = elements.shape[0]
     if not 1 <= m <= N:
         raise InputError("subset size must lie in 1..N")
     if trials < 1:
         raise InputError("at least one trial required")
     rng = np.random.default_rng(seed)
-    average = elements.mean(axis=0)
-    d = float(np.abs(elements).max())
     best = None
-    sq_avg = np.empty(trials)
     sq_vertex = np.empty(trials)
     for t in range(trials):
         chosen = rng.choice(N, size=m, replace=False)
         x = elements[chosen].mean(axis=0)
         count = int((np.abs(x - vertex) <= delta + 1e-12).sum())
-        sq_avg[t] = float(((x - average) ** 2).sum())
         sq_vertex[t] = float(((x - vertex) ** 2).sum())
         if best is None or count > best[0]:
             best = (count, x, tuple(int(i) for i in np.sort(chosen)))
-    count, x, chosen = best
+    _, x, chosen = best
     agreement = tuple(int(j) for j in
                       np.nonzero(np.abs(x - vertex) <= delta + 1e-12)[0])
     variance = float(sq_vertex.var(ddof=1)) if trials > 1 else 0.0
     return SubsampleFit(x=x, chosen=chosen, agreement_set=agreement,
-                        agreement_count=count,
-                        mean_square_vs_average=float(sq_avg.mean()),
                         mean_square_vs_vertex=float(sq_vertex.mean()),
-                        deviation_variance=variance,
-                        variance_bound=n * d * d / m, trials=trials, m=m)
-
-
-@dataclass
-class SnapEntry:
-    """One vertex's subsampled point, its snapped version, and the certificate."""
-
-    x: np.ndarray
-    y: np.ndarray
-    agreement_set: tuple
-    certificate: DeltaMCertificate
-
-
-@dataclass
-class SnapTable:
-    """Snapped per-vertex averages: y agrees with the vertex on the agreement set."""
-
-    delta: float
-    entries: dict
-
-    def verify(self):
-        for mask, entry in self.entries.items():
-            n = entry.x.shape[0]
-            a = vector_of_mask(n, mask)
-            agree = np.zeros(n, dtype=bool)
-            agree[list(entry.agreement_set)] = True
-            if not np.array_equal(entry.y[agree], a[agree]):
-                raise NumericalError("snapped coordinates do not match the vertex")
-            if not np.array_equal(entry.y[~agree], entry.x[~agree]):
-                raise NumericalError("snapping touched a non-agreement coordinate")
-            if np.abs(entry.y - entry.x).max() > self.delta + 1e-12:
-                raise NumericalError("snap displacement exceeds delta")
-        return True
-
-
-def _snap(x, vertex, agreement):
-    y = x.copy()
-    idx = list(agreement)
-    y[idx] = vertex[idx]
-    return y
+                        deviation_variance=variance)
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +595,6 @@ def _snap(x, vertex, agreement):
 # host): `run cube-quotient` took 12 s at m = 5,419, 18 s at m = 9,875 and
 # 21 s at m = 12,191.
 MAX_SUBSAMPLE = 10 ** 4
-
-
-@dataclass
-class _VertexEntry:
-    certificate: DeltaMCertificate
-    snap_residual_sigma: np.ndarray
 
 
 @dataclass
@@ -646,6 +620,7 @@ class QuotientReport:
     vertex_certificates: dict = field(default_factory=dict)
     assembly_theta: float = 0.75
     flat_m: int = 1
+    # vertex mask -> (lifted certificate, its snap displacement on sigma)
     _entries: dict = field(default_factory=dict, repr=False)
 
     def to_json(self):
@@ -737,13 +712,16 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     Phases: per-vertex decomposition (doubling as the sandwich check),
     subsampling to short averages, snapping at delta = c1 * eps, counting
     selection of the agreement coordinates, the anchored chain over the
-    selected patterns, exact lifting of the chain tables to certificates, and
+    selected patterns, lifting of the chain tables to certificates, and
     the splitting iteration that turns them into geometric representations.
-    Each vertex keeps the best of 64 sampled m-subsets; the selected patterns
+    Each vertex keeps the best of 64 sampled m-subsets and its snap
+    displacement y - x; its mirror keeps the negated pair.  The lift
+    (_lift_chain, shared with chain_cube_certificate) re-evaluates every
+    lifted certificate against its pattern on sigma, and each lifted
+    displacement is bounded by chain_scale * delta.  The selected patterns
     count as dense against the calibration's c.  An instance whose subsample
     size m exceeds MAX_SUBSAMPLE is rejected before any work.  Fails loudly
-    with the phase name; every certificate is verified before the report is
-    returned.
+    with the phase name.
     """
     cal = Calibration.from_mapping(calibration)
     n = S.dimension
@@ -772,7 +750,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     children = ss.spawn(half + 1)
     full_mask = (1 << n) - 1
 
-    entries = {}
+    parts = {}
     candidates = {}
     pooled_sq = []
     pooled_var = []
@@ -790,20 +768,19 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         chosen = np.array(fit.chosen, dtype=int)
         mult = np.bincount(idx[chosen], minlength=S.count)
         alphas = np.bincount(idx[chosen], weights=scal[chosen], minlength=S.count)
-        cert = DeltaMCertificate(m=m, multiplicities=mult, alphas=alphas)
-        y = _snap(fit.x, a, fit.agreement_set)
-        entries[mask] = SnapEntry(x=fit.x, y=y, agreement_set=fit.agreement_set,
-                                  certificate=cert)
-        mirror = DeltaMCertificate(m=m, multiplicities=mult, alphas=-alphas)
-        entries[full_mask ^ mask] = SnapEntry(
-            x=-fit.x, y=-y, agreement_set=fit.agreement_set, certificate=mirror)
+        # snapping moves the agreement coordinates of x onto the vertex
+        agree = list(fit.agreement_set)
+        displacement = np.zeros(n)
+        displacement[agree] = a[agree] - fit.x[agree]
+        parts[mask] = (DeltaMCertificate(m=m, multiplicities=mult,
+                                         alphas=alphas), displacement)
+        parts[full_mask ^ mask] = (DeltaMCertificate(
+            m=m, multiplicities=mult, alphas=-alphas), -displacement)
         candidates[mask] = fit.agreement_set
         candidates[full_mask ^ mask] = fit.agreement_set
         pooled_sq.append(fit.mean_square_vs_vertex)
         pooled_var.append(fit.deviation_variance)
 
-    snap_table = SnapTable(delta=delta, entries=entries)
-    snap_table.verify()
     mean_square = float(np.mean(pooled_sq))
     total_trials = trials * half
     standard_error = float(math.sqrt(max(np.mean(pooled_var), 0.0) / total_trials))
@@ -831,7 +808,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             if (mask >> c) & 1:
                 pattern |= 1 << pos
         witnesses.setdefault(pattern, mask)
-    density_ok = T.count >= 2 ** (k_agree * (1.0 - cal.c * epsilon))
+    density_ok = T.count >= density_threshold(k_agree, cal.c, epsilon)
 
     chain = alesker_chain(T, epsilon, density_c=cal.c,
                           enforce_density=False, node_budget=node_budget)
@@ -845,41 +822,20 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         raise PhaseError("certify", "snap budget exceeds the splitting margin",
                          scale=a_s, delta=delta)
 
-    weight = 1 << chain.levels
     M = b_s * m
     sigma_idx = np.array(sigma, dtype=int)
+    lifted = _lift_chain(chain, {p: parts[w] for p, w in witnesses.items()},
+                         S, sigma_idx, m)
     vertex_entries = {}
     vertex_certificates = {}
     vertex_residual_max = 0.0
-    for pattern, combo in sorted(chain.rep_table.items()):
-        mult = np.zeros(S.count, dtype=int)
-        alphas = np.zeros(S.count)
-        rvec = np.zeros(n)
-        for member, coef in combo.items():
-            scaled = coef * weight
-            if scaled.denominator != 1:
-                raise NumericalError("non-dyadic chain coefficient")
-            w = witnesses[member]
-            entry = entries[w]
-            mult += abs(scaled.numerator) * entry.certificate.multiplicities
-            alphas += scaled.numerator * entry.certificate.alphas
-            rvec += float(coef) * (entry.y - entry.x)
-        if int(mult.sum()) > M:
-            raise PhaseError("certify", "lifted certificate exceeds its budget",
-                             pattern=pattern)
-        cert = DeltaMCertificate(m=M, multiplicities=mult, alphas=alphas)
+    for pattern, (cert, rvec) in lifted.items():
         snap_norm = float(np.abs(rvec).max())
         if snap_norm > a_s * delta + 1e-9:
             raise PhaseError("certify", "snap residual exceeds its budget",
                              pattern=pattern, residual=snap_norm)
         vertex_residual_max = max(vertex_residual_max, snap_norm)
-        target = np.array(pattern, dtype=float)
-        achieved = a_s * cert.evaluate(S)[sigma_idx] + rvec[sigma_idx]
-        if np.abs(achieved - target).max() > 1e-9:
-            raise PhaseError("certify", "vertex certificate mismatch",
-                             pattern=pattern)
-        vertex_entries[mask_of_vector(pattern)] = _VertexEntry(
-            certificate=cert, snap_residual_sigma=rvec[sigma_idx])
+        vertex_entries[mask_of_vector(pattern)] = (cert, rvec[sigma_idx])
         key = "".join("-" if v < 0 else "+" for v in pattern)
         vertex_certificates[key] = _sparse_cert(
             cert, {"scale": a_s, "snap_residual": snap_norm})
@@ -958,19 +914,16 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
         a2 = np.where(r >= -0.5, 1.0, -1.0)
         m1, m2 = mask_of_vector(a1), mask_of_vector(a2)
         try:
-            e1, e2 = report._entries[m1], report._entries[m2]
+            (c1, r1), (c2, r2) = report._entries[m1], report._entries[m2]
         except KeyError:
             missing = m1 if m1 not in report._entries else m2
             raise PhaseError("assemble", "vertex certificate missing",
                              vertex=format(missing, "b")) from None
         merged = DeltaMCertificate(
-            m=M2,
-            multiplicities=e1.certificate.multiplicities
-            + e2.certificate.multiplicities,
-            alphas=e1.certificate.alphas + e2.certificate.alphas)
+            m=M2, multiplicities=c1.multiplicities + c2.multiplicities,
+            alphas=c1.alphas + c2.alphas)
         terms.append((level, 1.0, merged))
-        r = (r - 0.5 * (a1 + a2)
-             + 0.5 * (e1.snap_residual_sigma + e2.snap_residual_sigma)) / theta
+        r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
         if np.abs(r).max() > 1.0 + 1e-9:
             raise PhaseError("assemble", "splitting residual left the ball",
                              level=level, residual=float(np.abs(r).max()))

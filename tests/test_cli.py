@@ -250,8 +250,11 @@ class TestConfig:
         assert again["calibration"] == printed["calibration"]
 
 
-# (case, flag carrying the bad file, file text; None makes a directory)
-MALFORMED = [
+APPROX2 = ("verify", "approx2", "--trials", "2")
+SPHERE = '{"dimension": 3, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+
+# (case, command, flag carrying the file, file text; None makes a directory)
+MALFORMED = [(case, APPROX2, flag, text) for case, flag, text in [
     ("truncated-json", "input", '{"dimension": 2, "points": [[1, 0], [0'),
     ("top-level-list", "input", "[[1, 0], [0, 1]]"),
     ("dimension-word", "input",
@@ -271,19 +274,31 @@ MALFORMED = [
     ("const-word", "config", "const.c = abc\n"),
     ("seed-word", "config", "seed = abc\n"),
     ("eps-word", "config", "eps = abc\n"),
+]] + [
+    # out-of-range flag values, which once ran silently at a default; the
+    # file is an empty config, or a valid instance where one is needed
+    ("type1-theta", ("verify", "type1", "--theta", "0.2"), "config", ""),
+    ("type1-m-zero", ("verify", "type1", "--m", "0"), "config", ""),
+    ("counting-n-zero", ("verify", "counting", "--n", "0"), "config", ""),
+    ("alesker-n-zero", ("verify", "alesker", "--n", "0"), "config", ""),
+    ("dvoretzky-n-zero", ("verify", "dvoretzky", "--n", "0"), "config", ""),
+    ("dvoretzky-count-zero", ("verify", "dvoretzky", "--count", "0"),
+     "config", ""),
+    ("dvoretzky-k-zero", ("verify", "dvoretzky", "--k", "0"), "config", ""),
+    ("search-k-zero", ("run", "dvoretzky-search", "--k", "0"), "input",
+     SPHERE),
 ]
 
 
-@pytest.mark.parametrize("flag,text", [case[1:] for case in MALFORMED],
+@pytest.mark.parametrize("command,flag,text", [case[1:] for case in MALFORMED],
                          ids=[case[0] for case in MALFORMED])
-def test_malformed_input_exits_two(flag, text, tmp_path, capsys):
+def test_malformed_input_exits_two(command, flag, text, tmp_path, capsys):
     path = tmp_path / "bad"
     if text is None:
         path.mkdir()
     else:
         path.write_text(text)
-    assert run("verify", "approx2", "--trials", "2",
-               f"--{flag}", str(path)) == EXIT_INPUT
+    assert run(*command, f"--{flag}", str(path)) == EXIT_INPUT
     assert "input error:" in capsys.readouterr().err
 
 

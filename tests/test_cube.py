@@ -165,6 +165,16 @@ class TestChainCertificates:
         with pytest.raises(InputError):
             chain_cube_certificate(chain, GeneratingSet(2, 0.5 * np.eye(2)))
 
+    def test_tampered_table_fails_certify(self):
+        V = _hamming_ball(4, 1)
+        chain = alesker_chain(V, 0.5, density_c=1.0, enforce_density=False)
+        pattern = min(chain.rep_table)
+        chain.rep_table[pattern] = {member: -coef for member, coef
+                                    in chain.rep_table[pattern].items()}
+        with pytest.raises(PhaseError) as err:
+            chain_cube_certificate(chain, vertex_generating_set(V))
+        assert err.value.phase == "certify"
+
 
 class TestCountingSelect:
     def test_bound_on_full_cover(self):
@@ -196,18 +206,8 @@ class TestSubsample:
         elements = np.tile(vertex, (10, 1))
         fit = subsample_vertex_fit(elements, vertex, delta=0.01, m=4,
                                    trials=8, seed=0)
-        assert fit.agreement_count == 3
-        assert fit.mean_square_vs_average == pytest.approx(0.0, abs=1e-18)
-        assert fit.variance_bound == pytest.approx(3 * 1.0 / 4)
-
-    def test_variance_bound_formula(self):
-        rng = np.random.default_rng(2)
-        elements = rng.uniform(-2, 2, size=(30, 4))
-        d = float(np.abs(elements).max())
-        fit = subsample_vertex_fit(elements, np.ones(4), delta=0.5, m=10,
-                                   trials=16, seed=3)
-        assert fit.variance_bound == pytest.approx(4 * d * d / 10)
-        assert fit.m == 10 and fit.trials == 16
+        assert len(fit.agreement_set) == 3
+        assert fit.mean_square_vs_vertex == pytest.approx(0.0, abs=1e-18)
 
 
 class TestOperator:
@@ -242,6 +242,9 @@ class TestCubeQuotient:
         assert report.chain_levels == 0
         assert report.C_over_eps == pytest.approx(4.6110, abs=1e-3)
         assert report.variance_check["pass"]
+        used = report.constants_used
+        assert report.variance_check["bound"] == pytest.approx(
+            4 * used["n"] * used["d"] ** 2 / used["m"])
         assert report.vertex_residual_max == 0.0
 
     def test_generic_lp_decomposition_path(self):

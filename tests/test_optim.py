@@ -49,11 +49,18 @@ class TestSolveLP:
             obj = np.concatenate([c, np.zeros(4)])
             sol = solve_lp(LPProblem(obj, M, b, bounds))
             assert sol.status == "optimal"
-            # dual feasibility and complementary value on the equality rows:
-            # value = y @ b + contribution of active variable bounds
-            assert np.isfinite(sol.y).all()
             resid = M @ sol.x - b
             assert np.abs(resid).max() < 1e-7
+            # dual feasibility: the slack columns (bounds (0, None)) need
+            # reduced costs r = c - M^T y >= 0
+            r = obj - M.T @ sol.y
+            assert r[3:].min() >= -1e-9
+            # zero gap: c x = y b + sum of r_j at the bound it pushes x_j to;
+            # on the slack columns that bound is 0
+            bound_part = sum(rj * (lo if rj > 0 else hi)
+                             for rj, (lo, hi) in zip(r[:3], bounds[:3]))
+            assert obj @ sol.x == pytest.approx(sol.y @ b + bound_part,
+                                                abs=1e-9)
 
     def test_infeasible_returns_farkas_certificate(self):
         # x <= 1 and x >= 2 cannot hold together
