@@ -209,6 +209,26 @@ class TestSubsample:
         assert len(fit.agreement_set) == 3
         assert fit.mean_square_vs_vertex == pytest.approx(0.0, abs=1e-18)
 
+    def test_variance_bound_formula(self):
+        rng = np.random.default_rng(2)
+        elements = rng.uniform(-2, 2, size=(30, 4))
+        n, m, trials = 4, 10, 16
+        d = float(np.abs(elements).max())
+        centre = elements.mean(axis=0)
+        fit = subsample_vertex_fit(elements, centre, delta=0.5, m=m,
+                                   trials=trials, seed=3)
+        assert len(fit.chosen) == m
+        # the statistics are the mean and ddof=1 variance, over the trials,
+        # of the squared distance from each m-subset average to the target
+        draws = np.random.default_rng(3)
+        sq = [float(((elements[draws.choice(30, size=m, replace=False)]
+                      .mean(axis=0) - centre) ** 2).sum())
+              for _ in range(trials)]
+        assert fit.mean_square_vs_vertex == pytest.approx(np.mean(sq))
+        assert fit.deviation_variance == pytest.approx(np.var(sq, ddof=1))
+        # about the decomposition's own mean they sit inside 4 n d^2 / m
+        assert fit.mean_square_vs_vertex <= 4 * n * d * d / m
+
 
 class TestOperator:
     @pytest.mark.parametrize("k", [1, 2])
