@@ -157,7 +157,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     halvings = max(1, math.ceil(math.log2(max(2.0, 16.0 * S.dimension / m))))
     M = 2 ** halvings * m
     r = x.copy()
-    out_terms = []
+    mults, alphas = [], []  # one row per level, each an m-slot certificate
     defect_log = []
     # Every accepted level leaves r = w / theta with envelope gauge <= 1, so
     # ||r|| <= max ||s_i|| and the test below fires by level
@@ -190,12 +190,15 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
                 f"level {level} defect gauge {gauge_w:.6g} exceeds theta {theta}",
                 level=level, defect_gauge=gauge_w, theta=theta,
                 defects=defect_log, m=m, halvings=halvings)
-        out_terms.append((level, 1.0, vcert))
+        mults.append(vcert.multiplicities)
+        alphas.append(vcert.alphas)
         r = w / theta
-    container = GammaOverDeltaM(theta=theta, m=m, terms=out_terms)
+    levels = np.arange(len(mults))
+    container = GammaOverDeltaM(theta, m, levels, np.ones(levels.size), mults,
+                                alphas)
     rep, flatten_scale = approx2_transform(S, theta, container)
     total_scale = flatten_scale / (1.0 - theta)
-    tail = theta ** len(out_terms) * np.linalg.norm(r) if out_terms else np.linalg.norm(r)
+    tail = theta ** len(mults) * np.linalg.norm(r) if mults else np.linalg.norm(r)
     rep.residual_norm = float(tail / total_scale)
     return rep, total_scale
 

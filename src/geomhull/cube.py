@@ -589,12 +589,21 @@ def subsample_vertex_fit(elements, vertex, delta, m, trials, seed) -> SubsampleF
 # quotient pipeline
 # ---------------------------------------------------------------------------
 
-# A time budget on m = c2 d^2 eps^-3 (1 - ln eps), checked before any work:
-# each query's flattened series has 2 b m slots per level, b = chain_N.
-# Measured at n = 2 only (points [[1,1],[1,-1],[d,0]], default flags, 2-core
-# host): `run cube-quotient` took 12 s at m = 5,419, 18 s at m = 9,875 and
-# 21 s at m = 12,191.
+# Time budgets on the work that grows with m = c2 d^2 eps^-3 (1 - ln eps),
+# both checked before any work, with `run cube-quotient` at default flags on
+# a 2-core host (points the 2^(n-1) antipodal cube vertices and [d, 0, ...]):
+# - MAX_SUBSAMPLE bounds the queries, whose series have 2 chain_N m slots per
+#   level (chain_N was 1 in every run timed).  At n = 2, m = 5,419 took 2.0 s
+#   and m = 12,191 3.8 s; at n = 3, m = 9,875 took 3.5 s (250 MB peak RSS),
+#   21,673 10.3 s (462 MB) and 44,009 22.7 s (769 MB).  A ~20 s budget alone
+#   would allow m near 40,000, but the slot arrays then need ~0.75 GB.
+# - MAX_VERTEX_SLOTS bounds the vertex phase, 64 sampled m-subsets for each
+#   of the 2^(n-1) vertex pairs.  At n = 10, 2^9 m = 1.36M took 12.5 s,
+#   2.50M 15.3 s and 2.77M 21.2 s; at the cap n = 10 to 12 took 15.7 to
+#   16.3 s.  From n = 13 the part that does not grow with m already takes
+#   14 s or more, which neither cap bounds.
 MAX_SUBSAMPLE = 10 ** 4
+MAX_VERTEX_SLOTS = 2 * 10 ** 6
 
 
 @dataclass
@@ -720,7 +729,8 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     lifted certificate against its pattern on sigma, and each lifted
     displacement is bounded by chain_scale * delta.  The selected patterns
     count as dense against the calibration's c.  An instance whose subsample
-    size m exceeds MAX_SUBSAMPLE is rejected before any work.  Fails loudly
+    size m exceeds MAX_SUBSAMPLE, or whose 2^(n-1) m vertex-phase slots
+    exceed MAX_VERTEX_SLOTS, is rejected before any work.  Fails loudly
     with the phase name.
     """
     cal = Calibration.from_mapping(calibration)
@@ -735,6 +745,10 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     if m > MAX_SUBSAMPLE:
         raise InputError(f"subsample size m = {m} exceeds {MAX_SUBSAMPLE} "
                          f"(d = {d:.6g}, eps = {epsilon:.6g})")
+    half = 1 << (n - 1)
+    if half * m > MAX_VERTEX_SLOTS:
+        raise InputError(f"vertex phase 2^(n-1) m = {half * m} slots exceeds "
+                         f"{MAX_VERTEX_SLOTS} (n = {n}, m = {m})")
     delta = cal.c1 * epsilon
     quota = math.ceil(n * (1.0 - epsilon))
     trials = 64
@@ -746,7 +760,6 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             singleton_index.setdefault(mask_of_vector(-row), (i, -1.0))
 
     ss = np.random.SeedSequence(seed)
-    half = 1 << (n - 1)
     children = ss.spawn(half + 1)
     full_mask = (1 << n) - 1
 
@@ -873,11 +886,9 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         verified += ok
         records.append({"query": [float(v) for v in x],
                         "residual": residual, "verified": bool(ok),
-                        "terms": len(rep.terms)})
+                        "terms": rep.levels.size})
     report.certificates = records
     report.verified_fraction = verified / queries if queries else 1.0
-    if len(sigma) < quota:
-        raise PhaseError("assemble", "quota lost after assembly", sigma=sigma)
     return report
 
 
@@ -890,7 +901,10 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     is at least -1/2 -- so the midpoint is within 1/2 in sup norm.  The two
     vertex certificates merge into one average term, the snap residuals are
     folded back into the running point, and the level budget contracts by
-    3/4.  The flattened representation evaluates to x / C_over_eps on sigma.
+    3/4.  The merged multiplicities and alphas of all levels go to
+    approx2_transform as rows, checked and expanded in one batched pass with
+    no certificate object per level.  The flattened representation evaluates
+    to x / C_over_eps on sigma.
     """
     x = np.asarray(x, dtype=float)
     k = len(report.sigma)
@@ -906,7 +920,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     depth = max(1, math.ceil(math.log(0.25 * tol / math.sqrt(k))
                              / math.log(theta)))
     r = x.copy()
-    terms = []
+    mults, alphas = [], []
     for level in range(depth):
         if theta ** level * math.sqrt(float((r * r).sum())) <= 0.25 * tol:
             break
@@ -919,15 +933,15 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
             missing = m1 if m1 not in report._entries else m2
             raise PhaseError("assemble", "vertex certificate missing",
                              vertex=format(missing, "b")) from None
-        merged = DeltaMCertificate(
-            m=M2, multiplicities=c1.multiplicities + c2.multiplicities,
-            alphas=c1.alphas + c2.alphas)
-        terms.append((level, 1.0, merged))
+        mults.append(c1.multiplicities + c2.multiplicities)
+        alphas.append(c1.alphas + c2.alphas)
         r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
         if np.abs(r).max() > 1.0 + 1e-9:
             raise PhaseError("assemble", "splitting residual left the ball",
                              level=level, residual=float(np.abs(r).max()))
-    outer = GammaOverDeltaM(theta=theta, m=M2, terms=terms)
+    levels = np.arange(len(mults))
+    outer = GammaOverDeltaM(theta, M2, levels, np.ones(levels.size), mults,
+                            alphas)
     rep, flat_scale = approx2_transform(S, theta, outer)
     total = report.constants_used["chain_scale"] * flat_scale / (1.0 - theta)
     if abs(total - report.C_over_eps) > 1e-9 * report.C_over_eps:

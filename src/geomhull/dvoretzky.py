@@ -154,7 +154,7 @@ def ellipsoid_gamma_represent(projected: GeneratingSet, E: Ellipsoid, theta, y,
     if znorm > budget0 * (1.0 + 1e-9):
         raise InputError("point lies outside (1-theta) times the ellipsoid")
     kappa = math.sqrt(2.0 * eta + eta * eta) if eta is not None else None
-    terms = []
+    lams, indices = [], []
     level = 0
     max_levels = 100000
     while znorm > tolerance:
@@ -172,8 +172,11 @@ def ellipsoid_gamma_represent(projected: GeneratingSet, E: Ellipsoid, theta, y,
         if abs(lam) > 1.0 + 1e-12:
             raise ContractionError(
                 level, "budget exhausted: residual decays slower than theta")
-        terms.append((level, float(lam), i))
+        lams.append(float(lam))
+        indices.append(i)
         z = z - znorm * sign * W[i]
         znorm = float(np.linalg.norm(z))
         level += 1
-    return GammaRepresentation(theta=theta, terms=terms, residual_norm=znorm)
+    return GammaRepresentation(theta=theta, levels=np.arange(level),
+                               lambdas=lams, indices=indices,
+                               residual_norm=znorm)

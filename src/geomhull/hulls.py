@@ -23,38 +23,113 @@ from .errors import InputError
 from .optim import LPProblem, solve_lp
 
 
-@dataclass
+# (theta, read-only [theta ** j for j = 0, 1, ...]): a memo of one pure
+# function, so which caller filled it never changes a result
+_powers = (None, np.empty(0))
+
+
+def _theta_powers(theta, count):
+    """theta ** j for j < count, each a Python-float power (np.power may
+    differ in the last bit); the table of the last theta is kept."""
+    global _powers
+    theta = float(theta)
+    cached, table = _powers
+    if cached != theta or table.size < count:
+        size = count if cached != theta else max(count, 2 * table.size)
+        table = np.array([theta ** j for j in range(size)])
+        table.flags.writeable = False
+        _powers = (theta, table)
+    return table[:count]
+
+
+@dataclass(eq=False)
 class GammaRepresentation:
     """Truncated geometric-series representation of a point over a generating set.
 
-    Terms are a list of (level, lambda, generator_index) tuples with strictly
-    increasing levels, the last level being the truncation depth; the point
-    is (1-theta) sum theta^level * lambda * s_index plus a residual of
-    Euclidean norm residual_norm.
+    Term j is level levels[j], coefficient lambdas[j] and generator
+    indices[j], held as three arrays with strictly increasing levels, the
+    last level being the truncation depth; the point is
+    (1-theta) sum_j theta^levels[j] lambdas[j] s_indices[j] plus a residual
+    of Euclidean norm residual_norm.  `terms` is the (level, lambda, index)
+    tuple list, built on demand; assigning it runs the same checks.
     """
 
     theta: float
-    terms: list
+    levels: np.ndarray
+    lambdas: np.ndarray
+    indices: np.ndarray
     residual_norm: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.theta < 1:
             raise InputError("theta must lie in (0, 1)")
-        last = -1
-        for level, lam, idx in self.terms:
-            if level <= last:
-                raise InputError("levels must be strictly increasing")
-            if abs(lam) > 1 + 1e-12:
-                raise InputError(f"|lambda| = {abs(lam)} exceeds 1")
-            last = level
+        self._set(self.levels, self.lambdas, self.indices)
+
+    def _set(self, levels, lambdas, indices):
+        levels = np.asarray(levels, dtype=np.int64)
+        lambdas = np.asarray(lambdas, dtype=float)
+        indices = np.asarray(indices, dtype=np.int64)
+        if levels.ndim != 1 or not levels.shape == lambdas.shape == indices.shape:
+            raise InputError("levels, lambdas and indices must be 1-d, one length")
+        if levels.size and (levels[0] < 0 or (np.diff(levels) <= 0).any()):
+            raise InputError("levels must be strictly increasing")
+        if (np.abs(lambdas) > 1 + 1e-12).any():
+            raise InputError(f"|lambda| = {np.abs(lambdas).max()} exceeds 1")
+        self.levels, self.lambdas, self.indices = levels, lambdas, indices
+
+    @property
+    def terms(self):
+        return list(zip(self.levels.tolist(), self.lambdas.tolist(),
+                        self.indices.tolist()))
+
+    @terms.setter
+    def terms(self, terms):
+        self._set(*(zip(*terms) if terms else ((), (), ())))
 
     def evaluate(self, S: GeneratingSet):
         """One weighted gather; Python-float powers and an in-order row sum
         give the bits of the term-by-term sum."""
-        theta, c = self.theta, 1.0 - self.theta
-        w = np.array([c * theta ** level * lam for level, lam, _ in self.terms])
-        idx = [i for _, _, i in self.terms]
-        return (w[:, None] * S.points[idx]).sum(axis=0)
+        levels = self.levels
+        # the power table may hold 8 entries per term, a memory bound tied to
+        # the term arrays and not a timed crossover: cube-quotient series
+        # fill about one level per term and read the table, while type1's
+        # (about 10 terms over 100 levels) and hand-built sparse series take
+        # the per-term powers
+        if levels.size and levels[-1] < 8 * levels.size:
+            powers = _theta_powers(self.theta, int(levels[-1]) + 1)[levels]
+        else:
+            powers = np.array([self.theta ** level for level in levels.tolist()])
+        w = (1.0 - self.theta) * powers * self.lambdas
+        return (w[:, None] * S.points[self.indices]).sum(axis=0)
+
+
+def _check_rows(m, multiplicities, alphas):
+    """Reject rows that are not m-term average-hull certificates."""
+    if (multiplicities < 0).any():
+        raise InputError("multiplicities must be nonnegative")
+    if (multiplicities.sum(axis=-1) > m).any():
+        raise InputError("multiplicities exceed the budget m")
+    if (np.abs(alphas) > multiplicities + 1e-9).any():
+        raise InputError("alpha exceeds its multiplicity")
+
+
+def _slot_rows(m, counts, alphas):
+    """Expand each certificate row into exactly m unit slots.
+
+    Returns (indices, coefficients), both of shape (rows, m).  Generator i
+    fills counts[r, i] adjacent slots of coefficient alphas[r, i] /
+    counts[r, i], generators in index order; the slots past the row's total
+    multiplicity are index 0 with coefficient 0.
+    """
+    rows, k = counts.shape
+    flat = counts.ravel()
+    cell = np.repeat(np.arange(flat.size), flat)  # row * k + generator, per slot
+    filled = np.arange(m) < counts.sum(axis=1)[:, None]
+    idx = np.zeros((rows, m), dtype=np.int64)
+    coef = np.zeros((rows, m))
+    idx[filled] = cell % k
+    coef[filled] = alphas.ravel()[cell] / flat[cell]
+    return idx, coef
 
 
 @dataclass
@@ -70,30 +145,17 @@ class DeltaMCertificate:
         self.alphas = np.asarray(self.alphas, dtype=float)
         if self.m < 1:
             raise InputError("m must be at least 1")
-        if (self.multiplicities < 0).any():
-            raise InputError("multiplicities must be nonnegative")
-        if self.multiplicities.sum() > self.m:
-            raise InputError("multiplicities exceed the budget m")
-        if (np.abs(self.alphas) > self.multiplicities + 1e-9).any():
-            raise InputError("alpha exceeds its multiplicity")
+        _check_rows(self.m, self.multiplicities, self.alphas)
 
     def evaluate(self, S: GeneratingSet):
         return S.points.T @ self.alphas / self.m
 
     def slots(self):
-        """Expand into exactly m unit slots as (indices, coefficients) arrays.
-
-        Generator i fills multiplicities[i] adjacent slots of coefficient
-        alphas[i] / multiplicities[i], generators in index order; the slots
-        past the total multiplicity are index 0 with coefficient 0.
-        """
-        counts = self.multiplicities
-        used = np.repeat(np.arange(counts.size), counts)
-        idx = np.zeros(self.m, dtype=int)
-        coef = np.zeros(self.m)
-        idx[:used.size] = used
-        coef[:used.size] = self.alphas[used] / counts[used]
-        return idx, coef
+        """Expand into exactly m unit slots as (indices, coefficients) arrays,
+        laid out by _slot_rows."""
+        idx, coef = _slot_rows(self.m, self.multiplicities[None],
+                               self.alphas[None])
+        return idx[0], coef[0]
 
 
 @dataclass
@@ -244,18 +306,34 @@ def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
 # average-hull levels into geometric-hull levels
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class GammaOverDeltaM:
-    """Geometric series whose terms are average-hull points, not single generators."""
+    """Geometric series whose terms are average-hull points, not single generators.
+
+    Held as rows: term j is lambdas[j] (1/m) sum_i alphas[j, i] s_i at level
+    levels[j], an m-term average with multiplicities[j], with no certificate
+    object per term; approx2_transform checks the rows.
+    """
 
     theta: float
     m: int
-    terms: list  # (level, lambda, DeltaMCertificate)
+    levels: np.ndarray
+    lambdas: np.ndarray
+    multiplicities: np.ndarray
+    alphas: np.ndarray
+
+    def __post_init__(self):
+        self.levels = np.asarray(self.levels, dtype=np.int64)
+        self.lambdas = np.asarray(self.lambdas, dtype=float)
+        self.multiplicities = np.asarray(self.multiplicities, dtype=np.int64)
+        self.alphas = np.asarray(self.alphas, dtype=float)
 
     def evaluate(self, S: GeneratingSet):
         x = np.zeros(S.dimension)
-        for level, lam, cert in self.terms:
-            x += (1.0 - self.theta) * self.theta ** level * lam * cert.evaluate(S)
+        c = 1.0 - self.theta
+        for level, lam, alphas in zip(self.levels.tolist(),
+                                      self.lambdas.tolist(), self.alphas):
+            x += c * self.theta ** level * lam * (S.points.T @ alphas / self.m)
         return x
 
 
@@ -276,6 +354,8 @@ def approx2_transform(S: GeneratingSet, theta, outer: GammaOverDeltaM):
     Each level-k average splits into its m unit slots at levels km..km+m-1 of
     a representation with ratio theta^(1/m); the exact scale from
     flatten_scale never exceeds 2 theta / (3 theta - 1) once theta > 1/3.
+    All rows are checked and expanded in one batched pass, and the
+    representation's arrays are the nonzero slots in level order.
     Returns (representation, scale) with scale * eval(rep) = eval(outer).
     """
     if not 1.0 / 3.0 < theta < 1:
@@ -284,19 +364,17 @@ def approx2_transform(S: GeneratingSet, theta, outer: GammaOverDeltaM):
     if m < 1:
         raise InputError("m must be at least 1")
     phi, scale = flatten_scale(theta, m)
-    for _, lam, cert in outer.terms:
-        if abs(lam) > 1 + 1e-12:
-            raise InputError("outer lambda exceeds 1")
-        if cert.m != m:
-            raise InputError("certificate budget differs from the container's m")
-    if not outer.terms:
-        return GammaRepresentation(theta=phi, terms=[]), scale
-    powers = np.array([phi ** (m - 1 - j) for j in range(m)])
-    levels, lams, certs = zip(*outer.terms)
-    gens, betas = zip(*(cert.slots() for cert in certs))
-    mu = np.array(lams)[:, None] * np.array(betas) * powers
-    flat_levels = np.array(levels)[:, None] * m + np.arange(m)
+    if (np.abs(outer.lambdas) > 1 + 1e-12).any():
+        raise InputError("outer lambda exceeds 1")
+    if not outer.levels.size:
+        empty = GammaRepresentation(theta=phi, levels=[], lambdas=[], indices=[])
+        return empty, scale
+    _check_rows(m, outer.multiplicities, outer.alphas)
+    gens, betas = _slot_rows(m, outer.multiplicities, outer.alphas)
+    powers = _theta_powers(phi, m)[::-1]
+    mu = outer.lambdas[:, None] * betas * powers
+    flat_levels = outer.levels[:, None] * m + np.arange(m)
     keep = mu != 0.0
-    terms = list(zip(flat_levels[keep].tolist(), mu[keep].tolist(),
-                     np.array(gens)[keep].tolist()))
-    return GammaRepresentation(theta=phi, terms=terms), scale
+    rep = GammaRepresentation(theta=phi, levels=flat_levels[keep],
+                              lambdas=mu[keep], indices=gens[keep])
+    return rep, scale

@@ -75,16 +75,18 @@ def test_criterion_03_approx2_transform():
     worst_scale, worst_err = 0.0, 0.0
     for trial in range(100):
         m = int(rng.choice([2, 3, 5]))
-        terms = []
+        lams, mults, alphas = [], [], []
         for level in range(6):
             idx = rng.integers(0, S.count, size=m)
             mult = np.bincount(idx, minlength=S.count)
-            alphas = np.zeros(S.count)
+            alpha = np.zeros(S.count)
             for i in idx:
-                alphas[i] += rng.uniform(-1, 1)
-            terms.append((level, float(rng.uniform(-1, 1)),
-                          hulls.DeltaMCertificate(m, mult, alphas)))
-        outer = hulls.GammaOverDeltaM(theta=theta, m=m, terms=terms)
+                alpha[i] += rng.uniform(-1, 1)
+            lams.append(float(rng.uniform(-1, 1)))
+            mults.append(mult)
+            alphas.append(alpha)
+        outer = hulls.GammaOverDeltaM(theta, m, np.arange(6), lams, mults,
+                                      alphas)
         rep, scale = hulls.approx2_transform(S, theta, outer)
         worst_scale = max(worst_scale, scale)
         err = float(np.linalg.norm(scale * rep.evaluate(S)

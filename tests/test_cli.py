@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from geomhull import cli
 from geomhull.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC,
                           EXIT_PASS, main, read_config_file)
 from geomhull.bodies import load_generating_set_json
 from geomhull.errors import InputError
+from geomhull.hulls import DeltaMCertificate
 
 
 def run(*argv):
@@ -128,6 +130,23 @@ class TestVerify:
         report = json.loads(open(out).read())
         assert report["realized"]["verified_fraction"] == 1.0
         assert report["report"]["sigma"] == [0, 1, 2, 3]
+
+    def test_alesker_replays_each_certificate(self, monkeypatch):
+        # one certificate with its alphas negated still has |alpha| <= mult,
+        # so only the replay of scale * S^T alpha / m on sigma can catch it
+        real = cli.chain_cube_certificate
+
+        def tampered(chain, S, C):
+            certs = real(chain, S, C=C)
+            pattern = next(iter(certs.certificates))
+            cert = certs.certificates[pattern]
+            certs.certificates[pattern] = DeltaMCertificate(
+                cert.m, cert.multiplicities, -cert.alphas)
+            return certs
+
+        monkeypatch.setattr(cli, "chain_cube_certificate", tampered)
+        assert run("verify", "alesker", "--n", "8", "--eps", "0.5",
+                   "--seed", "4") == EXIT_FAIL
 
     # dvoretzky (about 14 s) is left to acceptance criterion 09
     @pytest.mark.parametrize("suite", ["approx2", "type1", "counting",
@@ -324,14 +343,15 @@ def _lp_ball(draw):
             "p": draw(_numbers)}
 
 
-# run cube-quotient and verify main are left out: their subsample size m
-# grows with the square of the largest coordinate, and a file just under
-# cube.MAX_SUBSAMPLE still runs for minutes
+# the subsample size m of run cube-quotient and verify main grows with the
+# square of the largest coordinate; cube.MAX_SUBSAMPLE keeps the largest
+# accepted file near 20 s and makes any larger one an input error
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=_json | _instance | _lp_ball(),
        command=st.sampled_from([("verify", "delta"),
-                                ("verify", "pconv", "--samples", "5")]))
+                                ("verify", "pconv", "--samples", "5"),
+                                ("run", "cube-quotient"), ("verify", "main")]))
 def test_fuzzed_input_file_never_crashes(obj, command, tmp_path):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(obj))

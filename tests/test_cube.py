@@ -16,6 +16,7 @@ from geomhull.cube import (Calibration, VertexSet, _max_shattered,
                            subsample_vertex_fit, vector_of_mask,
                            vertex_generating_set, vertex_set_from_generating_set)
 from geomhull.errors import BudgetError, InputError, PhaseError
+from geomhull.hulls import DeltaMCertificate, GammaOverDeltaM
 
 
 def _cube_points(n):
@@ -293,6 +294,12 @@ class TestCubeQuotient:
         with pytest.raises(InputError):
             cube_quotient(GeneratingSet(15, np.eye(15) * 15), 0.5)
 
+    def test_vertex_phase_cap(self):
+        # d = 17 at eps = 0.5 gives m = 3,915: inside MAX_SUBSAMPLE, but
+        # 2^9 m = 2,004,480 vertex-phase slots exceed MAX_VERTEX_SLOTS
+        with pytest.raises(InputError, match="vertex phase"):
+            cube_quotient(GeneratingSet(10, np.eye(10) * 17), 0.5)
+
     def test_reports_are_byte_identical(self):
         S = GeneratingSet(4, _cube_points(4))
         r1 = cube_quotient(S, 0.5, seed=7, queries=6)
@@ -334,6 +341,54 @@ class TestRepresentCubePoint:
         rep = represent_cube_point(report, S, x)
         got = report.C_over_eps * rep.evaluate(S)[list(report.sigma)]
         assert np.abs(got - x).max() < 1e-9
+
+    def test_bits_match_per_level_certificates(self, report_and_set):
+        # reference: one DeltaMCertificate per level, flattened slot by slot
+        # through DeltaMCertificate.slots() and evaluated term by term
+        report, S = report_and_set
+        theta, M2 = report.assembly_theta, report.flat_m
+        rng = np.random.default_rng(11)
+        for x in [np.array([0.6, -0.7, 0.0, 0.25]), np.ones(4),
+                  *rng.uniform(-1.0, 1.0, size=(6, 4))]:
+            r, terms = x.copy(), []
+            depth = max(1, math.ceil(math.log(0.25 * report.query_tolerance
+                                              / math.sqrt(len(report.sigma)))
+                                     / math.log(theta)))
+            for level in range(depth):
+                if theta ** level * math.sqrt(float((r * r).sum())) \
+                        <= 0.25 * report.query_tolerance:
+                    break
+                a1 = np.where(r >= 0.5, 1.0, -1.0)
+                a2 = np.where(r >= -0.5, 1.0, -1.0)
+                (c1, r1) = report._entries[mask_of_vector(a1)]
+                (c2, r2) = report._entries[mask_of_vector(a2)]
+                terms.append((level, 1.0, DeltaMCertificate(
+                    M2, c1.multiplicities + c2.multiplicities,
+                    c1.alphas + c2.alphas)))
+                r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
+            outer = GammaOverDeltaM(
+                theta, M2, [t[0] for t in terms], [t[1] for t in terms],
+                [t[2].multiplicities for t in terms],
+                [t[2].alphas for t in terms])
+            phi = theta ** (1.0 / M2)
+            flat = []
+            for level, lam, cert in terms:
+                idx, coef = cert.slots()
+                for j in range(M2):
+                    mu = lam * coef[j] * phi ** (M2 - 1 - j)
+                    if mu != 0.0:
+                        flat.append((level * M2 + j, mu, int(idx[j])))
+            w = np.array([(1.0 - phi) * phi ** lv * mu for lv, mu, _ in flat])
+            value = (w[:, None] * S.points[[i for *_, i in flat]]).sum(axis=0)
+            residual = float(np.linalg.norm(
+                x - report.C_over_eps * value[list(report.sigma)])
+                / report.C_over_eps)
+            rep = represent_cube_point(report, S, x)
+            assert rep.terms == flat
+            assert rep.residual_norm == residual
+            assert np.abs(outer.evaluate(S) - value * report.C_over_eps
+                          * (1.0 - theta) / report.constants_used["chain_scale"]
+                          ).max() < 1e-9
 
     def test_outside_ball_rejected(self, report_and_set):
         report, S = report_and_set

@@ -19,15 +19,51 @@ def _square():
 class TestGammaRepresentation:
     def test_level_monotonicity_enforced(self):
         with pytest.raises(InputError):
-            GammaRepresentation(0.5, [(1, 0.5, 0), (1, 0.5, 1)])
+            GammaRepresentation(0.5, [1, 1], [0.5, 0.5], [0, 1])
         with pytest.raises(InputError):
-            GammaRepresentation(0.5, [(0, 1.5, 0)])
+            GammaRepresentation(0.5, [0], [1.5], [0])
 
     def test_evaluate_matches_series(self):
         S = _square()
-        rep = GammaRepresentation(0.5, [(0, 1.0, 0), (2, -0.5, 1)])
+        rep = GammaRepresentation(0.5, [0, 2], [1.0, -0.5], [0, 1])
         want = 0.5 * (S.points[0] - 0.5 * 0.25 * S.points[1])
         assert np.abs(rep.evaluate(S) - want).max() < 1e-15
+
+    @pytest.mark.parametrize("theta,gap", [(0.9137, 1), (0.9137, 3),
+                                           (0.6180339887, 1), (0.77, 5000)])
+    def test_evaluate_equals_term_loop_bitwise(self, theta, gap):
+        # dense levels read the cached power table, gap 5000 the per-term path
+        rng = np.random.default_rng(gap)
+        S = GeneratingSet(3, rng.standard_normal((7, 3)))
+        count = 200
+        levels = np.cumsum(rng.integers(1, gap + 1, size=count)) - 1
+        lams = rng.uniform(-1.0, 1.0, size=count)
+        idx = rng.integers(0, S.count, size=count)
+        for n in (count // 2, count):  # a short table first, then its growth
+            rep = GammaRepresentation(theta, levels[:n], lams[:n], idx[:n])
+            acc = None
+            for level, lam, i in rep.terms:
+                term = (1.0 - theta) * theta ** level * lam * S.points[i]
+                acc = term if acc is None else acc + term
+            assert rep.evaluate(S).tobytes() == acc.tobytes()
+
+    def test_terms_setter_round_trips_and_checks(self):
+        rep = GammaRepresentation(0.5, [0, 3, 4], [1.0, -0.25, 0.5], [2, 0, 1])
+        terms = rep.terms
+        assert terms == [(0, 1.0, 2), (3, -0.25, 0), (4, 0.5, 1)]
+        rep.terms = terms[:1] + [(3, 0.25, 0)] + terms[2:]
+        assert rep.lambdas.tolist() == [1.0, 0.25, 0.5]
+        assert rep.levels.tolist() == [0, 3, 4]
+        assert rep.indices.tolist() == [2, 0, 1]
+        rep.terms = []
+        assert rep.terms == [] and rep.levels.size == 0
+        rep.terms = terms
+        assert rep.terms == terms
+        for bad in ([(3, 0.5, 0), (3, 0.5, 1)], [(4, 0.5, 0), (3, 0.5, 1)],
+                    [(0, 1.0 + 1e-9, 0)]):
+            with pytest.raises(InputError):
+                rep.terms = bad
+        assert rep.terms == terms
 
 
 class TestPconv:
@@ -51,16 +87,17 @@ class TestPconv:
 
 class TestApprox2:
     def _random_outer(self, S, theta, m, depth, rng):
-        terms = []
+        lams, mults, alphas = [], [], []
         for level in range(depth):
             idx = rng.integers(0, S.count, size=m)
             mult = np.bincount(idx, minlength=S.count)
-            alphas = np.zeros(S.count)
+            alpha = np.zeros(S.count)
             for i in idx:
-                alphas[i] += rng.uniform(-1, 1)
-            terms.append((level, float(rng.uniform(-1, 1)),
-                          DeltaMCertificate(m, mult, alphas)))
-        return GammaOverDeltaM(theta=theta, m=m, terms=terms)
+                alpha[i] += rng.uniform(-1, 1)
+            lams.append(float(rng.uniform(-1, 1)))
+            mults.append(mult)
+            alphas.append(alpha)
+        return GammaOverDeltaM(theta, m, np.arange(depth), lams, mults, alphas)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_exact_reconstruction_and_scale(self, m):
@@ -80,7 +117,7 @@ class TestApprox2:
 
     def test_theta_domain(self):
         S = _square()
-        outer = GammaOverDeltaM(theta=0.25, m=2, terms=[])
+        outer = GammaOverDeltaM(0.25, 2, [], [], [], [])
         with pytest.raises(InputError):
             approx2_transform(S, 0.25, outer)
 
