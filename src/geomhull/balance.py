@@ -157,6 +157,9 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     halvings = max(1, math.ceil(math.log2(max(2.0, 16.0 * S.dimension / m))))
     M = 2 ** halvings * m
     r = x.copy()
+    # the LP optimum for r: the start check's at level 0; after that the
+    # defect LP's for w, scaled by 1/theta (the envelope LP is homogeneous)
+    coefficients = start.coefficients
     mults, alphas = [], []  # one row per level, each an m-slot certificate
     defect_log = []
     # Every accepted level leaves r = w / theta with envelope gauge <= 1, so
@@ -166,8 +169,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         norm_r = np.linalg.norm(r)
         if norm_r <= 1e-15 or theta ** level * norm_r <= 1e-9:
             break
-        cert = envelope_gauge(S, r)
-        lam = cert.coefficients * M
+        lam = coefficients * M
         slots = _exact_slots(lam, M)
         shrink = 1.0
         while slots is None:  # mass does not fit; shed a little to the defect
@@ -183,7 +185,8 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
             slots = vcert.slots()
         y = vcert.evaluate(S)
         w = r - y
-        gauge_w = envelope_gauge(S, w).value
+        defect = envelope_gauge(S, w)
+        gauge_w = defect.value
         if gauge_w > theta * (1 + 1e-9):
             raise PhaseError(
                 "halving-convergence",
@@ -193,6 +196,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         mults.append(vcert.multiplicities)
         alphas.append(vcert.alphas)
         r = w / theta
+        coefficients = defect.coefficients / theta
     levels = np.arange(len(mults))
     container = GammaOverDeltaM(theta, m, levels, np.ones(levels.size), mults,
                                 alphas)

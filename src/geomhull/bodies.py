@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError, NumericalError
-from .optim import _simplex_standard, max_gauge_over_polytope
+from .optim import max_gauge_over_polytope, solve_lp
 
 
 def fmt17(x):
@@ -119,26 +119,29 @@ class GaugeCertificate:
 def envelope_gauge(S: GeneratingSet, x) -> GaugeCertificate:
     """Gauge of x in the envelope ball (absolutely convex hull) of S.
 
-    Exact LP: minimize sum |lambda_i| subject to sum lambda_i s_i = x.
+    Exact LP through solve_lp: minimize sum (a_i + b_i) subject to
+    sum (a_i - b_i) s_i = x with a, b >= 0, and lambda = a - b.  The LP is
+    homogeneous: the optimum for t x (t > 0) is t times the optimum for x.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (S.dimension,):
         raise InputError("point dimension mismatch")
     k = S.count
     A = np.hstack([S.points.T, -S.points.T])
-    c = np.ones(2 * k)
-    status, z, _, _ = _simplex_standard(c, A, x)
-    if status != "optimal":
-        raise NumericalError(f"envelope gauge LP returned {status}")
+    sol = solve_lp(np.ones(2 * k), A, x, np.zeros(2 * k),
+                   np.full(2 * k, np.inf))
+    if sol.status != "optimal":
+        raise NumericalError(f"envelope gauge LP returned {sol.status}")
+    z = sol.x
     lam = z[:k] - z[k:]
     residual = float(np.linalg.norm(S.points.T @ lam - x))
     return GaugeCertificate(value=float(np.abs(z).sum()), coefficients=lam,
                             residual=residual)
 
 
-def _null_space(A, rcond=1e-12):
+def _null_space(A):
     u, s, vt = np.linalg.svd(A)
-    rank = int((s > rcond * s.max(initial=1.0)).sum())
+    rank = int((s > 1e-12 * s.max(initial=1.0)).sum())
     return vt[rank:].T
 
 
@@ -182,14 +185,14 @@ def p_gauge_upper(body: PBody, x, seed=0) -> GaugeCertificate:
                             residual=residual)
 
 
-def _pnorm_descent(lam, Z, p, iterations=300):
+def _pnorm_descent(lam, Z, p):
     """Descend sum |lam|^p along the null-space directions Z (feasibility-preserving)."""
     if Z.shape[1] == 0:
         return lam
     lam = lam.copy()
     f = (np.abs(lam) ** p).sum()
     step = 0.25 * max(1.0, np.abs(lam).max())
-    for _ in range(iterations):
+    for _ in range(300):
         g = p * np.sign(lam) * (np.abs(lam) + 1e-12) ** (p - 1.0)
         d = Z @ (Z.T @ g)
         norm = np.linalg.norm(d)

@@ -483,7 +483,7 @@ def verify_counting(cfg: RunConfig):
         for mask in range(2 ** n):
             coords = rng.choice(n, size=k, replace=False)
             candidates[mask] = frozenset(int(c) for c in coords)
-        tau, T = counting_select(candidates, k)
+        tau, T, _ = counting_select(candidates, k)
         bound = 2.0 ** n / (2.0 ** (n - k) * math.comb(n, k))
         ratio = T.count / bound
         ok = ok and T.count >= bound - 1e-9

@@ -514,6 +514,8 @@ def counting_select(candidates, k):
     distinct patterns wins, ties to the lexicographically smallest subset.
     When the candidates cover the whole vertex set, a pigeonhole count over
     the C(n,k) possible subsets gives |T| >= 2^n / (2^(n-k) C(n,k)).
+    Returns (tau, T, witnesses), witnesses mapping each pattern of T to the
+    smallest candidate mask that realizes it on tau.
     """
     if not candidates:
         raise InputError("no candidates")
@@ -529,9 +531,10 @@ def counting_select(candidates, k):
         for pos, c in enumerate(tau):
             if (int(mask) >> c) & 1:
                 pattern |= 1 << pos
-        groups.setdefault(tau, set()).add(pattern)
+        witnesses = groups.setdefault(tau, {})
+        witnesses[pattern] = min(witnesses.get(pattern, mask), mask)
     tau = min(groups, key=lambda t: (-len(groups[t]), t))
-    return tau, VertexSet(n=k, members=frozenset(groups[tau]))
+    return tau, VertexSet(n=k, members=frozenset(groups[tau])), groups[tau]
 
 
 # ---------------------------------------------------------------------------
@@ -810,17 +813,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     if k_agree < quota:
         raise PhaseError("select", "agreement floor below the coordinate quota",
                          agreement=k_agree, quota=quota, delta=delta)
-    tau, T = counting_select(candidates, k_agree)
-    witnesses = {}
-    for mask, agreement in sorted(candidates.items()):
-        trimmed = tuple(sorted(agreement))[:k_agree]
-        if trimmed != tau:
-            continue
-        pattern = 0
-        for pos, c in enumerate(tau):
-            if (mask >> c) & 1:
-                pattern |= 1 << pos
-        witnesses.setdefault(pattern, mask)
+    tau, T, witnesses = counting_select(candidates, k_agree)
     density_ok = T.count >= density_threshold(k_agree, cal.c, epsilon)
 
     chain = alesker_chain(T, epsilon, density_c=cal.c,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bodies import GeneratingSet, PBody
 from .errors import InputError
-from .optim import LPProblem, solve_lp
+from .optim import solve_lp
 
 
 # (theta, read-only [theta ** j for j = 0, 1, ...]): a memo of one pure
@@ -182,11 +182,9 @@ def _node_lp(S, target, caps, commits):
     ])
     rhs = np.concatenate([np.asarray(target, dtype=float), np.zeros(k)])
     cost = np.concatenate([np.zeros(2 * k), np.ones(k), np.zeros(k)])
-    bounds = ([(0.0, float(u)) for u in caps] * 2
-              + [(float(c), None) for c in commits]
-              + [(0.0, None)] * k)
-    sol = solve_lp(LPProblem(objective=cost, equality_matrix=A,
-                             equality_rhs=rhs, variable_bounds=bounds))
+    zeros, inf = np.zeros(k), np.full(k, np.inf)
+    sol = solve_lp(cost, A, rhs, np.concatenate([zeros, zeros, commits, zeros]),
+                   np.concatenate([caps, caps, inf, inf]))
     if sol.status != "optimal":
         return None, None
     return sol.value, sol.x[:k] - sol.x[k:2 * k]

@@ -15,43 +15,11 @@ import numpy as np
 from .errors import DegeneracyError, InputError, NumericalError
 
 FEAS_TOL = 1e-9
-OPT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # linear programming
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LPProblem:
-    """min objective @ x  subject to  equality_matrix @ x = equality_rhs
-    and variable_bounds[j][0] <= x[j] <= variable_bounds[j][1] (None = free).
-    """
-
-    objective: np.ndarray
-    equality_matrix: np.ndarray
-    equality_rhs: np.ndarray
-    variable_bounds: list
-
-    def __post_init__(self):
-        self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        self.equality_matrix = np.atleast_2d(np.asarray(self.equality_matrix, dtype=float))
-        self.equality_rhs = np.atleast_1d(np.asarray(self.equality_rhs, dtype=float))
-        m, n = self.equality_matrix.shape
-        if self.objective.shape != (n,):
-            raise InputError("objective length does not match column count")
-        if self.equality_rhs.shape != (m,):
-            raise InputError("rhs length does not match row count")
-        if len(self.variable_bounds) != n:
-            raise InputError("one bound pair per variable required")
-        for lo, hi in self.variable_bounds:
-            if lo is not None and hi is not None and lo > hi:
-                raise InputError(f"bound pair ({lo}, {hi}) has lower > upper")
-        if not (np.isfinite(self.equality_matrix).all()
-                and np.isfinite(self.equality_rhs).all()
-                and np.isfinite(self.objective).all()):
-            raise InputError("LP data must be finite")
-
 
 @dataclass
 class LPSolution:
@@ -62,7 +30,7 @@ class LPSolution:
     certificate: np.ndarray = None  # Farkas vector (equality rows) when infeasible
 
 
-def _pivot_loop(c, A, b, basis, tol, max_iter, bland_after=60):
+def _pivot_loop(c, A, b, basis, tol, max_iter):
     """Revised simplex on  min c@x, A@x = b, x >= 0  from a feasible basis.
 
     Dantzig pricing with a Bland's-rule fallback after a run of degenerate
@@ -101,7 +69,7 @@ def _pivot_loop(c, A, b, basis, tol, max_iter, bland_after=60):
             r = int(ties[np.argmin(np.asarray(basis)[ties])])
         if ratios[r] <= tol:
             degenerate_run += 1
-            if degenerate_run > bland_after:
+            if degenerate_run > 60:
                 bland = True
         else:
             degenerate_run = 0
@@ -109,7 +77,7 @@ def _pivot_loop(c, A, b, basis, tol, max_iter, bland_after=60):
     raise NumericalError("cycling guard exceeded (simplex iteration cap)")
 
 
-def _simplex_standard(c, A, b, tol=FEAS_TOL):
+def _simplex_standard(c, A, b):
     """Two-phase simplex for  min c@x, A@x = b, x >= 0  (dense).
 
     Returns (status, x, y, certificate); `y` are the equality duals, and
@@ -131,12 +99,12 @@ def _simplex_standard(c, A, b, tol=FEAS_TOL):
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status, basis, xB, y1 = _pivot_loop(c1, A1, b, basis, tol, max_iter)
+    status, basis, xB, y1 = _pivot_loop(c1, A1, b, basis, FEAS_TOL, max_iter)
     if status != "optimal":
         raise NumericalError("phase-1 simplex did not converge")
     phase1_value = float(c1[basis] @ xB)
-    if phase1_value > tol * scale * max(1, m):
-        # Farkas: y1 @ A <= tol componentwise and y1 @ b > 0
+    if phase1_value > FEAS_TOL * scale * max(1, m):
+        # Farkas: y1 @ A <= FEAS_TOL componentwise and y1 @ b > 0
         return "infeasible", None, None, sign * y1
 
     # drive artificial variables out of the basis; a stuck artificial marks
@@ -167,7 +135,7 @@ def _simplex_standard(c, A, b, tol=FEAS_TOL):
     b = b[rows]
     row_index = rows
 
-    status, basis, xB, y = _pivot_loop(c, A, b, list(basis), tol, max_iter)
+    status, basis, xB, y = _pivot_loop(c, A, b, list(basis), FEAS_TOL, max_iter)
     x = np.zeros(n)
     x[basis] = xB
     if status == "unbounded":
@@ -181,62 +149,50 @@ def _simplex_standard(c, A, b, tol=FEAS_TOL):
     return "optimal", x, sign * y_full, None
 
 
-def solve_lp(problem: LPProblem) -> LPSolution:
-    """Solve an LP with general variable bounds.
+def solve_lp(objective, A, b, lower, upper) -> LPSolution:
+    """min objective @ x  subject to  A @ x = b  and  lower <= x <= upper.
 
-    The problem is shifted/split into standard form internally.  On
-    "optimal" the solution carries primal x, equality duals y, and the
-    objective value; on "infeasible" a Farkas certificate for the equality
-    rows of the internal standard form.
+    The only LP entry point of the package.  `lower` and `upper` are float
+    arrays, one entry per variable; `lower` must be finite and `upper` may
+    be inf.  Internally x = lower + z with z >= 0, and each finite upper
+    bound adds one row z_j + slack_j = upper_j - lower_j (rows and slacks in
+    variable order).  On "optimal" the solution carries primal x, equality
+    duals y, and the objective value; on "infeasible" a Farkas certificate
+    for the equality rows A @ x = b of that standard form.
     """
-    A = problem.equality_matrix
-    b = problem.equality_rhs
-    c = problem.objective
+    c = np.atleast_1d(np.asarray(objective, dtype=float))
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
     m, n = A.shape
+    if c.shape != (n,):
+        raise InputError("objective length does not match column count")
+    if b.shape != (m,):
+        raise InputError("rhs length does not match row count")
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise InputError("one lower and one upper bound per variable required")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()
+            and np.isfinite(c).all()):
+        raise InputError("LP data must be finite")
+    if not np.isfinite(lower).all():
+        raise InputError("lower bounds must be finite")
+    if not (lower <= upper).all():
+        raise InputError("every bound pair needs lower <= upper")
 
-    cols = []           # columns of the standard-form matrix (over m rows)
-    cost = []
-    recover = []        # (kind, j, data) to map standard x back
-    shift = np.zeros(n)
-    ranged = []         # (std_col, width) pairs needing an extra row
-    for j, (lo, hi) in enumerate(problem.variable_bounds):
-        if lo is None and hi is None:
-            cols.append(A[:, j]); cost.append(c[j]); recover.append(("+", j))
-            cols.append(-A[:, j]); cost.append(-c[j]); recover.append(("-", j))
-        elif lo is not None and hi is None:
-            shift[j] = lo
-            cols.append(A[:, j]); cost.append(c[j]); recover.append(("+", j))
-        elif lo is None and hi is not None:
-            shift[j] = hi
-            cols.append(-A[:, j]); cost.append(-c[j]); recover.append(("-", j))
-        else:
-            shift[j] = lo
-            ranged.append((len(cols), hi - lo))
-            cols.append(A[:, j]); cost.append(c[j]); recover.append(("+", j))
+    ranged = np.flatnonzero(np.isfinite(upper))
+    k = ranged.size
+    A_std = np.zeros((m + k, n + k))
+    A_std[:m, :n] = A
+    A_std[m + np.arange(k), ranged] = 1.0
+    A_std[m + np.arange(k), n + np.arange(k)] = 1.0
+    b_std = np.concatenate([b - A @ lower, (upper - lower)[ranged]])
+    c_std = np.concatenate([c, np.zeros(k)])
 
-    A_std = np.column_stack(cols) if cols else np.zeros((m, 0))
-    b_std = b - A @ shift
-    c_std = np.asarray(cost, dtype=float)
-
-    if ranged:
-        k = len(ranged)
-        A_std = np.vstack([A_std, np.zeros((k, A_std.shape[1]))])
-        A_std = np.hstack([A_std, np.zeros((m + k, k))])
-        b_std = np.concatenate([b_std, [w for _, w in ranged]])
-        c_std = np.concatenate([c_std, np.zeros(k)])
-        for i, (col, _) in enumerate(ranged):
-            A_std[m + i, col] = 1.0
-            A_std[m + i, A_std.shape[1] - k + i] = 1.0
-
-    status, x_std, y_std, cert = _simplex_standard(c_std, A_std, b_std)
+    status, z, y_std, cert = _simplex_standard(c_std, A_std, b_std)
     if status == "infeasible":
         return LPSolution(status="infeasible", certificate=cert[:m])
-    x = shift.copy()
-    for col, tag in enumerate(recover):
-        if tag[0] == "+":
-            x[tag[1]] += x_std[col]
-        else:
-            x[tag[1]] -= x_std[col]
+    x = lower + z[:n]
     if status == "unbounded":
         return LPSolution(status="unbounded", x=x)
     residual = np.abs(A @ x - b).max(initial=0.0)
@@ -392,17 +348,11 @@ def max_gauge_over_polytope(body, polytope_vertices, seed=0):
     return value, point
 
 
-def _check_hull_membership(V, point, tol=FEAS_TOL):
+def _check_hull_membership(V, point):
     """Assert `point` is a convex combination of the rows of V (via LP)."""
     v, n = V.shape
     A = np.vstack([V.T, np.ones((1, v))])
     b = np.concatenate([point, [1.0]])
-    problem = LPProblem(
-        objective=np.zeros(v),
-        equality_matrix=A,
-        equality_rhs=b,
-        variable_bounds=[(0.0, None)] * v,
-    )
-    sol = solve_lp(problem)
+    sol = solve_lp(np.zeros(v), A, b, np.zeros(v), np.full(v, np.inf))
     if sol.status != "optimal":
         raise NumericalError("ascent left the polytope (barycentric LP infeasible)")

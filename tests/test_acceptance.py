@@ -180,7 +180,7 @@ def test_criterion_06_counting_bound():
                                   rng.choice(n, size=k, replace=False))
                      for m in range(2 ** n)})
             for candidates in schemes:
-                tau, T = cube.counting_select(candidates, k)
+                tau, T, _ = cube.counting_select(candidates, k)
                 assert T.count >= bound - 1e-9, (n, k, T.count, bound)
                 checked += 1
     ok = clock.ok()

@@ -184,7 +184,7 @@ class TestCountingSelect:
         candidates = {m: frozenset(int(c) for c in
                                    rng.choice(n, size=k, replace=False))
                       for m in range(2 ** n)}
-        tau, T = counting_select(candidates, k)
+        tau, T, _ = counting_select(candidates, k)
         bound = 2 ** n / (2 ** (n - k) * math.comb(n, k))
         assert len(tau) == k
         assert T.count >= bound - 1e-9
@@ -192,7 +192,7 @@ class TestCountingSelect:
 
     def test_oversized_agreements_trimmed(self):
         candidates = {0: frozenset({0, 1, 2}), 7: frozenset({0, 1, 2})}
-        tau, T = counting_select(candidates, 2)
+        tau, T, _ = counting_select(candidates, 2)
         assert len(tau) == 2
         assert T.n == 2
 

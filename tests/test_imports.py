@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and none imports
+another module's private (underscore) names."""
 
 import ast
 import pathlib
@@ -23,7 +24,24 @@ def unused_imports(path):
                   if name not in used)
 
 
+def private_imports(path):
+    """Underscore names, dunders aside, taken from another geomhull module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(f"line {node.lineno}: {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("geomhull"))
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path) == []

@@ -1,4 +1,5 @@
-"""Every defaulted parameter of the public API is set by some caller.
+"""Every defaulted parameter of the public API, and of the package's
+module-level private functions, is set by some caller.
 
 A default that no call in the package or the benchmark overrides is a
 setting in name only: its value belongs in the code as a literal, or should
@@ -33,9 +34,10 @@ def _parse(path):
 def defaulted_parameters(paths):
     """(called name, reported name, positional index or None, parameter).
 
-    Covers public functions and the public methods and constructors of
-    public classes.  A method is called by its own name without its first
-    parameter (self or cls); a constructor is called by its class's name.
+    Covers module-level functions, private ones included, and the public
+    methods and constructors of public classes.  A method is called by its
+    own name without its first parameter (self or cls); a constructor is
+    called by its class's name.
     """
     out = []
     for path in paths:
@@ -44,7 +46,9 @@ def defaulted_parameters(paths):
                 out += _defaults(node, node.name, node.name, skip=0)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
+                    if (isinstance(item, ast.FunctionDef)
+                            and (item.name == "__init__"
+                                 or not item.name.startswith("_"))):
                         called = node.name if item.name == "__init__" else item.name
                         out += _defaults(item, called,
                                          f"{node.name}.{item.name}", skip=1)
@@ -52,8 +56,6 @@ def defaulted_parameters(paths):
 
 
 def _defaults(func, called, reported, skip):
-    if func.name.startswith("_") and func.name != "__init__":
-        return []
     args = func.args
     positional = (args.posonlyargs + args.args)[skip:]
     first = len(positional) - len(args.defaults)

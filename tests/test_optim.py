@@ -3,8 +3,7 @@ import pytest
 import scipy.optimize
 
 from geomhull.errors import DegeneracyError, InputError
-from geomhull.optim import (Ellipsoid, LPProblem, max_gauge_over_polytope,
-                            mvee, solve_lp)
+from geomhull.optim import Ellipsoid, max_gauge_over_polytope, mvee, solve_lp
 from geomhull.bodies import PBody, lp_ball_body
 
 
@@ -21,8 +20,26 @@ def _to_equalities(A, b, n):
     """A x <= b, -1 <= x <= 1   as   [A | I] z = b with slack bounds."""
     m = A.shape[0]
     M = np.hstack([A, np.eye(m)])
-    bounds = [(-1.0, 1.0)] * n + [(0.0, None)] * m
-    return M, bounds
+    lower = np.concatenate([-np.ones(n), np.zeros(m)])
+    upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
+    return M, lower, upper
+
+
+def _bounded_equality_lp(rng, m, n):
+    """A feasible, bounded equality LP with nonzero finite lower bounds.
+
+    Each variable is ranged, fixed (lower == upper) or bounded below only;
+    the last kind gets a positive cost, so the optimum is finite.
+    """
+    A = rng.standard_normal((m, n))
+    lower = rng.uniform(-2.0, 2.0, size=n)
+    kind = rng.integers(0, 3, size=n)
+    upper = np.where(kind == 0, lower + rng.uniform(0.5, 2.0, size=n),
+                     np.where(kind == 1, lower, np.inf))
+    c = rng.standard_normal(n)
+    c[kind == 2] = np.abs(c[kind == 2]) + 0.1
+    x0 = lower + np.where(kind == 2, 1.0, upper - lower) * rng.uniform(size=n)
+    return c, A, A @ x0, lower, upper
 
 
 class TestSolveLP:
@@ -31,9 +48,9 @@ class TestSolveLP:
         for trial in range(20):
             m, n = rng.integers(2, 7), rng.integers(2, 6)
             A, b, c = _random_lp(rng, m, n)
-            M, bounds = _to_equalities(A, b, n)
+            M, lower, upper = _to_equalities(A, b, n)
             obj = np.concatenate([c, np.zeros(m)])
-            mine = solve_lp(LPProblem(obj, M, b, bounds))
+            mine = solve_lp(obj, M, b, lower, upper)
             ref = scipy.optimize.linprog(c, A_ub=A, b_ub=b,
                                          bounds=[(-1, 1)] * n,
                                          method="highs")
@@ -41,55 +58,76 @@ class TestSolveLP:
             assert ref.status == 0
             assert mine.value == pytest.approx(ref.fun, abs=1e-7)
 
+    def test_matches_scipy_with_shifted_and_fixed_bounds(self):
+        rng = np.random.default_rng(2)
+        fixed_seen = 0
+        for trial in range(30):
+            m, n = rng.integers(1, 5), rng.integers(5, 9)
+            c, A, b, lower, upper = _bounded_equality_lp(rng, m, n)
+            mine = solve_lp(c, A, b, lower, upper)
+            ref = scipy.optimize.linprog(
+                c, A_eq=A, b_eq=b,
+                bounds=[(lo, None if np.isinf(hi) else hi)
+                        for lo, hi in zip(lower, upper)],
+                method="highs")
+            assert ref.status == 0
+            assert mine.status == "optimal"
+            assert mine.value == pytest.approx(ref.fun, abs=1e-7)
+            assert np.abs(A @ mine.x - b).max() < 1e-7
+            assert (mine.x >= lower - 1e-9).all()
+            assert (mine.x <= upper + 1e-9).all()
+            fixed = lower == upper
+            assert np.abs(mine.x[fixed] - lower[fixed]).max(initial=0.0) < 1e-9
+            fixed_seen += int(fixed.sum())
+        assert fixed_seen > 0
+
     def test_strong_duality_holds(self):
         rng = np.random.default_rng(1)
         for trial in range(10):
             A, b, c = _random_lp(rng, 4, 3)
-            M, bounds = _to_equalities(A, b, 3)
+            M, lower, upper = _to_equalities(A, b, 3)
             obj = np.concatenate([c, np.zeros(4)])
-            sol = solve_lp(LPProblem(obj, M, b, bounds))
+            sol = solve_lp(obj, M, b, lower, upper)
             assert sol.status == "optimal"
             resid = M @ sol.x - b
             assert np.abs(resid).max() < 1e-7
-            # dual feasibility: the slack columns (bounds (0, None)) need
+            # dual feasibility: the slack columns (bounds [0, inf)) need
             # reduced costs r = c - M^T y >= 0
             r = obj - M.T @ sol.y
             assert r[3:].min() >= -1e-9
             # zero gap: c x = y b + sum of r_j at the bound it pushes x_j to;
             # on the slack columns that bound is 0
             bound_part = sum(rj * (lo if rj > 0 else hi)
-                             for rj, (lo, hi) in zip(r[:3], bounds[:3]))
+                             for rj, lo, hi in zip(r[:3], lower[:3], upper[:3]))
             assert obj @ sol.x == pytest.approx(sol.y @ b + bound_part,
                                                 abs=1e-9)
 
     def test_infeasible_returns_farkas_certificate(self):
-        # x <= 1 and x >= 2 cannot hold together
+        # x <= 1 and x >= 2 cannot hold together (x, and both slacks, >= 0)
         M = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]])
         b = np.array([1.0, 2.0])
-        bounds = [(None, None), (0.0, None), (0.0, None)]
-        sol = solve_lp(LPProblem(np.array([1.0, 0.0, 0.0]), M, b, bounds))
+        sol = solve_lp(np.array([1.0, 0.0, 0.0]), M, b, np.zeros(3),
+                       np.full(3, np.inf))
         assert sol.status == "infeasible"
         assert sol.certificate is not None
 
     def test_unbounded_detected(self):
         M = np.array([[1.0, -1.0]])
         b = np.array([0.0])
-        sol = solve_lp(LPProblem(np.array([-1.0, 0.0]), M, b,
-                                 [(0.0, None), (0.0, None)]))
+        sol = solve_lp(np.array([-1.0, 0.0]), M, b, np.zeros(2),
+                       np.full(2, np.inf))
         assert sol.status == "unbounded"
 
     def test_bound_validation(self):
         with pytest.raises(InputError):
-            LPProblem(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
-                      [(2.0, 1.0)])
+            solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
+                     np.array([2.0]), np.array([1.0]))
 
-    def test_equality_with_free_variables(self):
-        # min x + y  s.t.  x + y = 3, x free, 0 <= y <= 1
-        M = np.array([[1.0, 1.0]])
-        sol = solve_lp(LPProblem(np.array([1.0, 1.0]), M, np.array([3.0]),
-                                 [(None, None), (0.0, 1.0)]))
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(3.0, abs=1e-9)
+    @pytest.mark.parametrize("lower", [-np.inf, np.nan])
+    def test_lower_bound_must_be_finite(self, lower):
+        with pytest.raises(InputError):
+            solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
+                     np.array([lower]), np.array([np.inf]))
 
 
 class TestMVEE:
