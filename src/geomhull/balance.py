@@ -10,29 +10,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import GeneratingSet, envelope_gauge
 from .errors import InputError, NumericalError, PhaseError
-from .hulls import DeltaMCertificate, GammaOverDeltaM, approx2_transform
+from .hulls import DeltaMCertificate, approx2_transform
 
 
-@dataclass
-class BalanceReport:
-    N: int
-    signs: np.ndarray
-    sum_norm: float
-    bound_used: float
-
-
-def greedy_signs(vectors) -> BalanceReport:
+def greedy_signs(vectors):
     """Pick signs sequentially, each minimizing the norm of the partial sum.
 
     The choice is sign = -sign(<partial, x>), the square never grows faster
     than sum ||x_k||^2, and the final sum obeys
-    ||sum eps x|| <= sqrt(N) max||x|| (both asserted).
+    ||sum eps x|| <= sqrt(N) max||x|| (both asserted).  Returns the signs,
+    one +-1 per vector.
     """
     X = np.atleast_2d(np.asarray(vectors, dtype=float))
     N = X.shape[0]
@@ -53,8 +45,7 @@ def greedy_signs(vectors) -> BalanceReport:
     bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
     if sum_norm > bound * (1 + 1e-9) + 1e-12:
         raise NumericalError("greedy final bound violated")
-    return BalanceReport(N=N, signs=signs, sum_norm=sum_norm,
-                         bound_used=bound)
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +73,10 @@ def halving_step(S: GeneratingSet, idx, scal):
     if (np.abs(scal) > 1 + 1e-12).any():
         raise InputError("term scalar exceeds 1: not a star-hull element")
     X = scal[:, None] * S.points[idx]
-    rep = greedy_signs(X)
-    plus = int((rep.signs > 0).sum())
+    signs = greedy_signs(X)
+    plus = int((signs > 0).sum())
     minority_sign = 1.0 if plus <= N else -1.0
-    mask = rep.signs == minority_sign
+    mask = signs == minority_sign
     mult = np.bincount(idx[mask], minlength=k)
     alphas = np.bincount(idx[mask], weights=scal[mask], minlength=k)
     cert = DeltaMCertificate(m=N, multiplicities=mult, alphas=alphas)
@@ -99,47 +90,25 @@ def halving_step(S: GeneratingSet, idx, scal):
     return cert, defect
 
 
-def _exact_slots(coefficients, capacity):
-    """Split per-generator weights into capacity unit slots, exactly.
-
-    Each weight |c_i| becomes floor(|c_i|) full slots of sign(c_i) plus one
-    fractional slot, grouped by generator so equal slots sit adjacent (greedy
-    signs then cancel them pairwise), and zero slots pad the rest.  Returns
-    (indices, coefficients) arrays, or None if the slots exceed capacity.
-    """
-    c = np.asarray(coefficients, dtype=float)
-    a = np.abs(c)
-    sign = np.where(c > 0, 1.0, -1.0)
-    full = np.floor(a + 1e-12)
-    frac = a - full
-    has_frac = frac > 1e-12
-    counts = full.astype(int) + has_frac
-    total = int(counts.sum())
-    if total > capacity:
-        return None
-    idx = np.zeros(capacity, dtype=int)
-    coef = np.zeros(capacity)
-    idx[:total] = np.repeat(np.arange(c.size), counts)
-    coef[:total] = sign[idx[:total]]
-    last = np.cumsum(counts) - 1
-    coef[last[has_frac]] = (sign * frac)[has_frac]
-    return idx, coef
-
-
 def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     """Represent an envelope-ball point as a scaled geometric series over S.
 
-    Pipeline per series level: LP-decompose the current residual, round it
-    into an equal-weight average over 2^halvings * m slots, with halvings =
-    max(1, ceil(log2(16 n / m))) (lossless slot split; any unplaced mass
-    joins the defect), halve down to m terms, emit the m-term certificate at
-    coefficient 1, and pass the accumulated defect divided by theta to the
-    next level.  The level defect must have envelope gauge <= theta or the
-    pipeline fails with diagnostics.  The series stops at the first level
-    whose remaining tail theta^level * ||residual|| is at most 1e-9; since
-    every residual stays in the envelope ball, that level always comes.
-    Finally the level certificates flatten into a representation with ratio
-    theta^(1/m).
+    Pipeline per series level: LP-decompose the current residual into
+    weights lambda, write it as an average over M = 2^halvings * m slots,
+    with halvings = max(1, ceil(log2(16 n / m))), halve down to m terms,
+    emit the m-term certificate at coefficient 1, and pass the accumulated
+    defect divided by theta to the next level.  The M slots are
+    DeltaMCertificate(M, ceil(|lambda M|), lambda M).slots(), the layout
+    every halving returns: generator i fills ceil(|lambda_i M|) adjacent
+    equal slots (none for weights at or below 1e-12), so equal slots cancel
+    in pairs under greedy signs.  If the slots exceed M, lambda shrinks by
+    0.95 until they fit and the shed mass joins the defect.  The level
+    defect must have envelope gauge <= theta or the pipeline fails with
+    diagnostics.  The series stops at the first level whose remaining tail
+    theta^level * ||residual|| is at most 1e-9; since every residual stays
+    in the envelope ball, that level always comes.  Finally the level
+    certificates, one row per level, go to approx2_transform, which
+    flattens them into a representation with ratio theta^(1/m).
 
     Returns (representation, scale) with scale * eval(rep) = x up to the
     representation's residual_norm * scale; the scale never exceeds
@@ -170,11 +139,11 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         if norm_r <= 1e-15 or theta ** level * norm_r <= 1e-9:
             break
         lam = coefficients * M
-        slots = _exact_slots(lam, M)
-        shrink = 1.0
-        while slots is None:  # mass does not fit; shed a little to the defect
-            shrink *= 0.95
-            slots = _exact_slots(lam * shrink, M)
+        counts = np.ceil(np.abs(lam) - 1e-12).astype(int)
+        while counts.sum() > M:  # mass does not fit; shed a little to the defect
+            lam = lam * 0.95
+            counts = np.ceil(np.abs(lam) - 1e-12).astype(int)
+        slots = DeltaMCertificate(m=M, multiplicities=counts, alphas=lam).slots()
         for h in range(halvings):
             n_in = len(slots[0])
             vcert, d = halving_step(S, *slots)
@@ -197,10 +166,8 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         alphas.append(vcert.alphas)
         r = w / theta
         coefficients = defect.coefficients / theta
-    levels = np.arange(len(mults))
-    container = GammaOverDeltaM(theta, m, levels, np.ones(levels.size), mults,
-                                alphas)
-    rep, flatten_scale = approx2_transform(S, theta, container)
+    rep, flatten_scale = approx2_transform(theta, m, np.ones(len(mults)),
+                                           mults, alphas)
     total_scale = flatten_scale / (1.0 - theta)
     tail = theta ** len(mults) * np.linalg.norm(r) if mults else np.linalg.norm(r)
     rep.residual_norm = float(tail / total_scale)

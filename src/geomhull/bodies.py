@@ -77,16 +77,15 @@ class PBody:
             pts = self.generators.points
             if pts.shape[0] != 2 * n:
                 raise InputError("lp_ball requires exactly the 2n signed basis vectors")
-            seen = {}
-            for r, row in enumerate(pts):
+            seen = set()
+            for row in pts:
                 nz = np.flatnonzero(row)
                 if nz.size != 1 or abs(row[nz[0]]) != 1.0:
                     raise InputError("lp_ball generators must be signed basis vectors")
                 key = (int(nz[0]), 1 if row[nz[0]] > 0 else -1)
                 if key in seen:
                     raise InputError("duplicate signed basis vector")
-                seen[key] = r
-            self._basis_rows = seen
+                seen.add(key)
 
     def batch_gauge(self, X):
         """Gauge of each row of X (analytic for lp_ball, search otherwise)."""
@@ -109,7 +108,6 @@ class GaugeCertificate:
 
     value: float
     coefficients: np.ndarray
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +131,8 @@ def envelope_gauge(S: GeneratingSet, x) -> GaugeCertificate:
     if sol.status != "optimal":
         raise NumericalError(f"envelope gauge LP returned {sol.status}")
     z = sol.x
-    lam = z[:k] - z[k:]
-    residual = float(np.linalg.norm(S.points.T @ lam - x))
-    return GaugeCertificate(value=float(np.abs(z).sum()), coefficients=lam,
-                            residual=residual)
+    return GaugeCertificate(value=float(np.abs(z).sum()),
+                            coefficients=z[:k] - z[k:])
 
 
 def _null_space(A):
@@ -148,22 +144,14 @@ def _null_space(A):
 def p_gauge_upper(body: PBody, x, seed=0) -> GaugeCertificate:
     """Upper bound on the p-gauge of x, with a witnessing representation.
 
-    Analytic for lp_ball.  Otherwise any representation x = sum lambda_i s_i
-    gives the upper bound (sum |lambda_i|^p)^(1/p); the search starts from
-    the envelope LP solution and descends along the representation null
-    space, keeping the best over the unperturbed start and 8 perturbed ones.
+    Any representation x = sum lambda_i s_i gives the upper bound
+    (sum |lambda_i|^p)^(1/p); the search starts from the envelope LP solution
+    and descends along the representation null space, keeping the best over
+    the unperturbed start and 8 perturbed ones.
     """
     x = np.asarray(x, dtype=float)
     p = body.p
     S = body.generators
-    if body.analytic_kind == "lp_ball":
-        lam = np.zeros(S.count)
-        for i, xi in enumerate(x):
-            row = body._basis_rows[(i, 1)]
-            lam[row] = xi
-        value = float((np.abs(x) ** p).sum() ** (1.0 / p))
-        return GaugeCertificate(value=value, coefficients=lam, residual=0.0)
-
     base = envelope_gauge(S, x)
     if p == 1.0:
         return base
@@ -180,9 +168,7 @@ def p_gauge_upper(body: PBody, x, seed=0) -> GaugeCertificate:
         if best is None or cost < best[0]:
             best = (cost, lam)
     cost, lam = best
-    residual = float(np.linalg.norm(S.points.T @ lam - x))
-    return GaugeCertificate(value=float(cost ** (1.0 / p)), coefficients=lam,
-                            residual=residual)
+    return GaugeCertificate(value=float(cost ** (1.0 / p)), coefficients=lam)
 
 
 def _pnorm_descent(lam, Z, p):

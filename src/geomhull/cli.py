@@ -29,16 +29,15 @@ from .balance import type1_represent
 from .bodies import (GeneratingSet, PBody, delta_nonconvexity, fmt17,
                      generating_set_to_json, lp_ball_body,
                      load_generating_set_json, save_generating_set_json)
-from .cube import (Calibration, VertexSet, alesker_chain, chain_constants,
-                   chain_cube_certificate, counting_select,
+from .cube import (NODE_BUDGET, Calibration, VertexSet, alesker_chain,
+                   chain_constants, chain_cube_certificate, counting_select,
                    cube_quotient, cubic_quotient_from_nonconvexity,
                    density_threshold, pnormed_quotient, vertex_generating_set,
                    vertex_set_from_generating_set)
 from .dvoretzky import dvoretzky_search, ellipsoid_gamma_represent
 from .errors import (BudgetError, ContractionError, InputError,
                      NumericalError, PhaseError)
-from .hulls import (GammaOverDeltaM, approx2_transform,
-                    verify_pconv_contraction)
+from .hulls import approx2_transform, verify_pconv_contraction
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -71,7 +70,7 @@ class RunConfig:
     trials: int = 64
     queries: int = 32
     samples: int = 1000
-    budget: int = 10 ** 7
+    budget: int = NODE_BUDGET
     coords: str | None = None
     calibration: Calibration = field(default_factory=Calibration)
 
@@ -349,8 +348,9 @@ def verify_pconv(cfg: RunConfig):
     return _finish_verify(report, cfg)
 
 
-def _random_hull_element(S, theta, m, depth, rng):
-    """A random average-of-averages series element, one m-slot row a level."""
+def _random_hull_element(S, m, depth, rng):
+    """Rows (lambdas, multiplicities, alphas) of a random series over m-term
+    averages, one m-slot row a level."""
     k = S.count
     mults, alphas, lams = [], [], []
     for level in range(depth):
@@ -363,7 +363,7 @@ def _random_hull_element(S, theta, m, depth, rng):
         lams.append(rng.uniform(-1.0, 1.0))
         mults.append(mult)
         alphas.append(alphas_full)
-    return GammaOverDeltaM(theta, m, np.arange(depth), lams, mults, alphas)
+    return lams, mults, alphas
 
 
 def verify_approx2(cfg: RunConfig):
@@ -379,9 +379,13 @@ def verify_approx2(cfg: RunConfig):
     worst_scale, worst_err, samples = 0.0, 0.0, []
     for t in range(trials):
         m = int(rng.choice([2, 3, 5]))
-        outer = _random_hull_element(S, theta, m, depth=6, rng=rng)
-        rep, scale = approx2_transform(S, theta, outer)
-        err = float(np.linalg.norm(scale * rep.evaluate(S) - outer.evaluate(S)))
+        lams, mults, alphas = _random_hull_element(S, m, depth=6, rng=rng)
+        rep, scale = approx2_transform(theta, m, lams, mults, alphas)
+        # the series over averages, summed term by term as stated
+        want = np.zeros(S.dimension)
+        for level, (lam, row) in enumerate(zip(lams, alphas)):
+            want += (1.0 - theta) * theta ** level * lam * (S.points.T @ row / m)
+        err = float(np.linalg.norm(scale * rep.evaluate(S) - want))
         worst_scale = max(worst_scale, scale)
         worst_err = max(worst_err, err)
         samples.append({"trial": t, "m": m, "scale": scale, "error": err})
@@ -625,7 +629,8 @@ def run_pnormed_quotient(cfg: RunConfig):
     report, distance = pnormed_quotient(body, cfg.eps,
                                         calibration=cfg.calibration,
                                         seed=cfg.seed, queries=cfg.queries,
-                                        query_tolerance=cfg.tol)
+                                        query_tolerance=cfg.tol,
+                                        node_budget=cfg.budget)
     payload = {"quotient": json.loads(report.to_json()), "distance": distance}
     rows = _quotient_rows(payload["quotient"])
     rows.append({"record": "distance", **{k: v for k, v in distance.items()}})
@@ -643,7 +648,7 @@ def run_cubic_from_delta(cfg: RunConfig):
     body = _body_from(S, p)
     report, summary = cubic_quotient_from_nonconvexity(
         body, coords, calibration=cfg.calibration, seed=cfg.seed,
-        queries=cfg.queries, query_tolerance=cfg.tol)
+        queries=cfg.queries, query_tolerance=cfg.tol, node_budget=cfg.budget)
     payload = {"quotient": json.loads(report.to_json()), "summary": summary}
     rows = _quotient_rows(payload["quotient"])
     rows.append({"record": "summary", **{k: ("" if v is None else v)

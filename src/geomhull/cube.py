@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .bodies import GeneratingSet, PBody, delta_nonconvexity, envelope_gauge
 from .errors import BudgetError, InputError, NumericalError, PhaseError
-from .hulls import (DeltaMCertificate, GammaOverDeltaM, GammaRepresentation,
-                    approx2_transform, flatten_scale, pconv_contraction_bound)
+from .hulls import (DeltaMCertificate, GammaRepresentation, approx2_transform,
+                    flatten_scale, pconv_contraction_bound)
+
+# node budget of the shattered-subset search unless a caller sets one
+NODE_BUDGET = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ def _split_classes(classes, j):
     return out
 
 
-def _max_shattered(V: VertexSet, node_budget=10 ** 7):
+def _max_shattered(V: VertexSet, node_budget=NODE_BUDGET):
     """Largest shattered subset, lexicographically first among the largest.
 
     Depth-first over subsets in lexicographic order, pruning prefixes that
@@ -292,7 +295,7 @@ def _fiber_pairs(fiber, tau):
 
 
 def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
-                  node_budget=10 ** 7) -> ShatterChain:
+                  node_budget=NODE_BUDGET) -> ShatterChain:
     """Build the anchored chain: shattered core, then anchored fiber growth.
 
     The core sigma[0] is the largest shattered subset.  Each growth level
@@ -466,7 +469,7 @@ def _lift_chain(chain: ShatterChain, parts, S: GeneratingSet, sigma_idx, m):
 
 
 def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
-                           C=8.0) -> ChainCertificates:
+                           C=Calibration.C) -> ChainCertificates:
     """Lift the chain tables to average-hull certificates over S.
 
     Each chain member is a row of S, a one-slot certificate with no
@@ -620,43 +623,25 @@ class QuotientReport:
     constants_used: dict
     certificates: list
     verified_fraction: float
-    tau: tuple = ()
-    theta_formula: float = 0.0
-    chain_levels: int = 0
-    density_ok: bool = True
-    variance_check: dict = field(default_factory=dict)
-    vertex_residual_max: float = 0.0
-    seed: int = 0
-    query_tolerance: float = 1e-6
-    calibration: dict = field(default_factory=dict)
-    vertex_certificates: dict = field(default_factory=dict)
-    assembly_theta: float = 0.75
-    flat_m: int = 1
-    # vertex mask -> (lifted certificate, its snap displacement on sigma)
-    _entries: dict = field(default_factory=dict, repr=False)
+    tau: tuple
+    theta_formula: float
+    chain_levels: int
+    density_ok: bool
+    variance_check: dict
+    vertex_residual_max: float
+    seed: int
+    query_tolerance: float
+    calibration: dict
+    vertex_certificates: dict
+    assembly_theta: float
+    flat_m: int
+    # vertex mask -> (lifted certificate, its snap displacement on sigma);
+    # in memory only, never serialized
+    _entries: dict = field(repr=False)
 
     def to_json(self):
-        payload = {
-            "sigma": list(self.sigma),
-            "tau": list(self.tau),
-            "epsilon": self.epsilon,
-            "theta": self.theta,
-            "theta_formula": self.theta_formula,
-            "C_over_eps": self.C_over_eps,
-            "constants_used": self.constants_used,
-            "calibration": self.calibration,
-            "chain_levels": self.chain_levels,
-            "density_ok": self.density_ok,
-            "variance_check": self.variance_check,
-            "vertex_residual_max": self.vertex_residual_max,
-            "verified_fraction": self.verified_fraction,
-            "seed": self.seed,
-            "query_tolerance": self.query_tolerance,
-            "assembly_theta": self.assembly_theta,
-            "flat_m": self.flat_m,
-            "vertex_certificates": self.vertex_certificates,
-            "certificates": self.certificates,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "_entries"}
         return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
 
 
@@ -718,7 +703,7 @@ def _decompose_vertex(S, a, m, singleton_index):
 
 def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                   queries=32, query_tolerance=1e-6,
-                  node_budget=10 ** 7) -> QuotientReport:
+                  node_budget=NODE_BUDGET) -> QuotientReport:
     """Full randomized pipeline from a cube-sandwiched set to a cube quotient.
 
     Phases: per-vertex decomposition (doubling as the sandwich check),
@@ -932,10 +917,8 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
         if np.abs(r).max() > 1.0 + 1e-9:
             raise PhaseError("assemble", "splitting residual left the ball",
                              level=level, residual=float(np.abs(r).max()))
-    levels = np.arange(len(mults))
-    outer = GammaOverDeltaM(theta, M2, levels, np.ones(levels.size), mults,
-                            alphas)
-    rep, flat_scale = approx2_transform(S, theta, outer)
+    rep, flat_scale = approx2_transform(theta, M2, np.ones(len(mults)), mults,
+                                        alphas)
     total = report.constants_used["chain_scale"] * flat_scale / (1.0 - theta)
     if abs(total - report.C_over_eps) > 1e-9 * report.C_over_eps:
         raise NumericalError("assembled scale drifted from the report")

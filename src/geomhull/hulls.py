@@ -304,37 +304,6 @@ def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
 # average-hull levels into geometric-hull levels
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class GammaOverDeltaM:
-    """Geometric series whose terms are average-hull points, not single generators.
-
-    Held as rows: term j is lambdas[j] (1/m) sum_i alphas[j, i] s_i at level
-    levels[j], an m-term average with multiplicities[j], with no certificate
-    object per term; approx2_transform checks the rows.
-    """
-
-    theta: float
-    m: int
-    levels: np.ndarray
-    lambdas: np.ndarray
-    multiplicities: np.ndarray
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        self.levels = np.asarray(self.levels, dtype=np.int64)
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
-        self.multiplicities = np.asarray(self.multiplicities, dtype=np.int64)
-        self.alphas = np.asarray(self.alphas, dtype=float)
-
-    def evaluate(self, S: GeneratingSet):
-        x = np.zeros(S.dimension)
-        c = 1.0 - self.theta
-        for level, lam, alphas in zip(self.levels.tolist(),
-                                      self.lambdas.tolist(), self.alphas):
-            x += c * self.theta ** level * lam * (S.points.T @ alphas / self.m)
-        return x
-
-
 def flatten_scale(theta, m):
     """Ratio and scale of a theta-series over m-term averages, flattened.
 
@@ -346,32 +315,42 @@ def flatten_scale(theta, m):
     return phi, (1.0 - theta) * phi ** (1 - m) / (m * (1.0 - phi))
 
 
-def approx2_transform(S: GeneratingSet, theta, outer: GammaOverDeltaM):
+def approx2_transform(theta, m, lambdas, multiplicities, alphas):
     """Flatten a geometric series over m-term averages into a plain series.
 
-    Each level-k average splits into its m unit slots at levels km..km+m-1 of
-    a representation with ratio theta^(1/m); the exact scale from
+    The series is held as rows, one per level in row order: level k is
+    lambdas[k] (1/m) sum_i alphas[k, i] s_i, an m-term average with
+    multiplicities[k].  Each level's average splits into its m unit slots
+    (the DeltaMCertificate.slots layout) at levels km..km+m-1 of a
+    representation with ratio theta^(1/m); the exact scale from
     flatten_scale never exceeds 2 theta / (3 theta - 1) once theta > 1/3.
     All rows are checked and expanded in one batched pass, and the
-    representation's arrays are the nonzero slots in level order.
-    Returns (representation, scale) with scale * eval(rep) = eval(outer).
+    representation's arrays are the nonzero slots in level order.  Returns
+    (representation, scale) with scale * eval(rep) =
+    (1-theta) sum_k theta^k lambdas[k] (1/m) S^T alphas[k].
     """
     if not 1.0 / 3.0 < theta < 1:
         raise InputError("theta must lie in (1/3, 1)")
-    m = outer.m
     if m < 1:
         raise InputError("m must be at least 1")
     phi, scale = flatten_scale(theta, m)
-    if (np.abs(outer.lambdas) > 1 + 1e-12).any():
+    lambdas = np.asarray(lambdas, dtype=float)
+    if (np.abs(lambdas) > 1 + 1e-12).any():
         raise InputError("outer lambda exceeds 1")
-    if not outer.levels.size:
+    if not lambdas.size:
         empty = GammaRepresentation(theta=phi, levels=[], lambdas=[], indices=[])
         return empty, scale
-    _check_rows(m, outer.multiplicities, outer.alphas)
-    gens, betas = _slot_rows(m, outer.multiplicities, outer.alphas)
+    multiplicities = np.asarray(multiplicities, dtype=np.int64)
+    alphas = np.asarray(alphas, dtype=float)
+    if (lambdas.ndim != 1 or multiplicities.ndim != 2
+            or multiplicities.shape != alphas.shape
+            or len(multiplicities) != lambdas.size):
+        raise InputError("need one multiplicity row and one alpha row a level")
+    _check_rows(m, multiplicities, alphas)
+    gens, betas = _slot_rows(m, multiplicities, alphas)
     powers = _theta_powers(phi, m)[::-1]
-    mu = outer.lambdas[:, None] * betas * powers
-    flat_levels = outer.levels[:, None] * m + np.arange(m)
+    mu = lambdas[:, None] * betas * powers
+    flat_levels = np.arange(lambdas.size)[:, None] * m + np.arange(m)
     keep = mu != 0.0
     rep = GammaRepresentation(theta=phi, levels=flat_levels[keep],
                               lambdas=mu[keep], indices=gens[keep])

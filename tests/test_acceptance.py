@@ -85,12 +85,13 @@ def test_criterion_03_approx2_transform():
             lams.append(float(rng.uniform(-1, 1)))
             mults.append(mult)
             alphas.append(alpha)
-        outer = hulls.GammaOverDeltaM(theta, m, np.arange(6), lams, mults,
-                                      alphas)
-        rep, scale = hulls.approx2_transform(S, theta, outer)
+        rep, scale = hulls.approx2_transform(theta, m, lams, mults, alphas)
         worst_scale = max(worst_scale, scale)
-        err = float(np.linalg.norm(scale * rep.evaluate(S)
-                                   - outer.evaluate(S)))
+        outer = np.zeros(S.dimension)  # the series over averages, termwise
+        for level, (lam, alpha) in enumerate(zip(lams, alphas)):
+            outer += (1.0 - theta) * theta ** level * lam \
+                * (S.points.T @ alpha / m)
+        err = float(np.linalg.norm(scale * rep.evaluate(S) - outer))
         worst_err = max(worst_err, err)
     ok = worst_scale <= 1.2 + 1e-12 and worst_err <= 1e-10 and clock.ok()
     _line(3, ok, f"scale {worst_scale:.6f}, reconstruction {worst_err:.2e}, "

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geomhull.balance import (_exact_slots, greedy_signs, halving_step,
-                              type1_represent)
+from geomhull.balance import greedy_signs, halving_step, type1_represent
 from geomhull.bodies import GeneratingSet, envelope_gauge
 from geomhull.errors import InputError
 
@@ -27,24 +26,26 @@ class TestGreedySigns:
         rng = np.random.default_rng(0)
         for n in (2, 5, 9):
             X = rng.standard_normal((20, n))
-            rep = greedy_signs(X)
+            signs = greedy_signs(X)
             bound = math.sqrt(20) * np.linalg.norm(X, axis=1).max()
-            assert rep.sum_norm <= bound * (1 + 1e-9)
-            assert rep.bound_used == pytest.approx(bound)
+            assert np.linalg.norm(signs @ X) <= bound * (1 + 1e-9)
 
     def test_exhaustive_never_worse(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             X = rng.standard_normal((8, 3))
-            g = greedy_signs(X)
-            assert _exhaustive_sum_norm(X) <= g.sum_norm + 1e-12
+            signs = greedy_signs(X)
+            assert _exhaustive_sum_norm(X) <= np.linalg.norm(signs @ X) + 1e-12
 
-    def test_signs_reproduce_reported_norm(self):
+    def test_signs_follow_the_greedy_rule(self):
+        # each sign opposes the partial sum before it, + on a tie
         rng = np.random.default_rng(2)
         X = rng.standard_normal((12, 4))
-        rep = greedy_signs(X)
-        assert np.linalg.norm((rep.signs[:, None] * X).sum(axis=0)) \
-            == pytest.approx(rep.sum_norm)
+        signs = greedy_signs(X)
+        partial = np.zeros(4)
+        for sign, x in zip(signs, X):
+            assert sign == (-1.0 if partial @ x > 0 else 1.0)
+            partial = partial + sign * x
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -80,21 +81,6 @@ class TestHalving:
             halving_step(S, [0, 1, 2, 3], [1.0, 0.5])
 
 
-class TestExactSlots:
-    def test_layout(self):
-        idx, coef = _exact_slots([2.5, 0.0, -1.0, -0.25], 8)
-        # floor(|c|) full slots of sign(c), then the fraction, per generator
-        assert idx.tolist() == [0, 0, 0, 2, 3, 0, 0, 0]
-        assert coef.tolist() == [1.0, 1.0, 0.5, -1.0, -0.25, 0.0, 0.0, 0.0]
-
-    def test_exact_fit_and_over_capacity(self):
-        idx, coef = _exact_slots([1.0, -2.0], 3)
-        assert idx.tolist() == [0, 1, 1]
-        assert coef.tolist() == [1.0, -1.0, -1.0]
-        assert _exact_slots([1.0, -2.0], 2) is None
-        assert _exact_slots([1.5], 1) is None
-
-
 class TestType1Represent:
     def test_reconstructs_envelope_points(self):
         S = _circle(16)
@@ -109,6 +95,20 @@ class TestType1Represent:
             err = np.linalg.norm(scale * rep.evaluate(S) - x)
             assert err < 1e-6
             assert scale <= 2 * theta / ((3 * theta - 1) * (1 - theta)) + 1e-9
+
+    def test_slots_over_capacity_shrink_the_weights(self):
+        # m = 4 in the plane gives M = 32 slots; the weights 15.1 and 16.5 on
+        # adjacent vertices need 16 + 17 = 33 slots, so the level-0 weights
+        # shrink until they fit and the shed mass joins the defect
+        S = _circle(32)
+        x = (15.1 / 32) * S.points[0] + (16.5 / 32) * S.points[1]
+        start = envelope_gauge(S, x).coefficients
+        assert np.ceil(np.abs(start * 32) - 1e-12).sum() == 33
+        trace = []
+        rep, scale = type1_represent(S, 0.75, 4, x, trace=trace)
+        assert trace[0]["input_terms"] == 32
+        assert np.linalg.norm(scale * rep.evaluate(S) - x) < 1e-6
+        assert scale * rep.residual_norm < 1e-6
 
     def test_trace_records_halvings(self):
         S = _circle(8)

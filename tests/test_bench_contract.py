@@ -5,7 +5,9 @@ each run, shows that the verifier accepts a real output and rejects a
 corrupted copy.  This makes the same two checks on the self-test's request
 at seed 101, so a change to an output's shape that the benchmark can no
 longer read (a representation whose terms stop being a list of tuples, say)
-fails here.
+fails here.  The verifier must also accept the first measured requests at
+that seed, so an output the benchmark would reject as incorrect fails here
+too.
 """
 
 import importlib.util
@@ -28,11 +30,22 @@ run = _load("run")
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("name", run.WORKLOAD_NAMES)
-def test_verifier_self_test(name):
-    workload = workloads.WORKLOADS[name](101)
-    workload.setup()
+@pytest.fixture(scope="module", params=run.WORKLOAD_NAMES)
+def workload(request):
+    """The workload at seed 101, set up once for both tests."""
+    built = workloads.WORKLOADS[request.param](101)
+    built.setup()
+    return built
+
+
+def test_verifier_self_test(workload):
     inp = workload.request(run.WARMUP_BASE)
     out = workload.call(inp)
     assert workload.check(inp, out) is None
     assert workload.check(inp, workload.corrupt(out)) is not None
+
+
+def test_verifier_accepts_measured_requests(workload):
+    for i in range(5):
+        inp = workload.request(i)
+        assert workload.check(inp, workload.call(inp)) is None, f"request {i}"

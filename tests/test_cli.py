@@ -118,6 +118,19 @@ class TestVerify:
         assert run("verify", "alesker", "--n", "8", "--eps", "0.5",
                    "--seed", "5", "--budget", "5") == EXIT_BUDGET
 
+    def test_budget_reaches_every_quotient_pipeline(self, lp_ball_file,
+                                                    tmp_path):
+        # one search node is too few for the shattered-subset search of
+        # each pipeline's cube
+        cube = str(tmp_path / "cube.json")
+        assert run("generate", "cube-vertices", "--n", "4", "--p", "1.0",
+                   "--out", cube) == EXIT_PASS
+        for argv in (("cube-quotient", "--input", cube),
+                     ("pnormed-quotient", "--input", cube),
+                     ("cubic-from-delta", "--input", lp_ball_file,
+                      "--coords", "0,1,2,3")):
+            assert run("run", *argv, "--budget", "1") == EXIT_BUDGET, argv
+
     def test_numerical_failure_exits_three(self, lp_ball_file):
         # cross-polytope envelope cannot contain the cube
         assert run("run", "pnormed-quotient", "--input", lp_ball_file,

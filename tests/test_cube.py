@@ -16,7 +16,7 @@ from geomhull.cube import (Calibration, VertexSet, _max_shattered,
                            subsample_vertex_fit, vector_of_mask,
                            vertex_generating_set, vertex_set_from_generating_set)
 from geomhull.errors import BudgetError, InputError, PhaseError
-from geomhull.hulls import DeltaMCertificate, GammaOverDeltaM
+from geomhull.hulls import DeltaMCertificate
 
 
 def _cube_points(n):
@@ -366,10 +366,10 @@ class TestRepresentCubePoint:
                     M2, c1.multiplicities + c2.multiplicities,
                     c1.alphas + c2.alphas)))
                 r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
-            outer = GammaOverDeltaM(
-                theta, M2, [t[0] for t in terms], [t[1] for t in terms],
-                [t[2].multiplicities for t in terms],
-                [t[2].alphas for t in terms])
+            outer = np.zeros(S.dimension)  # the series over averages
+            for level, lam, cert in terms:
+                outer += (1.0 - theta) * theta ** level * lam \
+                    * (S.points.T @ cert.alphas / M2)
             phi = theta ** (1.0 / M2)
             flat = []
             for level, lam, cert in terms:
@@ -386,7 +386,7 @@ class TestRepresentCubePoint:
             rep = represent_cube_point(report, S, x)
             assert rep.terms == flat
             assert rep.residual_norm == residual
-            assert np.abs(outer.evaluate(S) - value * report.C_over_eps
+            assert np.abs(outer - value * report.C_over_eps
                           * (1.0 - theta) / report.constants_used["chain_scale"]
                           ).max() < 1e-9
 

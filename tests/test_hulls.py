@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from geomhull.bodies import GeneratingSet, lp_ball_body
 from geomhull.errors import InputError
-from geomhull.hulls import (DeltaMCertificate, GammaOverDeltaM,
-                            GammaRepresentation, approx2_transform,
-                            delta_m_membership, pconv_contraction_bound,
-                            verify_pconv_contraction)
+from geomhull.hulls import (DeltaMCertificate, GammaRepresentation,
+                            approx2_transform, delta_m_membership,
+                            pconv_contraction_bound, verify_pconv_contraction)
 
 
 def _square():
@@ -86,7 +85,7 @@ class TestPconv:
 
 
 class TestApprox2:
-    def _random_outer(self, S, theta, m, depth, rng):
+    def _random_outer(self, S, m, depth, rng):
         lams, mults, alphas = [], [], []
         for level in range(depth):
             idx = rng.integers(0, S.count, size=m)
@@ -97,7 +96,15 @@ class TestApprox2:
             lams.append(float(rng.uniform(-1, 1)))
             mults.append(mult)
             alphas.append(alpha)
-        return GammaOverDeltaM(theta, m, np.arange(depth), lams, mults, alphas)
+        return lams, mults, alphas
+
+    @staticmethod
+    def _series_value(S, theta, m, lams, alphas):
+        """(1-theta) sum_k theta^k lams[k] (1/m) S^T alphas[k], term by term."""
+        x = np.zeros(S.dimension)
+        for level, (lam, row) in enumerate(zip(lams, alphas)):
+            x += (1.0 - theta) * theta ** level * lam * (S.points.T @ row / m)
+        return x
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_exact_reconstruction_and_scale(self, m):
@@ -107,19 +114,27 @@ class TestApprox2:
         phi = theta ** (1.0 / m)
         want_scale = (1 - theta) * phi ** (1 - m) / (m * (1 - phi))
         for _ in range(10):
-            outer = self._random_outer(S, theta, m, depth=5, rng=rng)
-            rep, scale = approx2_transform(S, theta, outer)
+            lams, mults, alphas = self._random_outer(S, m, depth=5, rng=rng)
+            rep, scale = approx2_transform(theta, m, lams, mults, alphas)
             assert scale == pytest.approx(want_scale, rel=1e-12)
             assert scale <= 1.2 + 1e-12
             assert rep.theta == pytest.approx(phi)
-            err = np.linalg.norm(scale * rep.evaluate(S) - outer.evaluate(S))
+            err = np.linalg.norm(scale * rep.evaluate(S)
+                                 - self._series_value(S, theta, m, lams, alphas))
             assert err < 1e-10
 
     def test_theta_domain(self):
-        S = _square()
-        outer = GammaOverDeltaM(0.25, 2, [], [], [], [])
         with pytest.raises(InputError):
-            approx2_transform(S, 0.25, outer)
+            approx2_transform(0.25, 2, [], [], [])
+
+    def test_rows_must_match_the_levels(self):
+        mults, alphas = np.array([[1, 1]]), np.array([[0.5, -0.5]])
+        with pytest.raises(InputError):
+            approx2_transform(0.75, 2, [1.0, 1.0], mults, alphas)
+        with pytest.raises(InputError):
+            approx2_transform(0.75, 2, [1.0], mults, alphas[:, :1])
+        rep, _ = approx2_transform(0.75, 2, [1.0], mults, alphas)
+        assert rep.levels.tolist() == [0, 1]
 
 
 class TestDeltaMCertificate:
