@@ -986,8 +986,8 @@ def cubic_quotient_from_nonconvexity(body: PBody, l1_subspace,
     The caller supplies the subspace (coordinate indices only -- hunting for
     well-isomorphic l1 subspaces is out of scope); the sign operator pushes
     the generators onto a 2k-cube and the pipeline runs at eps = 1/2.  The
-    summary reports the achieved dimension against c ln A / ln ln A with
-    A = (p^(1/p) delta / 4)^(p/(1-p)), flagged not-applicable for small A.
+    summary reports the dimension against the fitted target c ln A / ln ln A
+    (no source cited), A = (p^(1/p) delta / 4)^(p/(1-p)), n/a for small A.
     """
     cal = Calibration.from_mapping(calibration)
     try:

@@ -25,7 +25,7 @@ from .optim import Ellipsoid, mvee
 
 @dataclass
 class ProjectionResult:
-    """One random projection with its verified ellipsoid sandwich."""
+    """One random projection, its ellipsoid and a lower bound on its sandwich ratio."""
 
     rank: int
     projection_matrix: np.ndarray
@@ -87,14 +87,15 @@ def _sandwich_ratio(projected_points, E: Ellipsoid, directions):
 
 
 def dvoretzky_search(S: GeneratingSet, k, eta, trials, seed) -> ProjectionResult:
-    """Best-of-`trials` random projection by verified ellipsoid sandwich ratio.
+    """Best-of-`trials` random projection by sampled ellipsoid sandwich ratio.
 
     Each trial projects the generators, computes the minimum-volume ellipsoid
-    of the symmetrized image, and certifies an inner radius by support
-    comparisons in 200 random directions plus the coordinate and ellipsoid
-    axes.  Returns the projection with the smallest ratio; the success flag
-    records whether it met 1 + eta.  Failure to meet the target is not an
-    error -- the best result is still returned.
+    of the symmetrized image, and compares supports in 200 random directions
+    plus the coordinate and ellipsoid axes; the worst ratio sampled is a lower
+    bound on the true one, not a certified inner radius.  Returns the
+    projection with the smallest ratio; the success flag records whether it
+    met 1 + eta.  Failure to meet the target is not an error -- the best
+    result is still returned.
     """
     if not 1 <= k <= S.dimension:
         raise InputError("projection rank out of range")
@@ -108,7 +109,7 @@ def dvoretzky_search(S: GeneratingSet, k, eta, trials, seed) -> ProjectionResult
     for t in range(trials):
         P = random_projection(S.dimension, k, children[2 * t])
         projected = S.points @ P.T
-        E = mvee(np.vstack([projected, -projected]))
+        E = mvee(projected)
         rng = np.random.default_rng(children[2 * t + 1])
         dirs = rng.standard_normal((200, k))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -132,7 +133,7 @@ def ellipsoid_gamma_represent(projected: GeneratingSet, E: Ellipsoid, theta, y,
 
     Whitens everything by the Cholesky factor of the ellipsoid, then greedily
     subtracts the signed generator with the largest inner product against the
-    normalized residual.  When `eta` (the verified sandwich defect) is given,
+    normalized residual.  When `eta` (the sampled sandwich defect) is given,
     every accepted step must contract the unit residual by at most
     sqrt(2 eta + eta^2); a violation raises ContractionError naming the step.
     The returned residual_norm is measured in the ellipsoid norm.

@@ -231,30 +231,49 @@ class Ellipsoid:
 def mvee(points, tolerance=1e-7) -> Ellipsoid:
     """Minimum-volume origin-symmetric ellipsoid enclosing the given points.
 
-    Points are treated with their negations (the centered formulation makes
-    the symmetrization implicit).  Khachiyan barycentric-coordinate ascent
-    with Wolfe-Atwood away steps; terminates when the duality gap
-    max_i x_i V^{-1} x_i / n - 1 drops below `tolerance`.
+    Points count with their negations, so pass each once.  Khachiyan ascent
+    with Wolfe-Atwood away steps; V^{-1} and g_i = x_i V^{-1} x_i follow each
+    step by rank-one updates (Todd & Yildirim 2007) and are recomputed every
+    25 steps, after an ill-conditioned update and before returning, with a
+    Newton step on a small support, where coordinate steps alone can stall.
+    Stops when the returned matrix has gap max_i g_i / n - 1 <= `tolerance`.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = X.shape
     if np.linalg.matrix_rank(X) < n:
         raise DegeneracyError("points do not span the space")
     u = np.full(k, 1.0 / k)
+    since = 25  # steps since V^{-1} and g were last recomputed
     for _ in range(100000):
-        V = X.T @ (u[:, None] * X)
-        try:
-            W = np.linalg.solve(V, X.T)
-        except np.linalg.LinAlgError:
-            raise DegeneracyError("weight matrix became singular")
-        g = np.einsum("ij,ji->i", X, W)
-        j_up = int(np.argmax(g))
+        if since >= 25:
+            V = X.T @ (u[:, None] * X)
+            try:
+                M = np.linalg.inv(V)
+            except np.linalg.LinAlgError:
+                raise DegeneracyError("weight matrix became singular")
+            S = np.flatnonzero(u > 1e-12)
+            if len(S) <= n * (n + 1):  # Newton step, kept if log det V gains
+                K = X[S] @ M @ X[S].T  # gradient diag(K), Hessian -K*K
+                kkt = np.block([[K * K, np.ones((len(S), 1))],
+                                [np.ones((1, len(S))), np.zeros((1, 1))]])
+                d = np.linalg.lstsq(kkt, np.append(np.diag(K), 0.0), rcond=None)[0][:-1]
+                t = min(1.0, (u[S][d < 0] / -d[d < 0]).min(initial=np.inf))
+                trial = u.copy()
+                trial[S] = np.maximum(u[S] + t * d, 0.0)
+                V_trial = X.T @ (trial[:, None] * X)
+                if np.linalg.slogdet(V_trial)[1] > np.linalg.slogdet(V)[1]:
+                    u, M = trial, np.linalg.inv(V_trial)
+            M = 0.5 * (M + M.T)
+            g = np.einsum("ij,ij->i", X @ M, X)
+            since = 0
+        j_up = int(g.argmax())
         gap_up = g[j_up] / n - 1.0
         if gap_up <= tolerance:
-            M = np.linalg.inv(V)
-            return Ellipsoid(shape_matrix=0.5 * (M + M.T), scale=float(n))
-        support_idx = np.flatnonzero(u > 1e-12)
-        j_dn = int(support_idx[np.argmin(g[support_idx])])
+            if since == 0:
+                return Ellipsoid(shape_matrix=M, scale=float(n))
+            since = 25
+            continue
+        j_dn = int(np.where(u > 1e-12, g, np.inf).argmin())
         gap_dn = 1.0 - g[j_dn] / n
         if gap_up >= gap_dn:
             step = (g[j_up] - n) / (n * (g[j_up] - 1.0))
@@ -269,6 +288,16 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
             u[j_dn] += step
             np.clip(u, 0.0, None, out=u)
             u /= u.sum()
+        j = j_up if step > 0 else j_dn  # V <- (1 - step) (V + a x_j x_j^T)
+        a = step / (1.0 - step)
+        pivot = 1.0 + a * g[j]
+        if pivot < 1e-8:
+            since = 25
+            continue
+        w = M @ X[j]
+        g = (g - (a / pivot) * (X @ w) ** 2) / (1.0 - step)
+        M = (M - (a / pivot) * w[:, None] * w) / (1.0 - step)
+        since += 1
     raise NumericalError("ellipsoid ascent hit the iteration cap before the gap closed")
 
 

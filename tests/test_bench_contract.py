@@ -7,7 +7,8 @@ at seed 101, so a change to an output's shape that the benchmark can no
 longer read (a representation whose terms stop being a list of tuples, say)
 fails here.  The verifier must also accept the first measured requests at
 that seed, so an output the benchmark would reject as incorrect fails here
-too.
+too.  Replayed under the span recorder, the first requests must give the
+same output text and reach the workload's main layer, as `--trace 1` asks.
 """
 
 import importlib.util
@@ -27,6 +28,7 @@ def _load(name):
 
 
 run = _load("run")
+spans = _load("spans")
 workloads = _load("workloads")
 
 
@@ -49,3 +51,18 @@ def test_verifier_accepts_measured_requests(workload):
     for i in range(5):
         inp = workload.request(i)
         assert workload.check(inp, workload.call(inp)) is None, f"request {i}"
+
+
+def _texts(workload, count):
+    inputs = [workload.request(i) for i in range(count)]
+    return [workload.text(inp, workload.call(inp)) for inp in inputs]
+
+
+def test_traced_replay_matches_untraced(workload):
+    untraced = _texts(workload, 3)
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        traced = _texts(workload, 3)
+    assert traced == untraced
+    calls, _, _ = tracer.totals()
+    assert calls[workload.main_layer] > 0

@@ -5,6 +5,7 @@ import scipy.optimize
 from geomhull.errors import DegeneracyError, InputError
 from geomhull.optim import Ellipsoid, max_gauge_over_polytope, mvee, solve_lp
 from geomhull.bodies import PBody, lp_ball_body
+from geomhull.dvoretzky import random_projection
 
 
 def _random_lp(rng, m, n):
@@ -170,6 +171,57 @@ class TestMVEE:
             u = rng.standard_normal(n)
             hull = np.abs(pts @ u).max()
             assert E.support(u) <= hull * np.sqrt(n) * (1 + 1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_once_match_mirrored_points(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((120, 8))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        Y = pts @ Q
+        once, mirrored = mvee(Y), mvee(np.vstack([Y, -Y]))
+        A = once.shape_matrix / once.scale
+        B = mirrored.shape_matrix / mirrored.scale
+        assert np.abs(A - B).max() <= 1e-6 * np.abs(B).max()
+
+    @pytest.mark.parametrize("tolerance", [1e-7, 1e-9])
+    def test_returned_matrix_meets_the_tolerance(self, tolerance):
+        # the stopping gap is read on the matrix that is returned.  The mix is
+        # orthogonal, so the 10^±1 scales set the conditioning, and rounding
+        # in the quadratic form stays over 100 times below the margin by
+        # which these inputs pass.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 6))
+            X = rng.standard_normal((8 * n, n)) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+            X = X @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+            E = mvee(X, tolerance=tolerance)
+            reach = np.einsum("ij,jk,ik->i", X, E.shape_matrix / E.scale, X)
+            assert reach.max() <= 1.0 + tolerance, f"seed {seed}"
+
+    def test_ill_conditioned_input_stays_enclosed(self):
+        # cond(X) = 1.7e5.  Rank-one updates that are never recomputed from
+        # the weights drift so far here that the stale gap never closes and
+        # the ascent hits its iteration cap.  The 1e-5 slack covers the
+        # worst-case rounding of the quadratic form at this conditioning.
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((30, 4)) * 10.0 ** rng.uniform(-2.5, 2.5, 4)
+        X = X @ rng.standard_normal((4, 4))
+        E = mvee(X)
+        reach = np.einsum("ij,jk,ik->i", X, E.shape_matrix / E.scale, X)
+        assert 1.0 - 1e-5 <= reach.max() <= 1.0 + 1e-5
+
+    def test_non_unique_optimal_weights_converge(self):
+        # seven projected points carry weight at the optimum, one more than
+        # the n(n+1)/2 = 6 a generic optimum in R^3 needs; coordinate steps
+        # alone keep the gap near 1e-6 for 10^5 steps and hit the cap
+        pts = np.random.default_rng(102).standard_normal((500, 40))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        P = random_projection(40, 3, np.random.SeedSequence(141540980).spawn(2)[0])
+        Y = pts @ P.T
+        E = mvee(Y)
+        reach = np.einsum("ij,jk,ik->i", Y, E.shape_matrix / E.scale, Y)
+        assert 1.0 - 1e-7 <= reach.max() <= 1.0 + 1e-7
 
     def test_degenerate_input_raises(self):
         with pytest.raises(DegeneracyError):
