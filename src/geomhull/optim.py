@@ -234,8 +234,10 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
     Points count with their negations, so pass each once.  Khachiyan ascent
     with Wolfe-Atwood away steps; V^{-1} and g_i = x_i V^{-1} x_i follow each
     step by rank-one updates (Todd & Yildirim 2007) and are recomputed every
-    25 steps, after an ill-conditioned update and before returning, with a
-    Newton step on a small support, where coordinate steps alone can stall.
+    25 steps, after an ill-conditioned update and before returning.  A
+    recomputation also tries one Newton step for log det V on the support S
+    when its |S|^3 system costs no more than one k*n ascent step, or when the
+    gap has not dropped since the last recomputation (the ascent has stalled).
     Stops when the returned matrix has gap max_i g_i / n - 1 <= `tolerance`.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
@@ -243,16 +245,20 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
     if np.linalg.matrix_rank(X) < n:
         raise DegeneracyError("points do not span the space")
     u = np.full(k, 1.0 / k)
-    since = 25  # steps since V^{-1} and g were last recomputed
+    refresh = 25  # steps between recomputations of V^{-1} and g from u
+    since, last_gap = refresh, np.inf
     for _ in range(100000):
-        if since >= 25:
+        if since >= refresh:
             V = X.T @ (u[:, None] * X)
             try:
                 M = np.linalg.inv(V)
             except np.linalg.LinAlgError:
                 raise DegeneracyError("weight matrix became singular")
+            M = 0.5 * (M + M.T)
+            g = np.einsum("ij,ij->i", X @ M, X)
+            gap = g.max() / n - 1.0
             S = np.flatnonzero(u > 1e-12)
-            if len(S) <= n * (n + 1):  # Newton step, kept if log det V gains
+            if gap > tolerance and (len(S) ** 3 <= k * n or gap >= last_gap):
                 K = X[S] @ M @ X[S].T  # gradient diag(K), Hessian -K*K
                 kkt = np.block([[K * K, np.ones((len(S), 1))],
                                 [np.ones((1, len(S))), np.zeros((1, 1))]])
@@ -260,39 +266,32 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
                 t = min(1.0, (u[S][d < 0] / -d[d < 0]).min(initial=np.inf))
                 trial = u.copy()
                 trial[S] = np.maximum(u[S] + t * d, 0.0)
+                trial /= trial.sum()
                 V_trial = X.T @ (trial[:, None] * X)
                 if np.linalg.slogdet(V_trial)[1] > np.linalg.slogdet(V)[1]:
-                    u, M = trial, np.linalg.inv(V_trial)
-            M = 0.5 * (M + M.T)
-            g = np.einsum("ij,ij->i", X @ M, X)
-            since = 0
+                    u, last_gap = trial, np.inf  # recompute, then no second try
+                    continue
+            last_gap, since = gap, 0
         j_up = int(g.argmax())
         gap_up = g[j_up] / n - 1.0
         if gap_up <= tolerance:
             if since == 0:
                 return Ellipsoid(shape_matrix=M, scale=float(n))
-            since = 25
+            since = refresh
             continue
         j_dn = int(np.where(u > 1e-12, g, np.inf).argmin())
-        gap_dn = 1.0 - g[j_dn] / n
-        if gap_up >= gap_dn:
-            step = (g[j_up] - n) / (n * (g[j_up] - 1.0))
-            u *= 1.0 - step
-            u[j_up] += step
-        else:
-            denom = g[j_dn] - 1.0
-            drop = -u[j_dn] / (1.0 - u[j_dn]) if u[j_dn] < 1.0 else 0.0
-            step = drop if denom <= 1e-15 else max(
-                (g[j_dn] - n) / (n * denom), drop)
-            u *= 1.0 - step
-            u[j_dn] += step
-            np.clip(u, 0.0, None, out=u)
-            u /= u.sum()
-        j = j_up if step > 0 else j_dn  # V <- (1 - step) (V + a x_j x_j^T)
-        a = step / (1.0 - step)
+        j = j_up if gap_up >= 1.0 - g[j_dn] / n else j_dn
+        step = (g[j] - n) / (n * (g[j] - 1.0)) if g[j] > 1.0 + 1e-15 else -np.inf
+        if j != j_up:  # an away step takes at most the weight u_j
+            step = max(step, -u[j] / (1.0 - u[j]) if u[j] < 1.0 else 0.0)
+        u *= 1.0 - step
+        u[j] += step
+        np.clip(u, 0.0, None, out=u)
+        u /= u.sum()
+        a = step / (1.0 - step)  # V <- (1 - step) (V + a x_j x_j^T)
         pivot = 1.0 + a * g[j]
         if pivot < 1e-8:
-            since = 25
+            since = refresh
             continue
         w = M @ X[j]
         g = (g - (a / pivot) * (X @ w) ** 2) / (1.0 - step)
