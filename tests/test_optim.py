@@ -131,6 +131,92 @@ class TestSolveLP:
                      np.array([lower]), np.array([np.inf]))
 
 
+def _with_dependent_rows(rng, A, b):
+    """A @ x = b plus a copy of row 0 and the sum of rows 1 and 2, shuffled."""
+    A = np.vstack([A, A[0], A[1] + A[2]])
+    b = np.concatenate([b, [b[0], b[1] + b[2]]])
+    order = rng.permutation(len(b))
+    return A[order], b[order]
+
+
+def _check_against_highs(c, A, b, lower, upper):
+    """solve_lp agrees with HiGHS on the optimum; with no finite upper bound
+    and zero lower bounds the duals also price the optimum, y @ b == value."""
+    mine = solve_lp(c, A, b, lower, upper)
+    ref = scipy.optimize.linprog(
+        c, A_eq=A, b_eq=b,
+        bounds=[(lo, None if np.isinf(hi) else hi)
+                for lo, hi in zip(lower, upper)],
+        method="highs")
+    assert ref.status == 0
+    assert mine.status == "optimal"
+    assert mine.value == pytest.approx(ref.fun, abs=1e-7)
+    assert np.abs(A @ mine.x - b).max() < 1e-7
+    assert (mine.x >= lower - 1e-9).all() and (mine.x <= upper + 1e-9).all()
+    if np.isinf(upper).all() and not lower.any():
+        assert mine.y @ b == pytest.approx(mine.value, abs=1e-7)
+        assert (c - mine.y @ A).min() >= -1e-7
+    return mine
+
+
+class TestRankDeficientLP:
+    """Rows that phase 1 cannot clear of their artificial variables."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicated_and_combined_rows_match_highs(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(3, 6)), int(rng.integers(6, 10))
+        A = rng.standard_normal((m, n))
+        b = A @ rng.uniform(0.0, 1.0, size=n)
+        A, b = _with_dependent_rows(rng, A, b)
+        # c - y0 @ A > 0 for some y0, so the optimum is finite
+        c = rng.standard_normal(m + 2) @ A + rng.uniform(0.1, 1.0, size=n)
+        _check_against_highs(c, A, b, np.zeros(n), np.full(n, np.inf))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dependent_rows_with_shifted_and_fixed_bounds(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        c, A, b, lower, upper = _bounded_equality_lp(rng, 3, 8)
+        A, b = _with_dependent_rows(rng, A, b)
+        _check_against_highs(c, A, b, lower, upper)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_zero_rhs_row_forces_its_support_to_zero(self, seed):
+        # row 0 reads -w0 x0 - w1 x1 = 0 and has no positive entry, so a
+        # ratio test rarely picks its artificial: in 8 of these 10 seeds it
+        # ends phase 1 basic at zero
+        rng = np.random.default_rng(200 + seed)
+        m, n = 3, 7
+        x0 = rng.uniform(0.0, 1.0, size=n)
+        x0[:2] = 0.0
+        A = rng.standard_normal((m, n))
+        zero_row = np.zeros(n)
+        zero_row[:2] = -rng.uniform(0.5, 2.0, size=2)
+        A = np.vstack([zero_row, A])
+        b = A @ x0
+        c = rng.standard_normal(m + 1) @ A + rng.uniform(0.1, 1.0, size=n)
+        sol = _check_against_highs(c, A, b, np.zeros(n), np.full(n, np.inf))
+        assert np.abs(sol.x[:2]).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_infeasible_with_redundant_row_gives_farkas_vector(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        m, n = 3, 6
+        A = rng.standard_normal((m, n))
+        b = A @ rng.uniform(0.0, 1.0, size=n)
+        A, b = _with_dependent_rows(rng, A, b)
+        A = np.vstack([A, A[0]])          # row 0 again, one unit off
+        b = np.append(b, b[0] + 1.0)
+        ref = scipy.optimize.linprog(np.zeros(n), A_eq=A, b_eq=b,
+                                     bounds=(0, None), method="highs")
+        assert ref.status == 2
+        sol = solve_lp(np.zeros(n), A, b, np.zeros(n), np.full(n, np.inf))
+        assert sol.status == "infeasible"
+        y = sol.certificate
+        assert (y @ A).max() <= 1e-7
+        assert y @ b > 0
+
+
 class TestMVEE:
     def test_cross_polytope_gives_unit_ball(self):
         pts = np.vstack([np.eye(3), -np.eye(3)])
