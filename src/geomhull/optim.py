@@ -30,11 +30,14 @@ class LPSolution:
     certificate: np.ndarray = None  # Farkas vector (equality rows) when infeasible
 
 
-def _pivot_loop(c, A, b, basis, tol, max_iter):
+def _pivot_loop(c, A, b, basis, max_iter, held=0):
     """Revised simplex on  min c@x, A@x = b, x >= 0  from a feasible basis.
 
-    Dantzig pricing with a Bland's-rule fallback after a run of degenerate
-    pivots, which guarantees termination.  Returns (status, basis, xB, y).
+    The last `held` columns are artificials left basic at zero by phase 1.
+    A held column never enters, and the ratio test makes it leave on the
+    first pivot that would move it either way, so it stays at zero.  Dantzig
+    pricing with a Bland's-rule fallback after a run of degenerate pivots,
+    which guarantees termination.  Returns (status, basis, xB, y).
     """
     m, n = A.shape
     bland = False
@@ -48,26 +51,30 @@ def _pivot_loop(c, A, b, basis, tol, max_iter):
             raise NumericalError("working basis became singular")
         reduced = c - y @ A
         reduced[basis] = 0.0
+        reduced[n - held:] = 0.0
         if bland:
-            eligible = np.flatnonzero(reduced < -tol)
+            eligible = np.flatnonzero(reduced < -FEAS_TOL)
             if eligible.size == 0:
                 return "optimal", basis, xB, y
             j = int(eligible[0])
         else:
             j = int(np.argmin(reduced))
-            if reduced[j] >= -tol:
+            if reduced[j] >= -FEAS_TOL:
                 return "optimal", basis, xB, y
         d = np.linalg.solve(B, A[:, j])
-        positive = d > tol
-        if not positive.any():
-            return "unbounded", basis, xB, y
+        positive = d > FEAS_TOL
         ratios = np.full(m, np.inf)
         ratios[positive] = xB[positive] / d[positive]
+        if held:
+            moved = (np.asarray(basis) >= n - held) & (np.abs(d) > FEAS_TOL)
+            ratios[moved] = 0.0
         r = int(np.argmin(ratios))
+        if ratios[r] == np.inf:
+            return "unbounded", basis, xB, y
         if bland:
-            ties = np.flatnonzero(ratios <= ratios[r] + tol)
+            ties = np.flatnonzero(ratios <= ratios[r] + FEAS_TOL)
             r = int(ties[np.argmin(np.asarray(basis)[ties])])
-        if ratios[r] <= tol:
+        if ratios[r] <= FEAS_TOL:
             degenerate_run += 1
             if degenerate_run > 60:
                 bland = True
@@ -75,78 +82,6 @@ def _pivot_loop(c, A, b, basis, tol, max_iter):
             degenerate_run = 0
         basis[r] = j
     raise NumericalError("cycling guard exceeded (simplex iteration cap)")
-
-
-def _simplex_standard(c, A, b):
-    """Two-phase simplex for  min c@x, A@x = b, x >= 0  (dense).
-
-    Returns (status, x, y, certificate); `y` are the equality duals, and
-    `certificate` is the Farkas vector when infeasible.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
-    m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    sign = np.where(flip, -1.0, 1.0)
-
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    max_iter = max(20000, 80 * (m + n))
-
-    # phase 1: artificial basis
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    status, basis, xB, y1 = _pivot_loop(c1, A1, b, basis, FEAS_TOL, max_iter)
-    if status != "optimal":
-        raise NumericalError("phase-1 simplex did not converge")
-    phase1_value = float(c1[basis] @ xB)
-    if phase1_value > FEAS_TOL * scale * max(1, m):
-        # Farkas: y1 @ A <= FEAS_TOL componentwise and y1 @ b > 0
-        return "infeasible", None, None, sign * y1
-
-    # drive artificial variables out of the basis; a stuck artificial marks
-    # its own row (its column is that row's unit vector) as redundant
-    rows = list(range(m))
-    drop_positions = []
-    for pos in range(len(basis)):
-        if basis[pos] < n:
-            continue
-        B = A1[np.ix_(rows, basis)]
-        try:
-            tab_row = np.linalg.solve(B, A1[np.ix_(rows, list(range(n)))])[pos]
-        except np.linalg.LinAlgError:
-            raise NumericalError("degenerate phase-1 basis")
-        candidates = [j for j in np.flatnonzero(np.abs(tab_row) > 1e-7)
-                      if j not in basis]
-        if candidates:
-            basis[pos] = int(candidates[0])
-        else:
-            drop_positions.append(pos)
-    if drop_positions:
-        redundant = sorted((basis[pos] - n for pos in drop_positions), reverse=True)
-        for pos in sorted(drop_positions, reverse=True):
-            del basis[pos]
-        for i in redundant:
-            rows.remove(i)
-    A = A[rows]
-    b = b[rows]
-    row_index = rows
-
-    status, basis, xB, y = _pivot_loop(c, A, b, list(basis), FEAS_TOL, max_iter)
-    x = np.zeros(n)
-    x[basis] = xB
-    if status == "unbounded":
-        return "unbounded", x, None, None
-    y_full = np.zeros(m)
-    y_full[row_index] = y
-    # complementary slackness sanity check on the reduced costs
-    reduced = c - y @ A
-    if np.abs(reduced[basis]).max(initial=0.0) > 1e-6:
-        raise NumericalError("complementary slackness violated at optimum")
-    return "optimal", x, sign * y_full, None
 
 
 def solve_lp(objective, A, b, lower, upper) -> LPSolution:
@@ -159,6 +94,10 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
     variable order).  On "optimal" the solution carries primal x, equality
     duals y, and the objective value; on "infeasible" a Farkas certificate
     for the equality rows A @ x = b of that standard form.
+
+    Two-phase dense simplex.  Phase 1 starts from an artificial basis; the
+    artificials it leaves basic at zero stay in phase 2 as held columns, so
+    a redundant row keeps its artificial and gets a zero dual.
     """
     c = np.atleast_1d(np.asarray(objective, dtype=float))
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -182,23 +121,48 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
 
     ranged = np.flatnonzero(np.isfinite(upper))
     k = ranged.size
-    A_std = np.zeros((m + k, n + k))
+    rows, cols = m + k, n + k
+    A_std = np.zeros((rows, cols))
     A_std[:m, :n] = A
     A_std[m + np.arange(k), ranged] = 1.0
     A_std[m + np.arange(k), n + np.arange(k)] = 1.0
     b_std = np.concatenate([b - A @ lower, (upper - lower)[ranged]])
-    c_std = np.concatenate([c, np.zeros(k)])
+    sign = np.where(b_std < 0, -1.0, 1.0)  # rows signed so that b_std >= 0
+    A_std *= sign[:, None]
+    b_std *= sign
+    max_iter = max(20000, 80 * (rows + cols))
 
-    status, z, y_std, cert = _simplex_standard(c_std, A_std, b_std)
-    if status == "infeasible":
-        return LPSolution(status="infeasible", certificate=cert[:m])
+    # phase 1: minimise the sum of the artificials, one per row
+    A1 = np.hstack([A_std, np.eye(rows)])
+    c1 = np.concatenate([np.zeros(cols), np.ones(rows)])
+    status, basis, xB, y1 = _pivot_loop(c1, A1, b_std,
+                                        list(range(cols, cols + rows)), max_iter)
+    if status != "optimal":
+        raise NumericalError("phase-1 simplex did not converge")
+    if c1[basis] @ xB > FEAS_TOL * max(1.0, b_std.max(initial=0.0)) * max(1, rows):
+        # Farkas: y1 @ A_std <= FEAS_TOL componentwise and y1 @ b_std > 0
+        return LPSolution(status="infeasible", certificate=(sign * y1)[:m])
+
+    # phase 2: the artificials still basic become the held last columns
+    held = [j for j in basis if j >= cols]
+    A2 = np.hstack([A_std, A1[:, held]])
+    c2 = np.concatenate([c, np.zeros(k + len(held))])
+    basis = [cols + held.index(j) if j >= cols else j for j in basis]
+    status, basis, xB, y = _pivot_loop(c2, A2, b_std, basis, max_iter,
+                                       held=len(held))
+    z = np.zeros(A2.shape[1])
+    z[basis] = xB
     x = lower + z[:n]
     if status == "unbounded":
         return LPSolution(status="unbounded", x=x)
+    # complementary slackness sanity check on the reduced costs
+    if np.abs(c2[basis] - y @ A2[:, basis]).max(initial=0.0) > 1e-6:
+        raise NumericalError("complementary slackness violated at optimum")
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)) * 10:
         raise NumericalError(f"primal residual {residual:.3e} out of tolerance")
-    return LPSolution(status="optimal", value=float(c @ x), x=x, y=y_std[:m])
+    return LPSolution(status="optimal", value=float(c @ x), x=x,
+                      y=(sign * y)[:m])
 
 
 # ---------------------------------------------------------------------------
