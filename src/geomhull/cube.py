@@ -561,7 +561,8 @@ def subsample_vertex_fit(elements, vertex, delta, m, trials, seed) -> SubsampleF
     The winning average maximizes the number of coordinates within delta of
     the target vertex (first winner kept on ties).  The mean and sample
     variance over the trials of the squared distance from subset average to
-    vertex are returned for the caller's n d^2/m allowance check.
+    vertex are returned for the caller's n d^2/m allowance check.  When
+    m == N every m-subset is the whole decomposition, so one draw decides.
     """
     elements = np.asarray(elements, dtype=float)
     vertex = np.asarray(vertex, dtype=float)
@@ -572,6 +573,8 @@ def subsample_vertex_fit(elements, vertex, delta, m, trials, seed) -> SubsampleF
         raise InputError("subset size must lie in 1..N")
     if trials < 1:
         raise InputError("at least one trial required")
+    if m == N:
+        trials = 1
     rng = np.random.default_rng(seed)
     best = None
     sq_vertex = np.empty(trials)

@@ -210,6 +210,17 @@ class TestSubsample:
         assert len(fit.agreement_set) == 3
         assert fit.mean_square_vs_vertex == pytest.approx(0.0, abs=1e-18)
 
+    def test_whole_decomposition_is_one_draw(self):
+        # m == N: every m-subset is all of the decomposition
+        vertex = np.array([1.0, -1.0, 1.0, -1.0])
+        elements = np.tile(vertex, (6, 1))
+        fit = subsample_vertex_fit(elements, vertex, delta=0.01, m=6,
+                                   trials=64, seed=0)
+        assert fit.chosen == tuple(range(6))
+        assert fit.agreement_set == tuple(range(4))
+        assert fit.mean_square_vs_vertex == 0.0
+        assert fit.deviation_variance == 0.0
+
     def test_variance_bound_formula(self):
         rng = np.random.default_rng(2)
         elements = rng.uniform(-2, 2, size=(30, 4))
