@@ -10,7 +10,7 @@ is the non-convexity measure computed by delta_nonconvexity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,33 +59,23 @@ class GeneratingSet:
 class PBody:
     """Unit ball of the p-convex hull of a generating set, 0 < p <= 1.
 
-    analytic_kind == "lp_ball" marks the special case where the generators
-    are exactly the +- standard basis vectors, so the gauge has a closed form.
+    analytic_kind is "lp_ball" when the generators are exactly the 2n signed
+    basis vectors, in any order, so the gauge has a closed form; otherwise
+    it is "generic".
     """
 
     generators: GeneratingSet
     p: float
-    analytic_kind: str = "generic"
+    analytic_kind: str = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise InputError("p must lie in (0, 1]")
-        if self.analytic_kind not in ("lp_ball", "generic"):
-            raise InputError(f"unknown analytic_kind {self.analytic_kind!r}")
-        if self.analytic_kind == "lp_ball":
-            n = self.generators.dimension
-            pts = self.generators.points
-            if pts.shape[0] != 2 * n:
-                raise InputError("lp_ball requires exactly the 2n signed basis vectors")
-            seen = set()
-            for row in pts:
-                nz = np.flatnonzero(row)
-                if nz.size != 1 or abs(row[nz[0]]) != 1.0:
-                    raise InputError("lp_ball generators must be signed basis vectors")
-                key = (int(nz[0]), 1 if row[nz[0]] > 0 else -1)
-                if key in seen:
-                    raise InputError("duplicate signed basis vector")
-                seen.add(key)
+        pts = self.generators.points
+        basis = np.vstack([np.eye(pts.shape[1]), -np.eye(pts.shape[1])])
+        signed_basis = (len(pts) == len(basis)
+                        and set(map(tuple, pts)) == set(map(tuple, basis)))
+        self.analytic_kind = "lp_ball" if signed_basis else "generic"
 
     def batch_gauge(self, X):
         """Gauge of each row of X (analytic for lp_ball, search otherwise)."""
@@ -99,7 +89,7 @@ def lp_ball_body(n, p):
     """The unit ball of l_p^n as a PBody over the signed basis vectors."""
     pts = np.vstack([np.eye(n), -np.eye(n)])
     gs = GeneratingSet(dimension=n, points=pts, label=f"lp_ball(n={n}, p={p})")
-    return PBody(generators=gs, p=p, analytic_kind="lp_ball")
+    return PBody(generators=gs, p=p)
 
 
 @dataclass

@@ -292,19 +292,11 @@ def _finish_verify(report, cfg: RunConfig, rows=None):
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
-def _body_from(S, p):
-    """PBody with the closed-form gauge when S is exactly the signed basis."""
-    try:
-        return PBody(S, p, analytic_kind="lp_ball")
-    except InputError:
-        return PBody(S, p)
-
-
 def verify_delta(cfg: RunConfig):
     S, p = _loaded_input(cfg)
     if p is None:
         raise InputError("delta verification needs a generating set with p")
-    body = _body_from(S, p)
+    body = PBody(S, p)
     if body.analytic_kind != "lp_ball":
         raise InputError("delta verification expects the signed basis vectors")
     n = S.dimension
@@ -329,7 +321,7 @@ def verify_pconv(cfg: RunConfig):
         S, p = _loaded_input(cfg)
         if p is None:
             raise InputError("pconv verification needs a generating set with p")
-        body = _body_from(S, p)
+        body = PBody(S, p)
     else:
         # no instance file: check the signed basis in dimension n (default 3)
         if cfg.p is None:
@@ -645,7 +637,7 @@ def run_cubic_from_delta(cfg: RunConfig):
     coords = cfg.coord_list()
     if coords is None:
         raise InputError("cubic-from-delta needs --coords i,j,...")
-    body = _body_from(S, p)
+    body = PBody(S, p)
     report, summary = cubic_quotient_from_nonconvexity(
         body, coords, calibration=cfg.calibration, seed=cfg.seed,
         queries=cfg.queries, query_tolerance=cfg.tol, node_budget=cfg.budget)

@@ -34,15 +34,25 @@ class TestGauges:
         assert np.abs(body.batch_gauge(X) - want).max() < 1e-12
 
     def test_p_gauge_search_matches_analytic(self):
-        # a generic body over the lp-ball generators, so the search runs
+        # p_gauge_upper searches even where the closed form exists
         rng = np.random.default_rng(1)
         for n in (2, 3):
-            body = PBody(lp_ball_body(n, 0.5).generators, 0.5)
+            body = lp_ball_body(n, 0.5)
             for _ in range(10):
                 x = rng.uniform(-1, 1, size=n)
                 exact = float((np.abs(x) ** 0.5).sum() ** 2.0)
                 cert = p_gauge_upper(body, x, seed=2)
                 assert cert.value == pytest.approx(exact, rel=1e-5, abs=1e-9)
+
+    def test_lp_ball_kind_is_detected(self):
+        rng = np.random.default_rng(4)
+        signed = np.vstack([np.eye(3), -np.eye(3)])
+        shuffled = GeneratingSet(3, signed[rng.permutation(6)])
+        assert PBody(shuffled, 0.5).analytic_kind == "lp_ball"
+        assert PBody(GeneratingSet(2, np.eye(2)), 0.5).analytic_kind == "generic"
+        doubled = GeneratingSet(2, np.array([[1.0, 0.0], [1.0, 0.0],
+                                             [0.0, 1.0], [0.0, -1.0]]))
+        assert PBody(doubled, 0.5).analytic_kind == "generic"
 
     def test_envelope_gauge_known_values(self):
         S = GeneratingSet(2, np.eye(2))
