@@ -45,7 +45,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
-CONST_NAMES = ("c", "C", "c1", "c2")
+CONST_NAMES = tuple(f.name for f in fields(Calibration))
 
 
 @dataclass
@@ -215,13 +215,17 @@ def _loaded_input(cfg: RunConfig):
 # generate
 # ---------------------------------------------------------------------------
 
-def _sample_vertex_subset(n, count, seed):
+def _sample_vertex_subset(n, count, cfg):
+    """`count` distinct vertices of the n-cube drawn with cfg.seed; with
+    count None, the fewest that are dense at the calibrated c and cfg.eps."""
+    if count is None:
+        count = math.ceil(density_threshold(n, cfg.calibration.c, cfg.eps))
     if n < 1 or n > 16:
         raise InputError("vertex sampling needs dimension 1..16")
     if count > 2 ** n:
         raise InputError(f"cannot draw {count} distinct vertices from "
                          f"{2 ** n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     masks = rng.choice(2 ** n, size=count, replace=False)
     return VertexSet(n, frozenset(int(m) for m in masks))
 
@@ -243,11 +247,7 @@ def cmd_generate(cfg: RunConfig):
     elif kind == "random-vertex-subset":
         if cfg.n is None:
             raise InputError("random-vertex-subset needs --n")
-        count = cfg.count
-        if count is None:
-            count = math.ceil(density_threshold(cfg.n, cfg.calibration.c,
-                                                cfg.eps))
-        V = _sample_vertex_subset(cfg.n, count, cfg.seed)
+        V = _sample_vertex_subset(cfg.n, cfg.count, cfg)
         S = vertex_generating_set(V, label="random-vertex-subset")
         p = cfg.p
     elif kind == "sphere-sample":
@@ -434,8 +434,7 @@ def verify_alesker(cfg: RunConfig):
         V = vertex_set_from_generating_set(S)
     else:
         n = cfg.n if cfg.n is not None else 10
-        count = math.ceil(density_threshold(n, cfg.calibration.c, cfg.eps))
-        V = _sample_vertex_subset(n, count, cfg.seed)
+        V = _sample_vertex_subset(n, None, cfg)
         S = vertex_generating_set(V, label="random-vertex-subset")
     chain = alesker_chain(V, cfg.eps, density_c=cfg.calibration.c,
                           node_budget=cfg.budget)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +55,7 @@ class Calibration:
     c2: float = 1.0
 
     def as_dict(self):
-        return {"c": self.c, "C": self.C, "c1": self.c1, "c2": self.c2}
+        return asdict(self)
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -935,6 +935,12 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
 # quasi-normed wrappers
 # ---------------------------------------------------------------------------
 
+def _pconv_distance(report, p):
+    """(contraction at the report's theta, C_over_eps * contraction * d)."""
+    contraction = pconv_contraction_bound(p, report.theta)
+    return contraction, report.C_over_eps * contraction * report.constants_used["d"]
+
+
 def pnormed_quotient(body: PBody, epsilon, calibration=None, seed=0, **kwargs):
     """Cube quotient of a p-body plus the two-sided distance estimate.
 
@@ -948,9 +954,8 @@ def pnormed_quotient(body: PBody, epsilon, calibration=None, seed=0, **kwargs):
     report = cube_quotient(body.generators, epsilon, calibration=cal,
                            seed=seed, **kwargs)
     p = body.p
-    contraction = pconv_contraction_bound(p, report.theta)
+    contraction, realized = _pconv_distance(report, p)
     d = report.constants_used["d"]
-    realized = report.C_over_eps * contraction * d
     formula = (cal.C * p ** (-1.0 / p) * epsilon ** (4.0 - 5.0 / p)
                * (1.0 - math.log(epsilon)) ** (1.0 / p - 1.0)
                * d ** (2.0 / p - 1.0))
@@ -1013,8 +1018,7 @@ def cubic_quotient_from_nonconvexity(body: PBody, l1_subspace,
                            label=f"{body.generators.label}/cube{2 * k}")
     report = cube_quotient(pushed, 0.5, calibration=cal, seed=seed, **kwargs)
     p = body.p
-    contraction = pconv_contraction_bound(p, report.theta)
-    realized = report.C_over_eps * contraction * report.constants_used["d"]
+    _, realized = _pconv_distance(report, p)
     delta = delta_nonconvexity(body)
     A = (p ** (1.0 / p) * delta / 4.0) ** (p / (1.0 - p)) if p < 1 else None
     target = None
