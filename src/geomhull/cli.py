@@ -218,10 +218,10 @@ def _loaded_input(cfg: RunConfig):
 def _sample_vertex_subset(n, count, cfg):
     """`count` distinct vertices of the n-cube drawn with cfg.seed; with
     count None, the fewest that are dense at the calibrated c and cfg.eps."""
-    if count is None:
-        count = math.ceil(density_threshold(n, cfg.calibration.c, cfg.eps))
     if n < 1 or n > 16:
         raise InputError("vertex sampling needs dimension 1..16")
+    if count is None:
+        count = math.ceil(density_threshold(n, cfg.calibration.c, cfg.eps))
     if count > 2 ** n:
         raise InputError(f"cannot draw {count} distinct vertices from "
                          f"{2 ** n}")

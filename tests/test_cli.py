@@ -65,6 +65,12 @@ class TestGenerate:
         assert run("generate", "random-vertex-subset", "--n", "3",
                    "--count", "100") == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", [("generate", "random-vertex-subset"),
+                                         ("verify", "alesker")])
+    def test_oversized_vertex_dimension_is_input_error(self, command):
+        # the dimension is checked before 2^(n(1 - c eps)) can overflow
+        assert run(*command, "--n", "2000") == EXIT_INPUT
+
     def test_csv_format(self, tmp_path, capsys):
         assert run("generate", "lp-ball", "--n", "2", "--p", "0.5",
                    "--format", "csv") == EXIT_PASS
