@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from geomhull import hulls
 from geomhull.errors import DegeneracyError, InputError
 from geomhull.optim import Ellipsoid, max_gauge_over_polytope, mvee, solve_lp
-from geomhull.bodies import PBody, lp_ball_body
+from geomhull.bodies import GeneratingSet, PBody, lp_ball_body
 from geomhull.dvoretzky import random_projection
 
 
@@ -215,6 +218,175 @@ class TestRankDeficientLP:
         y = sol.certificate
         assert (y @ A).max() <= 1e-7
         assert y @ b > 0
+
+
+def _highs(c, A, b, lower, upper):
+    return scipy.optimize.linprog(
+        c, A_eq=A, b_eq=b,
+        bounds=[(lo, None if np.isinf(hi) else hi)
+                for lo, hi in zip(lower, upper)],
+        method="highs")
+
+
+def _boxed_farkas_margin(y, A, b, lower, upper):
+    """y @ b minus the largest y @ A @ x over the finite box lower <= x <= upper.
+
+    A positive margin proves that no x in the box meets A @ x = b."""
+    g = y @ A
+    return y @ b - np.maximum(g * lower, g * upper).sum()
+
+
+def _membership_node_lp(S, target, caps, commits):
+    """The average-hull node LP: S^T (a - b) = target, a_i + b_i - t_i + w_i
+    = 0, 0 <= a_i, b_i <= caps_i, t_i >= commits_i, minimising sum t_i."""
+    k, n = S.shape
+    A = np.vstack([
+        np.hstack([S.T, -S.T, np.zeros((n, 2 * k))]),
+        np.hstack([np.eye(k), np.eye(k), -np.eye(k), np.eye(k)]),
+    ])
+    b = np.concatenate([target, np.zeros(k)])
+    c = np.concatenate([np.zeros(2 * k), np.ones(k), np.zeros(k)])
+    zeros, inf = np.zeros(k), np.full(k, np.inf)
+    return (c, A, b, np.concatenate([zeros, zeros, commits, zeros]),
+            np.concatenate([caps, caps, inf, inf]))
+
+
+class TestBoundedVariables:
+    """LPs whose finite upper bounds decide the pivots: bound flips, basics
+    that leave at their upper bound, fixed columns and unbounded rays."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_entering_column_reaches_its_own_upper_bound(self, seed):
+        # narrow ranged columns against slacks with room to spare: a column
+        # that enters hits its upper bound before any basic variable blocks
+        rng = np.random.default_rng(400 + seed)
+        m, n = int(rng.integers(2, 5)), int(rng.integers(3, 8))
+        A = rng.uniform(0.1, 1.0, size=(m, n))
+        lower = rng.uniform(-1.0, 1.0, size=n)
+        upper = lower + rng.uniform(0.1, 0.5, size=n)
+        b = A @ upper + rng.uniform(5.0, 10.0, size=m)
+        c = np.concatenate([rng.uniform(-2.0, 0.5, size=n), np.zeros(m)])
+        sol = _check_against_highs(
+            c, np.hstack([A, np.eye(m)]), b,
+            np.concatenate([lower, np.zeros(m)]),
+            np.concatenate([upper, np.full(m, np.inf)]))
+        falling = c[:n] < 0
+        assert np.abs(sol.x[:n][falling] - upper[falling]).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_basics_leave_at_their_upper_bound(self, seed):
+        # s = D z with s in a narrow box and z cheap to raise: the basic s
+        # climb to their upper bounds and leave the basis there
+        rng = np.random.default_rng(500 + seed)
+        m, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        D = rng.uniform(0.2, 1.0, size=(m, k))
+        z_lower = rng.uniform(-1.0, 1.0, size=k)
+        s_mid = D @ z_lower
+        s_lower = s_mid - rng.uniform(0.0, 0.2, size=m)
+        s_upper = s_mid + rng.uniform(0.1, 0.5, size=m)
+        A = np.hstack([-D, np.eye(m)])
+        c = np.concatenate([-rng.uniform(0.5, 2.0, size=k),
+                            rng.uniform(-0.1, 0.1, size=m)])
+        lower = np.concatenate([z_lower, s_lower])
+        upper = np.concatenate([z_lower + 5.0, s_upper])
+        sol = _check_against_highs(c, A, np.zeros(m), lower, upper)
+        assert np.isclose(sol.x[k:], s_upper, atol=1e-9).any()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fixed_columns_and_zero_caps(self, seed):
+        # membership node LPs with some caps 0, so both alpha parts of those
+        # generators are fixed at 0, plus a fixed column at a nonzero value
+        rng = np.random.default_rng(600 + seed)
+        k = int(rng.integers(4, 7))
+        S = rng.standard_normal((k, 2))
+        caps = rng.integers(0, 3, size=k).astype(float)
+        caps[int(rng.integers(k))] = 0.0
+        caps[int(rng.integers(k))] = 2.0
+        alpha = rng.uniform(-1.0, 1.0, size=k) * caps
+        commits = np.minimum(rng.integers(0, 2, size=k), caps)
+        c, A, b, lower, upper = _membership_node_lp(S, S.T @ alpha, caps, commits)
+        fixed_value = rng.uniform(-1.0, 1.0)
+        column = rng.standard_normal(A.shape[0])
+        A = np.hstack([A, column[:, None]])
+        b = b + column * fixed_value
+        c = np.append(c, rng.standard_normal())
+        lower = np.append(lower, fixed_value)
+        upper = np.append(upper, fixed_value)
+        sol = _check_against_highs(c, A, b, lower, upper)
+        fixed = lower == upper
+        assert fixed.sum() >= 3
+        assert np.abs(sol.x[fixed] - lower[fixed]).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unbounded_ray_through_an_uncapped_column(self, seed):
+        # columns a and -a, both uncapped, with a negative summed cost: raising
+        # both together keeps A @ x fixed and lowers the objective forever
+        rng = np.random.default_rng(700 + seed)
+        c, A, b, lower, upper = _bounded_equality_lp(rng, 3, 6)
+        a = rng.standard_normal(3)
+        p_lower, q_lower = rng.uniform(-1.0, 1.0, size=2)
+        A = np.hstack([A, a[:, None], -a[:, None]])
+        b = b + a * (p_lower - q_lower)
+        cost_p = rng.uniform(-2.0, 2.0)
+        c = np.concatenate([c, [cost_p, -cost_p - rng.uniform(0.1, 1.0)]])
+        lower = np.concatenate([lower, [p_lower, q_lower]])
+        upper = np.concatenate([upper, [np.inf, np.inf]])
+        assert _highs(c, A, b, lower, upper).status == 3
+        assert solve_lp(c, A, b, lower, upper).status == "unbounded"
+
+    def test_replayed_membership_node_lps_match_highs(self, monkeypatch):
+        # every node LP of acceptance criterion 10's grid at m = 3, recorded
+        # from the branch-and-bound search and replayed against HiGHS
+        recorded = []
+
+        def record(*args):
+            recorded.append([np.array(arg, dtype=float) for arg in args])
+            return solve_lp(*args)
+
+        monkeypatch.setattr(hulls, "solve_lp", record)
+        angles = [0.37, 1.91, 3.85, 5.2]
+        S = GeneratingSet(2, np.array([[math.cos(a), math.sin(a)]
+                                       for a in angles]))
+        grid = np.linspace(-1.4, 1.4, 21)
+        for gx in grid:
+            for gy in grid:
+                hulls.delta_m_membership(S, 3, np.array([gx, gy]))
+        assert len(recorded) == 717
+        infeasible = 0
+        for c, A, b, lower, upper in recorded:
+            ref = _highs(c, A, b, lower, upper)
+            mine = solve_lp(c, A, b, lower, upper)
+            if ref.status == 2:
+                assert mine.status == "infeasible"
+                infeasible += 1
+                continue
+            assert ref.status == 0 and mine.status == "optimal"
+            assert mine.value == pytest.approx(ref.fun, abs=1e-7)
+            assert np.abs(A @ mine.x - b).max() < 1e-7
+            assert (mine.x >= lower - 1e-9).all()
+            assert (mine.x <= upper + 1e-9).all()
+        assert infeasible == 30
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_infeasible_box_has_bounded_farkas_certificate(self, seed):
+        # b lies beyond the box's image along a random y, by a margin of at
+        # least 0.1: HiGHS confirms infeasibility, and the certificate y
+        # must prove it, y @ b > max of y @ A @ x over the box
+        rng = np.random.default_rng(800 + seed)
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        A = rng.standard_normal((m, n))
+        lower = rng.uniform(-2.0, 2.0, size=n)
+        upper = lower + rng.uniform(0.2, 1.5, size=n)
+        x0 = rng.uniform(lower, upper)
+        y = rng.standard_normal(m)
+        g = y @ A
+        reach = np.maximum(g * lower, g * upper).sum() - g @ x0
+        b = A @ x0 + y * (reach + rng.uniform(0.1, 1.0)) / (y @ y)
+        c = rng.standard_normal(n)
+        assert _highs(c, A, b, lower, upper).status == 2
+        sol = solve_lp(c, A, b, lower, upper)
+        assert sol.status == "infeasible"
+        assert _boxed_farkas_margin(sol.certificate, A, b, lower, upper) > 0
 
 
 class TestMVEE:
