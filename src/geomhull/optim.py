@@ -30,57 +30,77 @@ class LPSolution:
     certificate: np.ndarray = None  # Farkas vector (equality rows) when infeasible
 
 
-def _pivot_loop(c, A, b, basis, max_iter, held=0):
-    """Revised simplex on  min c@x, A@x = b, x >= 0  from a feasible basis.
+def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
+    """Bounded revised simplex on  min c@z, M@z = b, 0 <= z <= upper  from a
+    feasible basis: Dantzig's upper-bounding technique (1955).
 
-    The last `held` columns are artificials left basic at zero by phase 1.
-    A held column never enters, and the ratio test makes it leave on the
-    first pivot that would move it either way, so it stays at zero.  Dantzig
-    pricing with a Bland's-rule fallback after a run of degenerate pivots,
-    which guarantees termination.  Returns (status, basis, xB, y).
+    `direction` is -1 for a nonbasic column at 0, +1 for one at its upper
+    bound, 0 for a basic column or one that may never enter.  A basic column
+    fixed at [0, 0] leaves on the first pivot that would move it.  B^-1 and
+    x_B follow each pivot by a rank-one (eta) update, refactorised every m
+    pivots and after a pivot element below 1e-11.  Dantzig pricing with a
+    Bland's-rule fallback after a run of degenerate pivots, which guarantees
+    termination.  Returns (status, basis, xB, y).
     """
-    m, n = A.shape
+    m = len(b)
     bland = False
     degenerate_run = 0
+    since = m  # eta updates since the last refactorisation
     for _ in range(max_iter):
-        B = A[:, basis]
-        try:
-            xB = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            raise NumericalError("working basis became singular")
-        reduced = c - y @ A
-        reduced[basis] = 0.0
-        reduced[n - held:] = 0.0
+        if since >= m:
+            try:
+                Binv = np.linalg.inv(M[:, basis])
+            except np.linalg.LinAlgError:
+                raise NumericalError("working basis became singular")
+            up = direction > 0
+            xB = Binv @ (b - M[:, up] @ upper[up])
+            since = 0
+        y = c[basis] @ Binv
+        score = (c - y @ M) * direction
         if bland:
-            eligible = np.flatnonzero(reduced < -FEAS_TOL)
+            eligible = np.flatnonzero(score > FEAS_TOL)
             if eligible.size == 0:
                 return "optimal", basis, xB, y
             j = int(eligible[0])
         else:
-            j = int(np.argmin(reduced))
-            if reduced[j] >= -FEAS_TOL:
+            j = int(np.argmax(score))
+            if score[j] <= FEAS_TOL:
                 return "optimal", basis, xB, y
-        d = np.linalg.solve(B, A[:, j])
-        positive = d > FEAS_TOL
+        alpha = Binv @ M[:, j]
+        d = -direction[j] * alpha  # x_B falls by t*d as column j moves by t
+        moved = np.abs(d) > FEAS_TOL
         ratios = np.full(m, np.inf)
-        ratios[positive] = xB[positive] / d[positive]
-        if held:
-            moved = (np.asarray(basis) >= n - held) & (np.abs(d) > FEAS_TOL)
-            ratios[moved] = 0.0
+        ratios[moved] = np.where(d > 0, xB, xB - upper[basis])[moved] / d[moved]
         r = int(np.argmin(ratios))
-        if ratios[r] == np.inf:
-            return "unbounded", basis, xB, y
+        if upper[j] <= ratios[r]:
+            if upper[j] == np.inf:
+                return "unbounded", basis, xB, y
+            xB -= upper[j] * d  # bound flip: j crosses to its other bound
+            direction[j] = -direction[j]
+            degenerate_run = 0
+            continue
         if bland:
             ties = np.flatnonzero(ratios <= ratios[r] + FEAS_TOL)
-            r = int(ties[np.argmin(np.asarray(basis)[ties])])
-        if ratios[r] <= FEAS_TOL:
+            r = int(ties[np.argmin(basis[ties])])
+        t = ratios[r]
+        if t <= FEAS_TOL:
             degenerate_run += 1
             if degenerate_run > 60:
                 bland = True
         else:
             degenerate_run = 0
-        basis[r] = j
+        leaving = basis[r]
+        direction[leaving] = 0 if upper[leaving] == 0 else (1 if d[r] < 0 else -1)
+        xB -= t * d
+        xB[r] = t if direction[j] < 0 else upper[j] - t
+        basis[r], direction[j] = j, 0
+        if abs(alpha[r]) < 1e-11:
+            since = m
+        else:
+            row = Binv[r] / alpha[r]
+            Binv -= np.outer(alpha, row)
+            Binv[r] = row
+            since += 1
     raise NumericalError("cycling guard exceeded (simplex iteration cap)")
 
 
@@ -89,15 +109,15 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
 
     The only LP entry point of the package.  `lower` and `upper` are float
     arrays, one entry per variable; `lower` must be finite and `upper` may
-    be inf.  Internally x = lower + z with z >= 0, and each finite upper
-    bound adds one row z_j + slack_j = upper_j - lower_j (rows and slacks in
-    variable order).  On "optimal" the solution carries primal x, equality
-    duals y, and the objective value; on "infeasible" a Farkas certificate
-    for the equality rows A @ x = b of that standard form.
+    be inf.  On "optimal" the solution carries primal x, equality duals y,
+    and the objective value.  On "infeasible" it carries a Farkas vector y:
+    with g = y @ A, y @ b > sum_j max(g_j lower_j, g_j upper_j), so no x in
+    the box meets A @ x = b (up to FEAS_TOL, g_j <= 0 where upper_j = inf).
 
-    Two-phase dense simplex.  Phase 1 starts from an artificial basis; the
-    artificials it leaves basic at zero stay in phase 2 as held columns, so
-    a redundant row keeps its artificial and gets a zero dual.
+    Two-phase bounded-variable simplex on z = x - lower in [0, upper - lower],
+    with no rows for the bounds.  Phase 1 starts from one artificial per row;
+    those it leaves basic at zero stay in phase 2 fixed at [0, 0], so a
+    redundant row keeps its artificial and gets a zero dual.
     """
     c = np.atleast_1d(np.asarray(objective, dtype=float))
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -119,50 +139,42 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
     if not (lower <= upper).all():
         raise InputError("every bound pair needs lower <= upper")
 
-    ranged = np.flatnonzero(np.isfinite(upper))
-    k = ranged.size
-    rows, cols = m + k, n + k
-    A_std = np.zeros((rows, cols))
-    A_std[:m, :n] = A
-    A_std[m + np.arange(k), ranged] = 1.0
-    A_std[m + np.arange(k), n + np.arange(k)] = 1.0
-    b_std = np.concatenate([b - A @ lower, (upper - lower)[ranged]])
+    b_std = b - A @ lower
     sign = np.where(b_std < 0, -1.0, 1.0)  # rows signed so that b_std >= 0
-    A_std *= sign[:, None]
     b_std *= sign
-    max_iter = max(20000, 80 * (rows + cols))
+    M = np.hstack([A * sign[:, None], np.eye(m)])  # then the m artificials
+    width = np.concatenate([upper - lower, np.full(m, np.inf)])
+    direction = np.concatenate([np.where(upper > lower, -1.0, 0.0), np.zeros(m)])
+    basis = np.arange(n, n + m)
+    max_iter = max(20000, 80 * (m + n))
 
-    # phase 1: minimise the sum of the artificials, one per row
-    A1 = np.hstack([A_std, np.eye(rows)])
-    c1 = np.concatenate([np.zeros(cols), np.ones(rows)])
-    status, basis, xB, y1 = _pivot_loop(c1, A1, b_std,
-                                        list(range(cols, cols + rows)), max_iter)
+    # phase 1: minimise the sum of the artificials
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    status, basis, xB, y1 = _pivot_loop(c1, M, b_std, width, basis,
+                                        direction, max_iter)
     if status != "optimal":
         raise NumericalError("phase-1 simplex did not converge")
-    if c1[basis] @ xB > FEAS_TOL * max(1.0, b_std.max(initial=0.0)) * max(1, rows):
-        # Farkas: y1 @ A_std <= FEAS_TOL componentwise and y1 @ b_std > 0
-        return LPSolution(status="infeasible", certificate=(sign * y1)[:m])
+    if c1[basis] @ xB > FEAS_TOL * max(1.0, b_std.max(initial=0.0)) * max(1, m):
+        return LPSolution(status="infeasible", certificate=sign * y1)
 
-    # phase 2: the artificials still basic become the held last columns
-    held = [j for j in basis if j >= cols]
-    A2 = np.hstack([A_std, A1[:, held]])
-    c2 = np.concatenate([c, np.zeros(k + len(held))])
-    basis = [cols + held.index(j) if j >= cols else j for j in basis]
-    status, basis, xB, y = _pivot_loop(c2, A2, b_std, basis, max_iter,
-                                       held=len(held))
-    z = np.zeros(A2.shape[1])
+    # phase 2: every artificial is fixed at [0, 0] and never enters
+    width[n:] = 0.0
+    direction[n:] = 0.0
+    c2 = np.concatenate([c, np.zeros(m)])
+    status, basis, xB, y = _pivot_loop(c2, M, b_std, width, basis,
+                                       direction, max_iter)
+    z = np.where(direction > 0, width, 0.0)
     z[basis] = xB
     x = lower + z[:n]
     if status == "unbounded":
         return LPSolution(status="unbounded", x=x)
     # complementary slackness sanity check on the reduced costs
-    if np.abs(c2[basis] - y @ A2[:, basis]).max(initial=0.0) > 1e-6:
+    if np.abs(c2[basis] - y @ M[:, basis]).max(initial=0.0) > 1e-6:
         raise NumericalError("complementary slackness violated at optimum")
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)) * 10:
         raise NumericalError(f"primal residual {residual:.3e} out of tolerance")
-    return LPSolution(status="optimal", value=float(c @ x), x=x,
-                      y=(sign * y)[:m])
+    return LPSolution(status="optimal", value=float(c @ x), x=x, y=sign * y)
 
 
 # ---------------------------------------------------------------------------
