@@ -168,11 +168,13 @@ class DeltaMVerdict:
     nodes: int
 
 
-def _node_lp(S, target, caps, commits):
-    """min sum_i max(|alpha_i|, commits_i) s.t. S^T alpha = target, |alpha_i| <= caps_i.
+def _node_lp(S, target):
+    """The node LP as a function of the node's (caps, commits):
+    min sum_i max(|alpha_i|, commits_i) s.t. S^T alpha = target, |alpha_i| <= caps_i.
 
     Split alpha = a - b and introduce t_i >= a_i + b_i, t_i >= commits_i; the
     slack row a_i + b_i - t_i + w_i = 0 keeps everything in equality form.
+    Only the bounds depend on the node, so the rows and costs are built once.
     """
     k = S.count
     n = S.dimension
@@ -183,11 +185,15 @@ def _node_lp(S, target, caps, commits):
     rhs = np.concatenate([np.asarray(target, dtype=float), np.zeros(k)])
     cost = np.concatenate([np.zeros(2 * k), np.ones(k), np.zeros(k)])
     zeros, inf = np.zeros(k), np.full(k, np.inf)
-    sol = solve_lp(cost, A, rhs, np.concatenate([zeros, zeros, commits, zeros]),
-                   np.concatenate([caps, caps, inf, inf]))
-    if sol.status != "optimal":
-        return None, None
-    return sol.value, sol.x[:k] - sol.x[k:2 * k]
+
+    def solve(caps, commits):
+        sol = solve_lp(cost, A, rhs, np.concatenate([zeros, zeros, commits, zeros]),
+                       np.concatenate([caps, caps, inf, inf]))
+        if sol.status != "optimal":
+            return None, None
+        return sol.value, sol.x[:k] - sol.x[k:2 * k]
+
+    return solve
 
 
 def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
@@ -206,7 +212,7 @@ def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
     if x.shape != (S.dimension,):
         raise InputError("point dimension mismatch")
     k = S.count
-    target = m * x
+    node_lp = _node_lp(S, m * x)
     best_val = None
     best_alpha = None
     nodes = 0
@@ -219,7 +225,7 @@ def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
         if best_val is not None and parent_bound >= best_val:
             continue
         nodes += 1
-        value, alpha = _node_lp(S, target, caps, commits)
+        value, alpha = node_lp(caps, commits)
         if value is None:
             continue
         lower = math.ceil(value - 1e-9)
