@@ -37,10 +37,10 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
     `direction` is -1 for a nonbasic column at 0, +1 for one at its upper
     bound, 0 for a basic column or one that may never enter.  A basic column
     fixed at [0, 0] leaves on the first pivot that would move it.  B^-1 and
-    x_B follow each pivot by a rank-one (eta) update, refactorised every m
-    pivots and after a pivot element below 1e-11.  Dantzig pricing with a
-    Bland's-rule fallback after a run of degenerate pivots, which guarantees
-    termination.  Returns (status, basis, xB, y).
+    x_B follow each pivot by a rank-one (eta) update and are refactorised
+    every m pivots.  Dantzig pricing with a Bland's-rule fallback after a
+    run of degenerate pivots, which guarantees termination.  Returns
+    (status, basis, xB, y).
     """
     m = len(b)
     bland = False
@@ -71,18 +71,19 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
         moved = np.abs(d) > FEAS_TOL
         ratios = np.full(m, np.inf)
         ratios[moved] = np.where(d > 0, xB, xB - upper[basis])[moved] / d[moved]
-        r = int(np.argmin(ratios))
-        if upper[j] <= ratios[r]:
+        t = ratios.min(initial=np.inf)
+        if upper[j] <= t:
             if upper[j] == np.inf:
                 return "unbounded", basis, xB, y
             xB -= upper[j] * d  # bound flip: j crosses to its other bound
             direction[j] = -direction[j]
             degenerate_run = 0
             continue
+        r = int(np.argmin(ratios))
         if bland:
-            ties = np.flatnonzero(ratios <= ratios[r] + FEAS_TOL)
+            ties = np.flatnonzero(ratios <= t + FEAS_TOL)
             r = int(ties[np.argmin(basis[ties])])
-        t = ratios[r]
+            t = ratios[r]
         if t <= FEAS_TOL:
             degenerate_run += 1
             if degenerate_run > 60:
@@ -94,13 +95,10 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
         xB -= t * d
         xB[r] = t if direction[j] < 0 else upper[j] - t
         basis[r], direction[j] = j, 0
-        if abs(alpha[r]) < 1e-11:
-            since = m
-        else:
-            row = Binv[r] / alpha[r]
-            Binv -= np.outer(alpha, row)
-            Binv[r] = row
-            since += 1
+        row = Binv[r] / alpha[r]  # |alpha[r]| > FEAS_TOL by the ratio test
+        Binv -= np.outer(alpha, row)
+        Binv[r] = row
+        since += 1
     raise NumericalError("cycling guard exceeded (simplex iteration cap)")
 
 

@@ -334,6 +334,16 @@ class TestBoundedVariables:
         assert _highs(c, A, b, lower, upper).status == 3
         assert solve_lp(c, A, b, lower, upper).status == "unbounded"
 
+    def test_no_rows_puts_each_column_at_its_cheaper_bound(self):
+        A, b = np.zeros((0, 3)), np.zeros(0)
+        c = np.array([1.0, -1.0, 0.5])
+        lower, upper = np.array([0.5, -1.0, 2.0]), np.array([1.0, 2.0, np.inf])
+        sol = solve_lp(c, A, b, lower, upper)
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == [0.5, 2.0, 2.0] and sol.value == -0.5
+        c[2] = -0.5
+        assert solve_lp(c, A, b, lower, upper).status == "unbounded"
+
     def test_replayed_membership_node_lps_match_highs(self, monkeypatch):
         # every node LP of acceptance criterion 10's grid at m = 3, recorded
         # from the branch-and-bound search and replayed against HiGHS
