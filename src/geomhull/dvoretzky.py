@@ -76,14 +76,14 @@ def random_projection(n, k, seed):
 
 
 def _sandwich_ratio(projected_points, E: Ellipsoid, directions):
-    """Largest ellipsoid-to-hull support ratio over the given directions."""
-    worst = 1.0
-    for u in directions:
-        hull = float(np.abs(projected_points @ u).max())
-        if hull <= 1e-15:
-            raise NumericalError("projected hull is degenerate in a direction")
-        worst = max(worst, E.support(u) / hull)
-    return worst
+    """Largest ellipsoid-to-hull support ratio over the rows of `directions`."""
+    # hull maxima 32 directions at a time, so no points-by-directions
+    # product is held in full
+    blocks = np.split(directions, range(32, len(directions), 32))
+    hull = np.concatenate([np.abs(projected_points @ b.T).max(axis=0) for b in blocks])
+    if hull.min() <= 1e-15:
+        raise NumericalError("projected hull is degenerate in a direction")
+    return max(1.0, float((E.support(directions) / hull).max()))
 
 
 def dvoretzky_search(S: GeneratingSet, k, eta, trials, seed) -> ProjectionResult:
@@ -113,12 +113,11 @@ def dvoretzky_search(S: GeneratingSet, k, eta, trials, seed) -> ProjectionResult
         rng = np.random.default_rng(children[2 * t + 1])
         dirs = rng.standard_normal((200, k))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        directions = list(dirs) + list(np.eye(k))
-        eigvals, eigvecs = np.linalg.eigh(E.shape_matrix)
-        directions += list(eigvecs.T)
+        eigvecs = np.linalg.eigh(E.shape_matrix)[1]
         # images of the original coordinate axes; for axis-aligned generators
         # these are where the ellipsoid-to-hull ratio peaks
-        directions += [col for col in P.T if np.linalg.norm(col) > 1e-8]
+        axes = P.T[np.linalg.norm(P.T, axis=1) > 1e-8]
+        directions = np.vstack([dirs, np.eye(k), eigvecs.T, axes])
         ratio = _sandwich_ratio(projected, E, directions)
         if best is None or ratio < best.ellipticity:
             best = ProjectionResult(rank=k, projection_matrix=P, ellipsoid=E,

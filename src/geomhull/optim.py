@@ -197,9 +197,11 @@ class Ellipsoid:
             raise InputError("scale must be positive")
 
     def support(self, u):
+        """sqrt(scale * u M^{-1} u): a float for one direction, an array for rows."""
         u = np.asarray(u, dtype=float)
-        w = np.linalg.solve(self.shape_matrix, u)
-        return float(np.sqrt(self.scale * (u @ w)))
+        w = np.linalg.solve(self.shape_matrix, u.T).T
+        h = np.sqrt(self.scale * np.einsum("...i,...i->...", u, w))
+        return float(h) if u.ndim == 1 else h
 
 
 def mvee(points, tolerance=1e-7) -> Ellipsoid:
@@ -208,32 +210,48 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
     Points count with their negations, so pass each once.  Khachiyan ascent
     with Wolfe-Atwood away steps; V^{-1} and g_i = x_i V^{-1} x_i follow each
     step by rank-one updates (Todd & Yildirim 2007) and are recomputed every
-    25 steps, after an ill-conditioned update and before returning.  A
-    recomputation also tries one Newton step for log det V on the support S
-    when its |S|^3 system costs no more than one k*n ascent step, or when the
-    gap has not dropped since the last recomputation (the ascent has stalled).
-    Stops when the returned matrix has gap max_i g_i / n - 1 <= `tolerance`.
+    25 steps, after an ill-conditioned update and before returning.  While the
+    gap exceeds `tolerance`, a recomputation drops every point that no optimal
+    design can weight (Harman & Pronzato 2007), and the ascent goes on over
+    the active points left.  A recomputation also tries one Newton step for
+    log det V on the support S when its |S|^3 system costs no more than one
+    ascent step over the active points, or when the gap has not dropped since
+    the last recomputation (the ascent has stalled).  Stops when the returned
+    matrix has gap max_i g_i / n - 1 <= `tolerance` over all input points; a
+    dropped point outside it is put back with weight 0.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = X.shape
     if np.linalg.matrix_rank(X) < n:
         raise DegeneracyError("points do not span the space")
+    active, Y = np.arange(k), X
     u = np.full(k, 1.0 / k)
     refresh = 25  # steps between recomputations of V^{-1} and g from u
     since, last_gap = refresh, np.inf
     for _ in range(100000):
         if since >= refresh:
-            V = X.T @ (u[:, None] * X)
+            V = Y.T @ (u[:, None] * Y)
             try:
                 M = np.linalg.inv(V)
             except np.linalg.LinAlgError:
                 raise DegeneracyError("weight matrix became singular")
             M = 0.5 * (M + M.T)
-            g = np.einsum("ij,ij->i", X @ M, X)
+            g = np.einsum("ij,ij->i", Y @ M, Y)
             gap = g.max() / n - 1.0
+            if gap > tolerance:
+                # no optimal design weights a point with g_i < H (Harman &
+                # Pronzato 2007, with eps = max_i g_i - n); the margin covers
+                # rounding in g
+                eps = n * gap
+                H = n * (1.0 + eps / 2.0 - np.sqrt(eps * (4.0 + eps - 4.0 / n)) / 2.0)
+                keep = g >= H * (1.0 - 1e-9)
+                if not keep.all():
+                    active, u = active[keep], u[keep] / u[keep].sum()
+                    Y = X[active]
+                    continue
             S = np.flatnonzero(u > 1e-12)
-            if gap > tolerance and (len(S) ** 3 <= k * n or gap >= last_gap):
-                K = X[S] @ M @ X[S].T  # gradient diag(K), Hessian -K*K
+            if gap > tolerance and (len(S) ** 3 <= len(active) * n or gap >= last_gap):
+                K = Y[S] @ M @ Y[S].T  # gradient diag(K), Hessian -K*K
                 kkt = np.block([[K * K, np.ones((len(S), 1))],
                                 [np.ones((1, len(S))), np.zeros((1, 1))]])
                 d = np.linalg.lstsq(kkt, np.append(np.diag(K), 0.0), rcond=None)[0][:-1]
@@ -241,18 +259,23 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
                 trial = u.copy()
                 trial[S] = np.maximum(u[S] + t * d, 0.0)
                 trial /= trial.sum()
-                V_trial = X.T @ (trial[:, None] * X)
+                V_trial = Y.T @ (trial[:, None] * Y)
                 if np.linalg.slogdet(V_trial)[1] > np.linalg.slogdet(V)[1]:
                     u, last_gap = trial, np.inf  # recompute, then no second try
                     continue
             last_gap, since = gap, 0
+        if g.max() / n - 1.0 <= tolerance:
+            if since > 0:
+                since = refresh
+                continue
+            g_all = np.einsum("ij,ij->i", X @ M, X)
+            if g_all.max() / n - 1.0 <= tolerance:
+                return Ellipsoid(shape_matrix=M, scale=float(n))
+            back = np.setdiff1d(np.flatnonzero(g_all / n - 1.0 > tolerance), active)
+            active, u = np.append(active, back), np.append(u, np.zeros(back.size))
+            Y, g = X[active], g_all[active]
         j_up = int(g.argmax())
         gap_up = g[j_up] / n - 1.0
-        if gap_up <= tolerance:
-            if since == 0:
-                return Ellipsoid(shape_matrix=M, scale=float(n))
-            since = refresh
-            continue
         j_dn = int(np.where(u > 1e-12, g, np.inf).argmin())
         j = j_up if gap_up >= 1.0 - g[j_dn] / n else j_dn
         step = (g[j] - n) / (n * (g[j] - 1.0)) if g[j] > 1.0 + 1e-15 else -np.inf
@@ -267,8 +290,8 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
         if pivot < 1e-8:
             since = refresh
             continue
-        w = M @ X[j]
-        g = (g - (a / pivot) * (X @ w) ** 2) / (1.0 - step)
+        w = M @ Y[j]
+        g = (g - (a / pivot) * (Y @ w) ** 2) / (1.0 - step)
         M = (M - (a / pivot) * w[:, None] * w) / (1.0 - step)
         since += 1
     raise NumericalError("ellipsoid ascent hit the iteration cap before the gap closed")

@@ -75,6 +75,27 @@ class TestDvoretzkySearch:
         for y in projected:
             assert y @ E.shape_matrix @ y <= E.scale * (1 + 1e-6)
 
+    @pytest.mark.parametrize("n,count,k,seed", [(40, 500, 3, 11), (12, 150, 2, 12),
+                                                (20, 300, 4, 13)])
+    def test_ellipticity_equals_a_per_direction_loop(self, n, count, k, seed):
+        # the winning trial's directions, rebuilt from the same SeedSequence
+        # children, then one solve and one hull maximum per direction
+        S = _sphere_sample(n, count, seed)
+        res = dvoretzky_search(S, k=k, eta=0.2, trials=3, seed=seed)
+        children = np.random.SeedSequence(seed).spawn(6)
+        P = random_projection(n, k, children[2 * res.trial])
+        assert np.array_equal(P, res.projection_matrix)
+        dirs = np.random.default_rng(children[2 * res.trial + 1]).standard_normal((200, k))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        M, scale = res.ellipsoid.shape_matrix, res.ellipsoid.scale
+        axes = [col for col in P.T if np.linalg.norm(col) > 1e-8]
+        Y = S.points @ P.T
+        worst = 1.0
+        for u in [*dirs, *np.eye(k), *np.linalg.eigh(M)[1].T, *axes]:
+            support = math.sqrt(scale * (u @ np.linalg.solve(M, u)))
+            worst = max(worst, support / np.abs(Y @ u).max())
+        assert abs(res.ellipticity - worst) <= 4 * np.spacing(worst)
+
     def test_json_and_validation(self):
         S = _sphere_sample(8, 40, 7)
         res = dvoretzky_search(S, k=2, eta=0.3, trials=2, seed=8)

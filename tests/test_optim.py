@@ -459,11 +459,18 @@ class TestMVEE:
         # in the quadratic form stays over 100 times below the margin by
         # which these inputs pass.  Weights summing to 1 put the farthest
         # point on the boundary; weights scaled by c scale every reach by 1/c.
-        for seed in range(40):
+        # Seeds 40-51 are clouds of about 200-500 points with exact duplicate
+        # rows and exact +- pairs, where most points are dropped long before
+        # the end: the points dropped must stay inside too.
+        for seed in range(52):
             rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 6))
-            X = rng.standard_normal((8 * n, n)) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+            n = int(rng.integers(2, 6)) if seed < 40 else int(rng.integers(2, 7))
+            k = 8 * n if seed < 40 else int(rng.integers(180, 451))
+            X = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-1.0, 1.0, n)
             X = X @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+            if seed >= 40:
+                twins = rng.choice(k, size=k // 10, replace=False)
+                X = np.vstack([X, X[twins[::2]], -X[twins[1::2]]])
             E = mvee(X, tolerance=tolerance)
             reach = np.einsum("ij,jk,ik->i", X, E.shape_matrix / E.scale, X)
             assert 1.0 - tolerance <= reach.max() <= 1.0 + tolerance, f"seed {seed}"
