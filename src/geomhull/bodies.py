@@ -131,7 +131,7 @@ def _null_space(A):
     return vt[rank:].T
 
 
-def p_gauge_upper(body: PBody, x, seed=0) -> GaugeCertificate:
+def p_gauge_upper(body: PBody, x) -> GaugeCertificate:
     """Upper bound on the p-gauge of x, with a witnessing representation.
 
     Any representation x = sum lambda_i s_i gives the upper bound
@@ -146,7 +146,7 @@ def p_gauge_upper(body: PBody, x, seed=0) -> GaugeCertificate:
     if p == 1.0:
         return base
     Z = _null_space(S.points.T)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     spread = max(1.0, np.abs(base.coefficients).max())
     best = None
     for trial in range(9):
@@ -221,11 +221,6 @@ def generating_set_to_json(S: GeneratingSet, p=None):
         lines.append(f'  "label": {json.dumps(S.label)}')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def save_generating_set_json(S: GeneratingSet, path, p=None):
-    with open(path, "w") as fh:
-        fh.write(generating_set_to_json(S, p=p))
 
 
 def load_generating_set_json(path):

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import __version__
 from .balance import type1_represent
 from .bodies import (GeneratingSet, PBody, delta_nonconvexity, fmt17,
                      generating_set_to_json, lp_ball_body,
-                     load_generating_set_json, save_generating_set_json)
+                     load_generating_set_json)
 from .cube import (NODE_BUDGET, Calibration, VertexSet, alesker_chain,
                    chain_constants, chain_cube_certificate, counting_select,
                    cube_quotient, cubic_quotient_from_nonconvexity,
@@ -175,8 +175,29 @@ def build_config(args) -> RunConfig:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+def _plain(obj):
+    """obj as plain JSON values: a dataclass's public fields, str keys, lists
+    for tuples and arrays, Python numbers for numpy scalars; bools stay bools."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)
+                if not f.name.startswith("_")}
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):   # before int: bool is an int
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    return obj
+
+
 def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
 def _csv_text(rows):
@@ -197,7 +218,11 @@ def _csv_text(rows):
 
 def emit(payload, rows, cfg: RunConfig):
     """Write the JSON payload or its CSV flattening to --out or stdout."""
-    text = _csv_text(rows) if cfg.format == "csv" else _json_text(payload)
+    _write(_csv_text(rows) if cfg.format == "csv" else _json_text(payload),
+           cfg)
+
+
+def _write(text, cfg: RunConfig):
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -272,10 +297,8 @@ def cmd_generate(cfg: RunConfig):
                 rec["p"] = float(p)
             rows.append(rec)
         emit(None, rows, cfg)
-    elif cfg.out:
-        save_generating_set_json(S, cfg.out, p=p)
     else:
-        sys.stdout.write(generating_set_to_json(S, p=p))
+        _write(generating_set_to_json(S, p=p), cfg)
     return EXIT_PASS
 
 
@@ -499,13 +522,12 @@ def verify_main(cfg: RunConfig):
     report_obj = cube_quotient(S, cfg.eps, calibration=cfg.calibration,
                                seed=cfg.seed, queries=cfg.queries,
                                query_tolerance=cfg.tol, node_budget=cfg.budget)
-    payload = json.loads(report_obj.to_json())
     ok = (report_obj.verified_fraction >= 0.99
           and report_obj.variance_check.get("pass", False))
     report = {
         "lemma": "main",
         "constants": {
-            "epsilon": cfg.eps, "sigma": list(report_obj.sigma),
+            "epsilon": cfg.eps, "sigma": report_obj.sigma,
             "m": report_obj.flat_m, "chain_levels": report_obj.chain_levels,
         },
         "target": {"verified_fraction": 0.99,
@@ -514,7 +536,7 @@ def verify_main(cfg: RunConfig):
                      "theta": report_obj.theta,
                      "C_over_eps": report_obj.C_over_eps,
                      "variance_check": report_obj.variance_check},
-        "report": payload,
+        "report": report_obj,
         "pass": bool(ok),
     }
     rows = [{"record": "query", "index": i,
@@ -588,15 +610,15 @@ def cmd_verify(cfg: RunConfig):
 # run
 # ---------------------------------------------------------------------------
 
-def _quotient_rows(payload):
+def _quotient_rows(report):
     rows = []
-    for pattern in sorted(payload.get("vertex_certificates", {})):
-        cert = payload["vertex_certificates"][pattern]
+    for pattern in sorted(report.vertex_certificates):
+        cert = report.vertex_certificates[pattern]
         rows.append({"record": "vertex-certificate", "key": pattern,
                      "m": cert["m"], "entries": len(cert["entries"]),
                      "scale": cert["scale"],
                      "snap_residual": cert["snap_residual"]})
-    for i, q in enumerate(payload.get("certificates", [])):
+    for i, q in enumerate(report.certificates):
         rows.append({"record": "query", "key": i, "residual": q["residual"],
                      "verified": q["verified"], "terms": q["terms"]})
     return rows
@@ -607,8 +629,7 @@ def run_cube_quotient(cfg: RunConfig):
     report = cube_quotient(S, cfg.eps, calibration=cfg.calibration,
                            seed=cfg.seed, queries=cfg.queries,
                            query_tolerance=cfg.tol, node_budget=cfg.budget)
-    payload = json.loads(report.to_json())
-    emit(payload, _quotient_rows(payload), cfg)
+    emit(report, _quotient_rows(report), cfg)
     return EXIT_PASS
 
 
@@ -622,10 +643,9 @@ def run_pnormed_quotient(cfg: RunConfig):
                                         seed=cfg.seed, queries=cfg.queries,
                                         query_tolerance=cfg.tol,
                                         node_budget=cfg.budget)
-    payload = {"quotient": json.loads(report.to_json()), "distance": distance}
-    rows = _quotient_rows(payload["quotient"])
-    rows.append({"record": "distance", **{k: v for k, v in distance.items()}})
-    emit(payload, rows, cfg)
+    rows = _quotient_rows(report)
+    rows.append({"record": "distance", **distance})
+    emit({"quotient": report, "distance": distance}, rows, cfg)
     return EXIT_PASS
 
 
@@ -640,11 +660,10 @@ def run_cubic_from_delta(cfg: RunConfig):
     report, summary = cubic_quotient_from_nonconvexity(
         body, coords, calibration=cfg.calibration, seed=cfg.seed,
         queries=cfg.queries, query_tolerance=cfg.tol, node_budget=cfg.budget)
-    payload = {"quotient": json.loads(report.to_json()), "summary": summary}
-    rows = _quotient_rows(payload["quotient"])
+    rows = _quotient_rows(report)
     rows.append({"record": "summary", **{k: ("" if v is None else v)
                                          for k, v in summary.items()}})
-    emit(payload, rows, cfg)
+    emit({"quotient": report, "summary": summary}, rows, cfg)
     return EXIT_PASS
 
 
@@ -652,7 +671,7 @@ def run_dvoretzky_search(cfg: RunConfig):
     S, _ = _loaded_input(cfg)
     k = cfg.k if cfg.k is not None else 3
     result = dvoretzky_search(S, k, cfg.eta, cfg.trials, cfg.seed)
-    payload = json.loads(result.to_json())
+    payload = _plain(result)
     payload["calibration"] = cfg.calibration.as_dict()
     rows = [{"record": "projection", "rank": result.rank,
              "ellipticity": result.ellipticity, "trial": result.trial,

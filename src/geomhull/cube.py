@@ -13,9 +13,8 @@ the all-plus vertex.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -617,7 +616,8 @@ MAX_VERTEX_SLOTS = 2 * 10 ** 6
 
 @dataclass
 class QuotientReport:
-    """Outcome of the cube-quotient pipeline, serializable and re-queryable."""
+    """Outcome of the cube-quotient pipeline, re-queryable; the CLI writes
+    its public fields."""
 
     sigma: tuple
     epsilon: float
@@ -639,27 +639,8 @@ class QuotientReport:
     assembly_theta: float
     flat_m: int
     # vertex mask -> (lifted certificate, its snap displacement on sigma);
-    # in memory only, never serialized
+    # in memory only: underscore fields are never written
     _entries: dict = field(repr=False)
-
-    def to_json(self):
-        payload = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "_entries"}
-        return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _sparse_cert(cert: DeltaMCertificate, extra=None):

@@ -11,7 +11,6 @@ by a factor the sandwich ratio controls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,23 +42,6 @@ class ProjectionResult:
         if self.ellipticity < 1.0 - 1e-9:
             raise InputError("ellipticity below 1 is impossible for a sandwich")
         self.projection_matrix = P
-
-    def to_json(self):
-        payload = {
-            "rank": self.rank,
-            "projection_matrix": [[float(v) for v in row]
-                                  for row in self.projection_matrix],
-            "ellipsoid": {
-                "shape_matrix": [[float(v) for v in row]
-                                 for row in self.ellipsoid.shape_matrix],
-                "scale": float(self.ellipsoid.scale),
-            },
-            "ellipticity": float(self.ellipticity),
-            "seed": int(self.seed),
-            "trial": int(self.trial),
-            "success": bool(self.success),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def random_projection(n, k, seed):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -206,6 +207,27 @@ class TestRun:
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert kinds == {"vertex-certificate", "query"}
         assert len(lines) == 1 + 16 + 6
+
+    def test_booleans_are_written_as_booleans(self, cube_file, tmp_path):
+        args = ("--input", cube_file, "--seed", "1", "--queries", "4")
+        reports, verified = [], []
+        for command in (("run", "cube-quotient"), ("verify", "main")):
+            out = tmp_path / "r.json"
+            assert run(*command, *args, "--out", str(out)) == EXIT_PASS
+            reports.append(json.loads(out.read_text()))
+            assert run(*command, *args, "--format", "csv",
+                       "--out", str(out)) == EXIT_PASS
+            rows = csv.DictReader(out.read_text().splitlines())
+            verified.append([row["verified"] for row in rows
+                             if row["record"] == "query"])
+        quotient, main_report = reports
+        assert type(main_report["realized"]["variance_check"]["pass"]) is bool
+        for report in (quotient, main_report["report"]):
+            assert type(report["density_ok"]) is bool
+            assert type(report["variance_check"]["pass"]) is bool
+            assert all(type(q["verified"]) is bool
+                       for q in report["certificates"])
+        assert verified[0] == verified[1] == ["True"] * 4
 
     def test_pnormed_quotient_p1(self, tmp_path):
         src = str(tmp_path / "c.json")

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from geomhull import cli
 from geomhull.bodies import GeneratingSet, PBody, envelope_gauge
 from geomhull.cube import (Calibration, VertexSet, _max_shattered,
                            alesker_chain, chain_constants,
@@ -315,7 +317,7 @@ class TestCubeQuotient:
         S = GeneratingSet(4, _cube_points(4))
         r1 = cube_quotient(S, 0.5, seed=7, queries=6)
         r2 = cube_quotient(S, 0.5, seed=7, queries=6)
-        assert r1.to_json() == r2.to_json()
+        assert cli._json_text(r1) == cli._json_text(r2)
 
     def test_calibration_recorded_in_report(self):
         S = GeneratingSet(4, _cube_points(4))
@@ -326,8 +328,7 @@ class TestCubeQuotient:
 
 
 def json_has_seed(report):
-    import json
-    return json.loads(report.to_json())["seed"] == report.seed
+    return json.loads(cli._json_text(report))["seed"] == report.seed
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from geomhull import cli
 from geomhull.bodies import GeneratingSet
 from geomhull.dvoretzky import (ProjectionResult, dvoretzky_search,
                                 ellipsoid_gamma_represent, random_projection)
@@ -99,9 +101,8 @@ class TestDvoretzkySearch:
     def test_json_and_validation(self):
         S = _sphere_sample(8, 40, 7)
         res = dvoretzky_search(S, k=2, eta=0.3, trials=2, seed=8)
-        text = res.to_json()
-        assert text == res.to_json()
-        import json
+        text = cli._json_text(res)
+        assert text == cli._json_text(res)
         payload = json.loads(text)
         assert payload["rank"] == 2
         assert payload["seed"] == 8

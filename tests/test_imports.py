@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and none imports
-another module's private (underscore) names."""
+"""Every module of the package uses each name it imports, none imports
+another module's private (underscore) names, and only the CLI and the
+instance file format touch JSON."""
 
 import ast
 import pathlib
@@ -45,3 +46,18 @@ def test_no_unused_imports(path):
                          ids=lambda path: path.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path) == []
+
+
+def imported_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.split(".")[0] for name in names}
+
+
+def test_only_cli_and_bodies_import_json():
+    # cli writes every report; bodies reads and writes the instance format
+    assert sorted(path.name for path in SRC.glob("*.py")
+                  if "json" in imported_modules(path)) == ["bodies.py", "cli.py"]

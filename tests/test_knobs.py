@@ -21,8 +21,6 @@ ALLOWED = {
         "with a known closed form, and containment at a tight gap",
     "ellipsoid_gamma_represent.tolerance":
         "the tests and acceptance criterion 09 set the residual floor",
-    "p_gauge_upper.seed":
-        "the tests vary the seed of the perturbed starts",
     "main.argv":
         "the tests drive the CLI in process; the console script passes none",
 }
