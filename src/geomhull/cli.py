@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -48,74 +48,8 @@ EXIT_BUDGET = 4
 CONST_NAMES = tuple(f.name for f in fields(Calibration))
 
 
-@dataclass
-class RunConfig:
-    """Merged view of config file, command line, and defaults."""
-
-    command: str = ""
-    target: str = ""
-    input: str | None = None
-    out: str | None = None
-    format: str = "json"
-    seed: int = 0
-    tol: float = 1e-6
-    n: int | None = None
-    p: float | None = None
-    k: int | None = None
-    m: int | None = None
-    count: int | None = None
-    eps: float = 0.5
-    theta: float = 0.75
-    eta: float = 0.2
-    trials: int = 64
-    queries: int = 32
-    samples: int = 1000
-    budget: int = NODE_BUDGET
-    coords: str | None = None
-    calibration: Calibration = field(default_factory=Calibration)
-
-    def coord_list(self):
-        if self.coords is None:
-            return None
-        try:
-            return [int(t) for t in self.coords.split(",") if t.strip()]
-        except ValueError:
-            raise InputError(f"bad coordinate list {self.coords!r}")
-
-
-def _parse_scalar(text):
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-# RunConfig field -> declared type ("str", "int" or "float"), for checking
-# config-file values; calibration is built from the const.* keys instead
-FIELD_TYPES = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)
-               if f.name != "calibration"}
-
-
-def _config_value(key, kind, value):
-    """A config-file value checked against its field type; InputError if it misfits."""
-    if kind == "str":
-        return str(value)
-    if kind == "int" and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    allowed = int if kind == "int" else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        noun = "an integer" if kind == "int" else "a number"
-        raise InputError(f"config key {key!r} must be {noun}, got {value!r}")
-    return value
-
-
 def read_config_file(path):
-    """Flat key=value lines; # starts a comment; later keys win."""
+    """Flat key=value lines, values as text; # starts a comment; later keys win."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -125,50 +59,8 @@ def read_config_file(path):
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            out[key.strip()] = _parse_scalar(value)
+            out[key.strip()] = value.strip()
     return out
-
-
-def build_config(args) -> RunConfig:
-    """Defaults, then config file, then explicit command-line flags."""
-    merged = {}
-    if getattr(args, "config", None):
-        file_cfg = read_config_file(args.config)
-        const_file = {}
-        for key in list(file_cfg):
-            name = key[6:] if key.startswith("const.") else key
-            if name in CONST_NAMES:
-                value = file_cfg.pop(key)
-                const_file[name] = _config_value(key, "float", value)
-        merged.update({key: _config_value(key, FIELD_TYPES[key], value)
-                       if key in FIELD_TYPES else value
-                       for key, value in file_cfg.items()})
-        merged["calibration"] = Calibration.from_mapping(const_file) \
-            if const_file else Calibration()
-    field_names = {f.name for f in fields(RunConfig)}
-    for key, value in vars(args).items():
-        if key in ("config", "func") or key.startswith("const_"):
-            continue
-        if value is None:
-            continue
-        if key not in field_names:
-            continue
-        merged[key] = value
-    overrides = {name: getattr(args, f"const_{name}")
-                 for name in CONST_NAMES
-                 if getattr(args, f"const_{name}", None) is not None}
-    if overrides:
-        base = merged.get("calibration", Calibration()).as_dict()
-        base.update(overrides)
-        merged["calibration"] = Calibration.from_mapping(base)
-    unknown = set(merged) - field_names
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**merged)
-    if cfg.format not in ("json", "csv"):
-        raise InputError(f"unknown output format {cfg.format!r}")
-    cfg.seed = int(cfg.seed)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +108,13 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
-def emit(payload, rows, cfg: RunConfig):
+def emit(payload, rows, cfg):
     """Write the JSON payload or its CSV flattening to --out or stdout."""
     _write(_csv_text(rows) if cfg.format == "csv" else _json_text(payload),
            cfg)
 
 
-def _write(text, cfg: RunConfig):
+def _write(text, cfg):
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -230,7 +122,7 @@ def _write(text, cfg: RunConfig):
         sys.stdout.write(text)
 
 
-def _loaded_input(cfg: RunConfig):
+def _loaded_input(cfg):
     if not cfg.input:
         raise InputError(f"{cfg.command} {cfg.target} needs --input")
     return load_generating_set_json(cfg.input)
@@ -255,7 +147,25 @@ def _sample_vertex_subset(n, count, cfg):
     return VertexSet(n, frozenset(int(m) for m in masks))
 
 
-def cmd_generate(cfg: RunConfig):
+def _sphere_sample(n, count, rng):
+    """count points drawn uniformly from the unit sphere of R^n."""
+    if n < 1 or count < 1:
+        raise InputError("a sphere sample needs n >= 1 and count >= 1")
+    pts = rng.standard_normal((count, n))
+    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    if norms.min() < 1e-12:
+        raise NumericalError("degenerate sphere sample")
+    return GeneratingSet(n, pts / norms, label="sphere-sample")
+
+
+def _circle(k):
+    """The k unit vectors at angles 2 pi j / k in the plane."""
+    angles = np.linspace(0.0, 2.0 * math.pi, k + 1)[:-1]
+    return GeneratingSet(2, np.column_stack([np.cos(angles), np.sin(angles)]),
+                         label=f"circle-{k}")
+
+
+def cmd_generate(cfg):
     kind = cfg.target
     if kind == "lp-ball":
         if cfg.n is None or cfg.p is None:
@@ -279,12 +189,7 @@ def cmd_generate(cfg: RunConfig):
         if cfg.n is None:
             raise InputError("sphere-sample needs --n")
         count = cfg.count if cfg.count is not None else 10 * cfg.n
-        rng = np.random.default_rng(cfg.seed)
-        pts = rng.standard_normal((count, cfg.n))
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        if norms.min() < 1e-12:
-            raise NumericalError("degenerate sphere sample")
-        S = GeneratingSet(cfg.n, pts / norms, label="sphere-sample")
+        S = _sphere_sample(cfg.n, count, np.random.default_rng(cfg.seed))
         p = cfg.p
     else:
         raise InputError(f"unknown generate kind {kind!r}")
@@ -306,7 +211,7 @@ def cmd_generate(cfg: RunConfig):
 # verify
 # ---------------------------------------------------------------------------
 
-def _finish_verify(report, cfg: RunConfig, rows=None):
+def _finish_verify(report, cfg, rows=None):
     report.setdefault("seed", cfg.seed)
     report["calibration"] = cfg.calibration.as_dict()
     emit(report, rows if rows is not None else [
@@ -315,7 +220,7 @@ def _finish_verify(report, cfg: RunConfig, rows=None):
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
-def verify_delta(cfg: RunConfig):
+def verify_delta(cfg):
     S, p = _loaded_input(cfg)
     if p is None:
         raise InputError("delta verification needs a generating set with p")
@@ -339,7 +244,7 @@ def verify_delta(cfg: RunConfig):
     return _finish_verify(report, cfg)
 
 
-def verify_pconv(cfg: RunConfig):
+def verify_pconv(cfg):
     if cfg.input:
         S, p = _loaded_input(cfg)
         if p is None:
@@ -381,13 +286,11 @@ def _random_hull_element(S, m, depth, rng):
     return lams, mults, alphas
 
 
-def verify_approx2(cfg: RunConfig):
+def verify_approx2(cfg):
     if cfg.input:
         S, _ = _loaded_input(cfg)
     else:
-        angles = np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
-        S = GeneratingSet(2, np.column_stack([np.cos(angles), np.sin(angles)]),
-                          label="circle-8")
+        S = _circle(8)
     theta = cfg.theta
     rng = np.random.default_rng(cfg.seed)
     trials = min(cfg.trials, 200)
@@ -414,15 +317,12 @@ def verify_approx2(cfg: RunConfig):
     return _finish_verify(report, cfg, rows=samples)
 
 
-def verify_type1(cfg: RunConfig):
+def verify_type1(cfg):
     if cfg.input:
         S, _ = _loaded_input(cfg)
     else:
-        angles = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
-        S = GeneratingSet(2, np.column_stack([np.cos(angles), np.sin(angles)]),
-                          label="circle-32")
-    theta = cfg.theta
-    m = cfg.m if cfg.m is not None else 4
+        S = _circle(32)
+    theta, m = cfg.theta, cfg.m
     rng = np.random.default_rng(cfg.seed)
     trials = min(cfg.trials, 200)
     worst_err, worst_defect_ratio, samples = 0.0, 0.0, []
@@ -451,7 +351,7 @@ def verify_type1(cfg: RunConfig):
     return _finish_verify(report, cfg, rows=samples)
 
 
-def verify_alesker(cfg: RunConfig):
+def verify_alesker(cfg):
     if cfg.input:
         S, _ = _loaded_input(cfg)
         V = vertex_set_from_generating_set(S)
@@ -489,7 +389,7 @@ def verify_alesker(cfg: RunConfig):
     return _finish_verify(report, cfg)
 
 
-def verify_counting(cfg: RunConfig):
+def verify_counting(cfg):
     n = cfg.n if cfg.n is not None else 8
     if not 3 <= n <= 12:   # both subset sizes n - 1 and n - 2 must be positive
         raise InputError("counting verification needs dimension 3..12")
@@ -517,7 +417,7 @@ def verify_counting(cfg: RunConfig):
     return _finish_verify(report, cfg, rows=samples)
 
 
-def verify_main(cfg: RunConfig):
+def verify_main(cfg):
     S, _ = _loaded_input(cfg)
     report_obj = cube_quotient(S, cfg.eps, calibration=cfg.calibration,
                                seed=cfg.seed, queries=cfg.queries,
@@ -545,17 +445,14 @@ def verify_main(cfg: RunConfig):
     return _finish_verify(report, cfg, rows=rows)
 
 
-def verify_dvoretzky(cfg: RunConfig):
+def verify_dvoretzky(cfg):
     if cfg.input:
         S, _ = _loaded_input(cfg)
     else:
-        n = cfg.n if cfg.n is not None else 40
-        count = cfg.count if cfg.count is not None else 500
-        rng = np.random.default_rng(cfg.seed + 1)
-        pts = rng.standard_normal((count, n))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        S = GeneratingSet(n, pts, label="sphere-sample")
-    k = cfg.k if cfg.k is not None else 3
+        S = _sphere_sample(cfg.n if cfg.n is not None else 40,
+                           cfg.count if cfg.count is not None else 500,
+                           np.random.default_rng(cfg.seed + 1))
+    k = cfg.k
     result = dvoretzky_search(S, k, cfg.eta, cfg.trials, cfg.seed)
     eta_real = result.ellipticity - 1.0
     theta = 0.5
@@ -602,7 +499,7 @@ VERIFIERS = {
 }
 
 
-def cmd_verify(cfg: RunConfig):
+def cmd_verify(cfg):
     return VERIFIERS[cfg.target](cfg)
 
 
@@ -624,7 +521,7 @@ def _quotient_rows(report):
     return rows
 
 
-def run_cube_quotient(cfg: RunConfig):
+def run_cube_quotient(cfg):
     S, _ = _loaded_input(cfg)
     report = cube_quotient(S, cfg.eps, calibration=cfg.calibration,
                            seed=cfg.seed, queries=cfg.queries,
@@ -633,7 +530,7 @@ def run_cube_quotient(cfg: RunConfig):
     return EXIT_PASS
 
 
-def run_pnormed_quotient(cfg: RunConfig):
+def run_pnormed_quotient(cfg):
     S, p = _loaded_input(cfg)
     if p is None:
         raise InputError("pnormed-quotient needs a generating set with p")
@@ -649,13 +546,16 @@ def run_pnormed_quotient(cfg: RunConfig):
     return EXIT_PASS
 
 
-def run_cubic_from_delta(cfg: RunConfig):
+def run_cubic_from_delta(cfg):
     S, p = _loaded_input(cfg)
     if p is None:
         raise InputError("cubic-from-delta needs a generating set with p")
-    coords = cfg.coord_list()
-    if coords is None:
+    if cfg.coords is None:
         raise InputError("cubic-from-delta needs --coords i,j,...")
+    try:
+        coords = [int(t) for t in cfg.coords.split(",") if t.strip()]
+    except ValueError:
+        raise InputError(f"bad coordinate list {cfg.coords!r}")
     body = PBody(S, p)
     report, summary = cubic_quotient_from_nonconvexity(
         body, coords, calibration=cfg.calibration, seed=cfg.seed,
@@ -667,10 +567,9 @@ def run_cubic_from_delta(cfg: RunConfig):
     return EXIT_PASS
 
 
-def run_dvoretzky_search(cfg: RunConfig):
+def run_dvoretzky_search(cfg):
     S, _ = _loaded_input(cfg)
-    k = cfg.k if cfg.k is not None else 3
-    result = dvoretzky_search(S, k, cfg.eta, cfg.trials, cfg.seed)
+    result = dvoretzky_search(S, cfg.k, cfg.eta, cfg.trials, cfg.seed)
     payload = _plain(result)
     payload["calibration"] = cfg.calibration.as_dict()
     rows = [{"record": "projection", "rank": result.rank,
@@ -688,11 +587,11 @@ PIPELINES = {
 }
 
 
-def cmd_run(cfg: RunConfig):
+def cmd_run(cfg):
     return PIPELINES[cfg.target](cfg)
 
 
-def cmd_calibrate(cfg: RunConfig):
+def cmd_calibrate(cfg):
     record = cfg.calibration.as_dict()
     payload = {
         "calibration": record,
@@ -711,33 +610,44 @@ def cmd_calibrate(cfg: RunConfig):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exact flag names only, and a usage error is an InputError (exit 2)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--input", default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--tol", type=float, default=None, dest="tol")
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--count", type=int, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--theta", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--queries", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--coords", default=None)
-    for name in CONST_NAMES:
-        parser.add_argument(f"--const.{name}", type=float, default=None,
+    """The one table of options: each flag's type, default and choices."""
+    parser.add_argument("--config", help="flat key=value file of these flags")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--input")
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--p", type=float)
+    parser.add_argument("--k", type=int, default=3)
+    parser.add_argument("--m", type=int, default=4)
+    parser.add_argument("--count", type=int)
+    parser.add_argument("--eps", type=float, default=0.5)
+    parser.add_argument("--theta", type=float, default=0.75)
+    parser.add_argument("--eta", type=float, default=0.2)
+    parser.add_argument("--trials", type=int, default=64)
+    parser.add_argument("--queries", type=int, default=32)
+    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--budget", type=int, default=NODE_BUDGET)
+    parser.add_argument("--coords")
+    for name, value in Calibration().as_dict().items():
+        parser.add_argument(f"--const.{name}", type=float, default=value,
                             dest=f"const_{name}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomhull",
         description="hull certificates, cube quotients, and projection search")
     parser.add_argument("--version", action="version", version=__version__)
@@ -767,14 +677,32 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def _parse(argv):
+    """The flags of argv, with each line `key = value` of a --config file
+    read as the flag --key=value (--const.key=value for a bare calibration
+    name, the calibrate --out format) placed right after the subcommand
+    word, so explicit flags win."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        flags = []
+        for key, value in read_config_file(cfg.config).items():
+            if key == "config":
+                raise InputError(f"{cfg.config}: a config file cannot name "
+                                 "another")
+            flags.append(f"--const.{key}={value}" if key in CONST_NAMES
+                         else f"--{key}={value}")
+        at = argv.index(cfg.command) + 1
+        cfg = parser.parse_args(argv[:at] + flags + argv[at:])
+    cfg.calibration = Calibration.from_mapping(
+        {name: getattr(cfg, f"const_{name}") for name in CONST_NAMES})
+    return cfg
+
+
+def main(argv=None):
     try:
-        cfg = build_config(args)
-        cfg.command = args.command
-        cfg.target = getattr(args, "target", "")
-        return args.func(cfg)
+        cfg = _parse(sys.argv[1:] if argv is None else list(argv))
+        return cfg.func(cfg)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import GeneratingSet, PBody
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .optim import solve_lp
 
 
@@ -274,7 +274,15 @@ def pconv_contraction_bound(p, theta):
         raise InputError("theta must lie in (0, 1)")
     if p == 1.0:
         return 1.0
-    return p ** (-1.0 / p) * (1.0 - theta) ** (1.0 - 1.0 / p)
+    try:
+        bound = p ** (-1.0 / p) * (1.0 - theta) ** (1.0 - 1.0 / p)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise NumericalError(
+            f"pconv contraction bound p^(-1/p)(1-theta)^(1-1/p) overflows "
+            f"at p={p}, theta={theta}")
+    return bound
 
 
 def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
@@ -284,8 +292,7 @@ def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
     generator picks, depth 64), measures their p-gauge, and compares
     the worst against pconv_contraction_bound(p, theta).
     """
-    if not 0 < theta < 1:
-        raise InputError("theta must lie in (0, 1)")
+    bound = pconv_contraction_bound(body.p, theta)
     depth = 64
     rng = np.random.default_rng(seed)
     P = body.generators.points
@@ -294,7 +301,6 @@ def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
     weights = lam * theta ** np.arange(depth)
     X = (1.0 - theta) * np.einsum("tk,tkn->tn", weights, P[idx])
     gauges = body.batch_gauge(X)
-    bound = pconv_contraction_bound(body.p, theta)
     max_gauge = float(gauges.max())
     return {
         "lemma": "pconv-contraction",

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from geomhull import cli
 from geomhull.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC,
                           EXIT_PASS, main, read_config_file)
 from geomhull.bodies import load_generating_set_json
+from geomhull.cube import Calibration
 from geomhull.errors import InputError
 from geomhull.hulls import DeltaMCertificate
 
@@ -62,6 +68,11 @@ class TestGenerate:
         assert S.points.shape == (40, 6)
         assert np.abs(np.linalg.norm(S.points, axis=1) - 1).max() < 1e-12
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_empty_sphere_sample_is_input_error(self, count):
+        assert run("generate", "sphere-sample", "--n", "3",
+                   "--count", count) == EXIT_INPUT
+
     def test_overfull_subset_is_input_error(self):
         assert run("generate", "random-vertex-subset", "--n", "3",
                    "--count", "100") == EXIT_INPUT
@@ -107,6 +118,12 @@ class TestVerify:
                    *args) == EXIT_PASS
         from_flags = json.loads(capsys.readouterr().out)
         assert from_file["realized"] == from_flags["realized"]
+
+    @pytest.mark.parametrize("p", ["0.001", "0.002"])
+    def test_small_p_names_the_contraction_bound(self, p, capsys):
+        assert run("verify", "pconv", "--p", p,
+                   "--samples", "5") == EXIT_NUMERIC
+        assert "contraction bound" in capsys.readouterr().err
 
     def test_pconv_from_flags_without_input(self):
         assert run("verify", "pconv", "--p", "0.5", "--theta", "0.75",
@@ -262,7 +279,40 @@ class TestRun:
         assert "calibration" in payload
 
 
+# (case, config file text or None, flags): a config line is read as the flag
+# --key=value, so a file and the command line are judged by the same rules
+OPTION_MISTAKES = [
+    ("abbreviated-flag", None, ("--sam", "5")),
+    ("abbreviated-key", "sam = 5\n", ()),
+    ("fractional-seed-flag", None, ("--seed", "3.0")),
+    ("fractional-seed-key", "seed = 3.0\n", ()),
+    ("target-key", "target = x\n", ()),
+    ("command-key", "command = x\n", ()),
+    ("seed-word-flag", None, ("--seed", "abc")),
+    ("unknown-key", "epsilon = 0.5\n", ()),
+    ("format-key", "format = xml\n", ()),
+    ("const-word-key", "const.c = abc\n", ()),
+    ("config-key", "config = other.cfg\n", ()),
+]
+
+
 class TestConfig:
+    @pytest.mark.parametrize("text,flags",
+                             [case[1:] for case in OPTION_MISTAKES],
+                             ids=[case[0] for case in OPTION_MISTAKES])
+    def test_option_mistake_exits_two(self, text, flags, tmp_path, capsys):
+        argv = ["verify", "counting", "--n", "4", *flags]
+        if text is not None:
+            path = tmp_path / "c.cfg"
+            path.write_text(text)
+            argv += ["--config", str(path)]
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_missing_subcommand_exits_two(self, capsys):
+        assert run() == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_config_file_then_cli_override(self, cube_file, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("eps=0.5\nseed=11\nqueries=4\nconst.c2=2.0\n")
@@ -290,7 +340,7 @@ class TestConfig:
     def test_read_config_file_parsing(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("# comment\nseed=3\neps=0.25 # tail\nname=abc\n")
-        assert read_config_file(str(cfgfile)) == {"seed": 3, "eps": 0.25,
+        assert read_config_file(str(cfgfile)) == {"seed": "3", "eps": "0.25",
                                                   "name": "abc"}
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -398,3 +448,47 @@ def test_fuzzed_input_file_never_crashes(obj, command, tmp_path):
     path.write_text(json.dumps(obj))
     assert run(*command, "--input", str(path)) in (
         EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_BUDGET)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_lines_parse():
+    """Every `geomhull ...` line of the README's CLI block uses live flags."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    lines = [line for line in block.split("```")[1].splitlines()
+             if line.startswith("geomhull ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except InputError as exc:
+            pytest.fail(f"{line}: {exc}")
+
+
+def console(*argv):
+    """`python -m geomhull.cli argv`: main(None), which reads sys.argv."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "geomhull.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestConsole:
+    def test_calibrate_reads_its_own_file(self, tmp_path):
+        calfile = tmp_path / "cal.cfg"
+        done = console("calibrate", "--const.c1", "0.0625",
+                       "--out", str(calfile))
+        assert done.returncode == EXIT_PASS
+        assert calfile.read_text().splitlines()[0].startswith("c=")
+        done = console("calibrate", "--config", str(calfile))
+        assert done.returncode == EXIT_PASS
+        want = dict(Calibration().as_dict(), c1=0.0625)
+        assert json.loads(done.stdout)["calibration"] == want
+
+    def test_flag_mistake_is_an_input_error(self):
+        done = console("verify", "counting", "--seed", "abc")
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.startswith("input error:")

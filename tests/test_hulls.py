@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from geomhull.bodies import GeneratingSet, lp_ball_body
-from geomhull.errors import InputError
+from geomhull.errors import InputError, NumericalError
 from geomhull.hulls import (DeltaMCertificate, GammaRepresentation,
                             approx2_transform, delta_m_membership,
                             pconv_contraction_bound, verify_pconv_contraction)
@@ -76,6 +76,13 @@ class TestPconv:
             pconv_contraction_bound(0.0, 0.5)
         with pytest.raises(InputError):
             pconv_contraction_bound(0.5, 1.0)
+
+    @pytest.mark.parametrize("p", [0.001, 0.007])
+    def test_overflow_is_a_numerical_error(self, p):
+        # at 0.001 a power overflows; at 0.007 both powers are finite and
+        # their product is inf, which would pass every sample
+        with pytest.raises(NumericalError, match="contraction bound"):
+            pconv_contraction_bound(p, 0.75)
 
     def test_monte_carlo_passes(self):
         body = lp_ball_body(3, 0.5)
