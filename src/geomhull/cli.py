@@ -51,15 +51,18 @@ CONST_NAMES = tuple(f.name for f in fields(Calibration))
 def read_config_file(path):
     """Flat key=value lines, values as text; # starts a comment; later keys win."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InputError(f"{path}:{lineno}: expected key=value")
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from None
     return out
 
 

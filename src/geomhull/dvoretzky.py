@@ -75,9 +75,9 @@ def dvoretzky_search(S: GeneratingSet, k, eta, trials, seed) -> ProjectionResult
     of the symmetrized image, and compares supports in 200 random directions
     plus the coordinate and ellipsoid axes; the worst ratio sampled is a lower
     bound on the true one, not a certified inner radius.  Returns the
-    projection with the smallest ratio; the success flag records whether it
-    met 1 + eta.  Failure to meet the target is not an error -- the best
-    result is still returned.
+    projection with the smallest ratio; a later trial wins only below best
+    (1 - 1e-9), so the earliest of tied trials is kept.  The success flag
+    records whether it met 1 + eta; missing it is not an error.
     """
     if not 1 <= k <= S.dimension:
         raise InputError("projection rank out of range")
@@ -101,7 +101,7 @@ def dvoretzky_search(S: GeneratingSet, k, eta, trials, seed) -> ProjectionResult
         axes = P.T[np.linalg.norm(P.T, axis=1) > 1e-8]
         directions = np.vstack([dirs, np.eye(k), eigvecs.T, axes])
         ratio = _sandwich_ratio(projected, E, directions)
-        if best is None or ratio < best.ellipticity:
+        if best is None or ratio < best.ellipticity * (1.0 - 1e-9):
             best = ProjectionResult(rank=k, projection_matrix=P, ellipsoid=E,
                                     ellipticity=ratio, seed=int(seed), trial=t)
     best.success = best.ellipticity <= 1.0 + eta

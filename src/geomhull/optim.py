@@ -204,20 +204,34 @@ class Ellipsoid:
         return float(h) if u.ndim == 1 else h
 
 
+def _newton_direction(K):
+    """Newton direction d, 1^T d = 0, for log det V (gradient diag K, Hessian
+    -K*K, K = Y_S V^{-1} Y_S^T) on the weights of S.  One eigh solves the
+    bordered system, cutting eigenvalues below eps (|S| + 1) of the largest in
+    size as lstsq does: that drops the null directions of twin and +- rows,
+    and keeps the long flat step needed past n(n+1)/2 weighted points."""
+    kkt = np.pad(K * K, (0, 1), constant_values=1.0)
+    kkt[-1, -1] = 0.0
+    w, U = np.linalg.eigh(kkt)
+    big = np.abs(w) > np.finfo(float).eps * len(w) * np.abs(w).max()
+    return U[:-1, big] @ ((U[:-1, big].T @ np.diag(K)) / w[big])
+
+
 def mvee(points, tolerance=1e-7) -> Ellipsoid:
     """Minimum-volume origin-symmetric ellipsoid enclosing the given points.
 
-    Points count with their negations, so pass each once.  Khachiyan ascent
-    with Wolfe-Atwood away steps; V^{-1} and g_i = x_i V^{-1} x_i follow each
-    step by rank-one updates (Todd & Yildirim 2007) and are recomputed every
-    25 steps, after an ill-conditioned update and before returning.  While the
-    gap exceeds `tolerance`, a recomputation drops every point that no optimal
-    design can weight (Harman & Pronzato 2007), and the ascent goes on over
-    the active points left.  A recomputation also tries one Newton step for
-    log det V on the support S when its |S|^3 system costs no more than one
-    ascent step over the active points, or when the gap has not dropped since
-    the last recomputation (the ascent has stalled).  Stops when the returned
-    matrix has gap max_i g_i / n - 1 <= `tolerance` over all input points; a
+    Points count with their negations, so pass each once.  V^{-1} and
+    g_i = x_i V^{-1} x_i are recomputed from the weights u every 25 steps and
+    after an ill-conditioned update; while the gap max_i g_i / n - 1 exceeds
+    `tolerance`, each point no optimal design can weight is then dropped
+    (Harman & Pronzato 2007) after a multiplicative step u_i <- u_i g_i / n
+    (Titterington 1976), and a Newton step for log det V is tried on S, the
+    support and each point with g_i > n, if its |S|^3 solve costs at most 25
+    ascent steps over the active points or the gap has not dropped since the
+    last recomputation: the full step clipped at 0, else the step to where a
+    weight reaches 0, whichever first raises log det V.  Else Khachiyan ascent
+    with Wolfe-Atwood away steps and rank-one updates (Todd & Yildirim 2007).
+    Stops when a fresh matrix has gap <= `tolerance` over all input points; a
     dropped point outside it is put back with weight 0.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
@@ -246,22 +260,25 @@ def mvee(points, tolerance=1e-7) -> Ellipsoid:
                 H = n * (1.0 + eps / 2.0 - np.sqrt(eps * (4.0 + eps - 4.0 / n)) / 2.0)
                 keep = g >= H * (1.0 - 1e-9)
                 if not keep.all():
-                    active, u = active[keep], u[keep] / u[keep].sum()
-                    Y = X[active]
+                    u, active = u[keep] * g[keep], active[keep]
+                    u, Y = u / u.sum(), X[active]
                     continue
-            S = np.flatnonzero(u > 1e-12)
-            if gap > tolerance and (len(S) ** 3 <= len(active) * n or gap >= last_gap):
-                K = Y[S] @ M @ Y[S].T  # gradient diag(K), Hessian -K*K
-                kkt = np.block([[K * K, np.ones((len(S), 1))],
-                                [np.ones((1, len(S))), np.zeros((1, 1))]])
-                d = np.linalg.lstsq(kkt, np.append(np.diag(K), 0.0), rcond=None)[0][:-1]
-                t = min(1.0, (u[S][d < 0] / -d[d < 0]).min(initial=np.inf))
-                trial = u.copy()
-                trial[S] = np.maximum(u[S] + t * d, 0.0)
-                trial /= trial.sum()
-                V_trial = Y.T @ (trial[:, None] * Y)
-                if np.linalg.slogdet(V_trial)[1] > np.linalg.slogdet(V)[1]:
-                    u, last_gap = trial, np.inf  # recompute, then no second try
+            S = np.flatnonzero((u > 1e-12) | (g > n))
+            if gap > tolerance and (len(S) ** 3 <= refresh * len(active) * n
+                                    or gap >= last_gap):
+                d = _newton_direction(Y[S] @ M @ Y[S].T)
+                t_cut = (u[S][d < 0] / -d[d < 0]).min(initial=1.0)
+                for t in sorted({1.0, t_cut}, reverse=True):
+                    trial = u.copy()
+                    trial[S] = np.maximum(u[S] + t * d, 0.0)
+                    trial /= trial.sum()
+                    V_trial = Y.T @ (trial[:, None] * Y)
+                    if np.linalg.slogdet(V_trial)[1] > np.linalg.slogdet(V)[1]:
+                        break
+                else:
+                    trial = None
+                if trial is not None:
+                    u, last_gap = trial, np.inf  # recompute, then maybe again
                     continue
             last_gap, since = gap, 0
         if g.max() / n - 1.0 <= tolerance:

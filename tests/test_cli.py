@@ -488,6 +488,13 @@ class TestConsole:
         want = dict(Calibration().as_dict(), c1=0.0625)
         assert json.loads(done.stdout)["calibration"] == want
 
+    def test_config_file_not_utf8_is_an_input_error(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_bytes(b"\xff\xfe\x00seed=1\n")
+        done = console("verify", "counting", "--config", str(cfgfile))
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.startswith("input error:")
+
     def test_flag_mistake_is_an_input_error(self):
         done = console("verify", "counting", "--seed", "abc")
         assert done.returncode == EXIT_INPUT

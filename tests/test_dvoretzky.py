@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geomhull import cli
+from geomhull import cli, dvoretzky
 from geomhull.bodies import GeneratingSet
 from geomhull.dvoretzky import (ProjectionResult, dvoretzky_search,
                                 ellipsoid_gamma_represent, random_projection)
@@ -97,6 +97,22 @@ class TestDvoretzkySearch:
             support = math.sqrt(scale * (u @ np.linalg.solve(M, u)))
             worst = max(worst, support / np.abs(Y @ u).max())
         assert abs(res.ellipticity - worst) <= 4 * np.spacing(worst)
+
+    def test_ratios_tied_within_tolerance_keep_the_earliest_trial(self, monkeypatch):
+        # at k = n every trial solves one MVEE up to rotation, and the ratios
+        # tie up to rounding; a later trial wins only 1e-9 below the best
+        ratios = iter([1.5 + 1e-12, 1.5, 1.5 - 1e-12, 1.5 * (1 - 5e-10), 1.5 + 2e-12])
+        monkeypatch.setattr(dvoretzky, "_sandwich_ratio", lambda *args: next(ratios))
+        res = dvoretzky_search(_sphere_sample(3, 20, 5), k=3, eta=0.3, trials=5,
+                               seed=1)
+        assert res.trial == 0
+
+    def test_ratio_below_the_tolerance_wins(self, monkeypatch):
+        ratios = iter([1.5, 1.5 * (1 - 2e-9), 1.5 * (1 - 2.5e-9)])
+        monkeypatch.setattr(dvoretzky, "_sandwich_ratio", lambda *args: next(ratios))
+        res = dvoretzky_search(_sphere_sample(3, 20, 5), k=3, eta=0.3, trials=3,
+                               seed=1)
+        assert res.trial == 1
 
     def test_json_and_validation(self):
         S = _sphere_sample(8, 40, 7)

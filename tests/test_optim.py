@@ -6,7 +6,8 @@ import scipy.optimize
 
 from geomhull import hulls
 from geomhull.errors import DegeneracyError, InputError
-from geomhull.optim import Ellipsoid, max_gauge_over_polytope, mvee, solve_lp
+from geomhull.optim import (Ellipsoid, _newton_direction, max_gauge_over_polytope,
+                            mvee, solve_lp)
 from geomhull.bodies import GeneratingSet, PBody, lp_ball_body
 from geomhull.dvoretzky import random_projection
 
@@ -513,6 +514,55 @@ class TestMVEE:
         E = Ellipsoid(np.diag([4.0, 1.0]), 1.0)
         # the support along e1 is the semi-axis 1/2
         assert E.support([1.0, 0.0]) == pytest.approx(0.5)
+
+
+def _kkt_residual(K, d):
+    """|(K*K) d + mu 1 - diag K| with mu fitted, over the scale of diag K."""
+    r = np.diag(K) - (K * K) @ d
+    return np.abs(r - r.mean()).max() / np.abs(np.diag(K)).max()
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_system_from_duplicates_and_negations(self, seed):
+        # five points in general position in R^3 (K*K of rank 5 <= 6), each
+        # repeated exactly and negated: K*K is singular, the rows of a twin
+        # or a +- pair being equal
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((5, 3))
+        Y = np.vstack([Y, Y[:3], -Y[1:4], -Y[:1]])
+        M = np.linalg.inv(Y.T @ Y / len(Y))
+        K = Y @ M @ Y.T
+        assert np.linalg.matrix_rank(K * K) == 5
+        d = _newton_direction(K)
+        assert _kkt_residual(K, d) <= 1e-9
+        assert abs(d.sum()) <= 1e-9 * np.abs(d).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonsingular_system_matches_lstsq(self, seed):
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((6, 3))
+        M = np.linalg.inv(Y.T @ (rng.dirichlet(np.ones(6))[:, None] * Y))
+        K = Y @ M @ Y.T
+        kkt = np.block([[K * K, np.ones((6, 1))], [np.ones((1, 6)), np.zeros((1, 1))]])
+        want = np.linalg.lstsq(kkt, np.append(np.diag(K), 0.0), rcond=None)[0][:-1]
+        d = _newton_direction(K)
+        assert np.abs(d - want).max() <= 1e-9 * np.abs(want).max()
+        assert _kkt_residual(K, d) <= 1e-9
+
+    def test_seven_weighted_points_in_r3_keep_the_long_step(self):
+        # seven points of S nearly on one ellipsoid in R^3, one more than
+        # n(n+1)/2 = 6: the bordered Newton system has an eigenvalue 1.6e-13
+        # of its largest, and its long step is what zeroes the seventh weight.
+        # Cut at 1e-12 instead, the Newton steps raise log det V by about
+        # 1e-11 each, the gap stays near 7e-7 and the ascent hits its cap.
+        pts = np.random.default_rng(710).standard_normal((500, 40))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        P = random_projection(40, 3, np.random.SeedSequence(782684304).spawn(2)[0])
+        Y = pts @ P.T
+        E = mvee(Y)
+        reach = np.einsum("ij,jk,ik->i", Y, E.shape_matrix / E.scale, Y)
+        assert 1.0 - 1e-7 <= reach.max() <= 1.0 + 1e-7
 
 
 class TestGaugeMax:
