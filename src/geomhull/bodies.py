@@ -3,19 +3,30 @@
 A GeneratingSet is a finite spanning family of points, always treated as
 closed under negation.  Its absolutely convex hull is the envelope ball;
 for 0 < p <= 1 the p-convex hull is the unit ball of a quasi-normed body.
-Both gauges come with representation certificates, and the gap between them
-is the non-convexity measure computed by delta_nonconvexity.
+The envelope gauge comes with an LP certificate; the p-gauge is exact, a
+minimum over bases.  The largest p-gauge over the envelope ball is the
+non-convexity measure computed by delta_nonconvexity.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneracyError, InputError, NumericalError
 from .optim import max_gauge_over_polytope, solve_lp
+
+
+# Cap on the C(k, n) bases of a generic body's exact p-gauge.  At the cap its
+# first gauge, which inverts them all, took 3-10 ms for n = 2..6 (2 cores,
+# numpy 2.4), where the former null-space descent took 10-92 ms a point.
+# Above n = 6 the inverses may hold as many entries as MAX_BASES 6 x 6 ones.
+MAX_BASES = 5000
 
 
 def fmt17(x):
@@ -78,11 +89,53 @@ class PBody:
         self.analytic_kind = "lp_ball" if signed_basis else "generic"
 
     def batch_gauge(self, X):
-        """Gauge of each row of X (analytic for lp_ball, search otherwise)."""
+        """Exact p-gauge of each row of X: closed form for lp_ball."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.analytic_kind == "lp_ball":
             return (np.abs(X) ** self.p).sum(axis=1) ** (1.0 / self.p)
-        return np.array([p_gauge_upper(self, x).value for x in X])
+        return self._exact_gauge(X)
+
+    def _exact_gauge(self, X):
+        """min over nonsingular n-subsets B of the generators of ||B^-1 x||_p.
+
+        sum |lambda_i|^p is concave on each orthant, so its least value over
+        the representations x = sum lambda_i s_i is at a basic one
+        (Rockafellar, Convex Analysis, s. 32).  Not finite: NumericalError.
+        """
+        inverses = self._basis_inverses
+        m, n = X.shape
+        best = np.full(m, np.inf)
+        chunk = max(1, (1 << 20) // max(1, m * n))  # coefficients per block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(inverses), chunk):
+                coefficients = X @ inverses[start:start + chunk]
+                powers = (np.abs(coefficients) ** self.p).sum(axis=2)
+                np.minimum(best, powers.min(axis=0), out=best)
+            gauges = best ** (1.0 / self.p)
+        if not np.isfinite(gauges).all():
+            raise NumericalError(f"the exact p-gauge at p={self.p} is not finite")
+        return gauges
+
+    @cached_property
+    def _basis_inverses(self):
+        """inv(P_B) for each n-subset B of generator rows P whose condition
+        number (Frobenius) is below 1e12, so x @ inv(P_B) is x over B.
+        Over the MAX_BASES cap: InputError, before any work."""
+        P = self.generators.points
+        k, n = P.shape
+        count = math.comb(k, n)
+        if count > MAX_BASES or count * n * n > MAX_BASES * 36:
+            raise InputError(f"the exact p-gauge takes C({k}, {n}) = {count} "
+                             f"bases of {n} x {n}, over MAX_BASES = {MAX_BASES}")
+        flat = itertools.chain.from_iterable(itertools.combinations(range(k), n))
+        subsets = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)
+        bases = P[subsets]
+        bases = bases[np.linalg.slogdet(bases)[0] != 0]  # no zero pivot in LU
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverses = np.linalg.inv(bases)
+            cond = (np.linalg.norm(bases, axis=(1, 2))
+                    * np.linalg.norm(inverses, axis=(1, 2)))
+        return inverses[cond < 1e12]
 
 
 def lp_ball_body(n, p):
@@ -125,72 +178,12 @@ def envelope_gauge(S: GeneratingSet, x) -> GaugeCertificate:
                             coefficients=z[:k] - z[k:])
 
 
-def _null_space(A):
-    u, s, vt = np.linalg.svd(A)
-    rank = int((s > 1e-12 * s.max(initial=1.0)).sum())
-    return vt[rank:].T
-
-
-def p_gauge_upper(body: PBody, x) -> GaugeCertificate:
-    """Upper bound on the p-gauge of x, with a witnessing representation.
-
-    Any representation x = sum lambda_i s_i gives the upper bound
-    (sum |lambda_i|^p)^(1/p); the search starts from the envelope LP solution
-    and descends along the representation null space, keeping the best over
-    the unperturbed start and 8 perturbed ones.
-    """
-    x = np.asarray(x, dtype=float)
-    p = body.p
-    S = body.generators
-    base = envelope_gauge(S, x)
-    if p == 1.0:
-        return base
-    Z = _null_space(S.points.T)
-    rng = np.random.default_rng(0)
-    spread = max(1.0, np.abs(base.coefficients).max())
-    best = None
-    for trial in range(9):
-        lam0 = base.coefficients.copy()
-        if trial > 0 and Z.shape[1] > 0:
-            lam0 = lam0 + Z @ rng.standard_normal(Z.shape[1]) * spread * 0.5
-        lam = _pnorm_descent(lam0, Z, p)
-        cost = (np.abs(lam) ** p).sum()
-        if best is None or cost < best[0]:
-            best = (cost, lam)
-    cost, lam = best
-    return GaugeCertificate(value=float(cost ** (1.0 / p)), coefficients=lam)
-
-
-def _pnorm_descent(lam, Z, p):
-    """Descend sum |lam|^p along the null-space directions Z (feasibility-preserving)."""
-    if Z.shape[1] == 0:
-        return lam
-    lam = lam.copy()
-    f = (np.abs(lam) ** p).sum()
-    step = 0.25 * max(1.0, np.abs(lam).max())
-    for _ in range(300):
-        g = p * np.sign(lam) * (np.abs(lam) + 1e-12) ** (p - 1.0)
-        d = Z @ (Z.T @ g)
-        norm = np.linalg.norm(d)
-        if norm < 1e-14:
-            break
-        trial = lam - step * d / norm
-        f_trial = (np.abs(trial) ** p).sum()
-        if f_trial < f - 1e-15:
-            lam, f = trial, f_trial
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return lam
-
-
 def delta_nonconvexity(body: PBody, seed=0, method="auto"):
     """Largest p-gauge over the envelope ball: how non-convex the body is.
 
-    Analytic for lp_ball (n^(1/p-1)); otherwise a multi-start search lower
-    bound over the envelope ball's vertex description (+- generators).
+    n^(1/p-1) for lp_ball (NumericalError if that overflows).  Otherwise, or
+    for method="search", a certified lower bound: the exact gauge at a point
+    LP-checked in the envelope ball.  n^(1/p-1) caps delta from above.
     """
     if method not in ("auto", "analytic", "search"):
         raise InputError(f"unknown method {method!r}")
@@ -198,7 +191,11 @@ def delta_nonconvexity(body: PBody, seed=0, method="auto"):
         raise InputError("analytic delta only available for lp_ball bodies")
     if body.analytic_kind == "lp_ball" and method != "search":
         n = body.generators.dimension
-        return float(n) ** (1.0 / body.p - 1.0)
+        try:
+            return float(n) ** (1.0 / body.p - 1.0)
+        except OverflowError:
+            raise NumericalError(f"delta = n^(1/p-1) overflows a float at "
+                                 f"n={n}, p={body.p}") from None
     value, _ = max_gauge_over_polytope(body, body.generators.with_negations(),
                                        seed=seed)
     return max(value, 1.0)  # the p-hull ball itself sits inside the envelope

@@ -993,6 +993,7 @@ def cubic_quotient_from_nonconvexity(body: PBody, l1_subspace,
         k += 1
     if k < 1:
         raise InputError("subspace too small: need 2^(2k-1) <= dim for k >= 1")
+    delta = delta_nonconvexity(body)  # a set over MAX_BASES fails before the quotient
     T = l1_to_cube_operator(m_dim, k)
     pushed = GeneratingSet(dimension=2 * k,
                            points=body.generators.points[:, coords] @ T.T,
@@ -1000,7 +1001,6 @@ def cubic_quotient_from_nonconvexity(body: PBody, l1_subspace,
     report = cube_quotient(pushed, 0.5, calibration=cal, seed=seed, **kwargs)
     p = body.p
     _, realized = _pconv_distance(report, p)
-    delta = delta_nonconvexity(body)
     A = (p ** (1.0 / p) * delta / 4.0) ** (p / (1.0 - p)) if p < 1 else None
     target = None
     if A is not None and A > math.e ** math.e:

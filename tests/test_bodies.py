@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from geomhull import bodies
 from geomhull.bodies import (GeneratingSet, PBody, delta_nonconvexity,
                              envelope_gauge, fmt17, generating_set_to_json,
-                             load_generating_set_json, lp_ball_body,
-                             p_gauge_upper)
+                             load_generating_set_json, lp_ball_body)
 from geomhull.cube import _decompose_vertex, vector_of_mask
-from geomhull.errors import InputError, PhaseError
+from geomhull.errors import InputError, NumericalError, PhaseError
 
 
 class TestGeneratingSet:
@@ -34,15 +34,15 @@ class TestGauges:
         assert np.abs(body.batch_gauge(X) - want).max() < 1e-12
 
     def test_p_gauge_search_matches_analytic(self):
-        # p_gauge_upper searches even where the closed form exists
+        # the minimum over bases runs even where the closed form exists
         rng = np.random.default_rng(1)
         for n in (2, 3):
             body = lp_ball_body(n, 0.5)
             for _ in range(10):
                 x = rng.uniform(-1, 1, size=n)
                 exact = float((np.abs(x) ** 0.5).sum() ** 2.0)
-                cert = p_gauge_upper(body, x)
-                assert cert.value == pytest.approx(exact, rel=1e-5, abs=1e-9)
+                got = float(body._exact_gauge(x[None, :])[0])
+                assert got == pytest.approx(exact, rel=1e-12)
 
     def test_lp_ball_kind_is_detected(self):
         rng = np.random.default_rng(4)
@@ -77,6 +77,68 @@ class TestGauges:
         S = GeneratingSet(3, pts)
         for row in S.points:
             assert envelope_gauge(S, row).value <= 1.0 + 1e-9
+
+
+def _generic_bodies(p):
+    """20 seeded generic bodies, n = 2..4 and k = n+1..n+6 points."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(n + 1, n + 7))
+        yield PBody(GeneratingSet(n, rng.standard_normal((k, n))), p), rng
+
+
+class TestExactGauge:
+    def test_p1_matches_the_envelope_lp(self):
+        for body, rng in _generic_bodies(1.0):
+            assert body.analytic_kind == "generic"
+            X = rng.standard_normal((5, body.generators.dimension))
+            got = body.batch_gauge(X)
+            for x, g in zip(X, got):
+                assert abs(g - envelope_gauge(body.generators, x).value) <= 1e-9
+
+    @pytest.mark.parametrize("p", [0.5, 0.75])
+    def test_no_representation_beats_the_gauge(self, p):
+        # every x = S^T lambda is lambda* + Z w, Z spanning the null space
+        for body, rng in _generic_bodies(p):
+            S = body.generators.points
+            x = rng.standard_normal(S.shape[1])
+            gauge = float(body.batch_gauge(x)[0])
+            lam = np.linalg.lstsq(S.T, x, rcond=None)[0]
+            Z = np.linalg.svd(S.T)[2][S.shape[1]:].T
+            for scale in (0.1, 1.0, 10.0):
+                W = scale * rng.standard_normal((200, Z.shape[1]))
+                reps = lam + W @ Z.T
+                assert np.abs(reps @ S - x).max() < 1e-9
+                norms = (np.abs(reps) ** p).sum(axis=1) ** (1.0 / p)
+                assert norms.min() >= gauge * (1 - 1e-12)
+
+    def test_over_the_cap_is_an_input_error_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        k = next(k for k in range(3, 100) if math.comb(k, 3) > bodies.MAX_BASES)
+        many = rng.standard_normal((k, 3))
+        # 61 bases of 60 x 60 hold more entries than MAX_BASES of 6 x 6
+        wide = rng.standard_normal((61, 60))
+
+        def enumerate_bases(*args):
+            raise AssertionError("the bases were enumerated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bodies.itertools, "combinations", enumerate_bases)
+            for points in (many, wide):
+                body = PBody(GeneratingSet(points.shape[1], points), 0.5)
+                with pytest.raises(InputError, match="bases"):
+                    body.batch_gauge(np.ones(points.shape[1]))
+        # one point fewer is within the cap
+        assert PBody(GeneratingSet(3, many[1:]), 0.5).batch_gauge(
+            np.ones(3)).shape == (1,)
+
+    def test_a_gauge_that_is_not_finite_is_a_numerical_error(self):
+        S = GeneratingSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.7]]))
+        with pytest.raises(NumericalError):
+            PBody(S, 0.5).batch_gauge([np.inf, 0.0])
+        with pytest.raises(NumericalError):  # (about 2)^2000 overflows
+            PBody(S, 0.0005).batch_gauge([1.0, 1.0])
 
 
 class TestDelta:

@@ -125,6 +125,21 @@ class TestVerify:
                    "--samples", "5") == EXIT_NUMERIC
         assert "contraction bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0.001", "0.002"])
+    def test_small_p_names_delta(self, p, tmp_path, capsys):
+        path = str(tmp_path / "lp.json")
+        assert run("generate", "lp-ball", "--n", "4", "--p", p,
+                   "--out", path) == EXIT_PASS
+        assert run("verify", "delta", "--input", path) == EXIT_NUMERIC
+        assert "delta" in capsys.readouterr().err
+
+    def test_pconv_on_a_generic_body(self, tmp_path):
+        # five points in the plane take the exact gauge, not the closed form
+        path = str(tmp_path / "s.json")
+        assert run("generate", "sphere-sample", "--n", "2", "--count", "5",
+                   "--seed", "5", "--p", "0.5", "--out", path) == EXIT_PASS
+        assert run("verify", "pconv", "--input", path) == EXIT_PASS
+
     def test_pconv_from_flags_without_input(self):
         assert run("verify", "pconv", "--p", "0.5", "--theta", "0.75",
                    "--samples", "300") == EXIT_PASS
@@ -264,6 +279,17 @@ class TestRun:
                    "--out", out) == EXIT_PASS
         payload = json.loads(open(out).read())
         assert payload["summary"]["operator_k"] == 1
+
+    def test_cubic_from_delta_on_a_generic_body(self, tmp_path):
+        src = tmp_path / "three.json"
+        src.write_text(json.dumps({"dimension": 2, "p": 0.5,
+                                   "points": [[1, 0], [0, 1], [0.6, 0.7]]}))
+        out = str(tmp_path / "cfd.json")
+        assert run("run", "cubic-from-delta", "--input", str(src),
+                   "--coords", "0,1", "--out", out) == EXIT_PASS
+        delta = json.loads(open(out).read())["summary"]["delta"]
+        # a certified lower bound, under the cap n^(1/p-1) = 2
+        assert 1.0 <= delta <= 2.0 + 1e-12
 
     def test_dvoretzky_search_report(self, tmp_path):
         src = str(tmp_path / "s.json")
