@@ -1,6 +1,6 @@
 """Reference reports: the outputs of test_report_bytes.RUNS, field by field.
 
-`tests/reference_reports/` holds the twelve outputs as the CLI wrote them,
+`tests/reference_reports/` holds the thirteen outputs as the CLI wrote them,
 one file per run name.  A fresh run must match them in every key, list
 length, integer, string, boolean and null on any build.  Floats depend on
 the Python, numpy and BLAS builds: they must match exactly on the build the

@@ -1,9 +1,12 @@
 """Pinned report bytes: fixed CLI runs hash to the values in report_digests.json.
 
 The runs are acceptance criterion 11's pipelines with their three input
-files, plus `verify delta`, `verify type1 --trials 10` and `verify alesker
---n 8`.  Float results depend on the Python, numpy and BLAS builds, so the
-pins carry the environment they were made in, and the test skips elsewhere.
+files, plus `verify delta`, `verify type1 --trials 10`, `verify alesker
+--n 8`, and `run cube-quotient` on the rotated cube in R^6 of
+rotated_cube6.json, where no cube vertex is in S up to sign, so every
+vertex certificate comes from the envelope LP and the subsample.  Float
+results depend on the Python, numpy and BLAS builds, so the pins carry the
+environment they were made in, and the test skips elsewhere.
 
 A change that moves report bytes regenerates the pins with
 
@@ -25,6 +28,11 @@ import pytest
 from geomhull import cli
 
 PINS = pathlib.Path(__file__).with_name("report_digests.json")
+# input files kept under tests/; rotated_cube6.json is sqrt(6) {-1, 1}^6 Q^T,
+# rows in itertools.product([-1.0, 1.0], repeat=6) order, with Q the
+# np.linalg.qr factor of default_rng(6).standard_normal((6, 6))
+FIXTURES = {"rotated-cube6": pathlib.Path(__file__).with_name(
+    "rotated_cube6.json")}
 
 # (output name, argv without --out); {name} is the path of an earlier output
 RUNS = (
@@ -51,6 +59,9 @@ RUNS = (
     ("verify-delta", ["verify", "delta", "--input", "{lp-ball}"]),
     ("verify-type1", ["verify", "type1", "--trials", "10"]),
     ("verify-alesker", ["verify", "alesker", "--n", "8"]),
+    ("rotated-cube-quotient", ["run", "cube-quotient",
+                               "--input", "{rotated-cube6}", "--eps", "0.5",
+                               "--seed", "2", "--queries", "4"]),
 )
 
 
@@ -62,7 +73,8 @@ def environment():
 
 def report_digests(directory):
     """sha256 of every output of RUNS, written under `directory`."""
-    paths, digests = {}, {}
+    paths = {name: str(path) for name, path in FIXTURES.items()}
+    digests = {}
     for name, argv in RUNS:
         paths[name] = str(pathlib.Path(directory) / name)
         argv = [arg.format_map(paths) for arg in argv] + ["--out", paths[name]]
