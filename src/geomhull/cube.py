@@ -641,6 +641,9 @@ class QuotientReport:
     # vertex mask -> (lifted certificate, its snap displacement on sigma);
     # in memory only: underscore fields are never written
     _entries: dict = field(repr=False)
+    # vertex mask -> the certificate's nonzero generators, their
+    # multiplicities and alphas, and the displacement on sigma, as lists
+    _rows: dict = field(repr=False)
 
 
 def _sparse_cert(cert: DeltaMCertificate, extra=None):
@@ -802,6 +805,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     lifted = _lift_chain(chain, {p: parts[w] for p, w in witnesses.items()},
                          S, sigma_idx, m)
     vertex_entries = {}
+    vertex_rows = {}
     vertex_certificates = {}
     vertex_residual_max = 0.0
     for pattern, (cert, rvec) in lifted.items():
@@ -810,7 +814,12 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             raise PhaseError("certify", "snap residual exceeds its budget",
                              pattern=pattern, residual=snap_norm)
         vertex_residual_max = max(vertex_residual_max, snap_norm)
-        vertex_entries[mask_of_vector(pattern)] = (cert, rvec[sigma_idx])
+        mask = mask_of_vector(pattern)
+        vertex_entries[mask] = (cert, rvec[sigma_idx])
+        gens = np.flatnonzero(cert.multiplicities)
+        vertex_rows[mask] = (gens.tolist(), cert.multiplicities[gens].tolist(),
+                             cert.alphas[gens].tolist(),
+                             rvec[sigma_idx].tolist())
         key = "".join("-" if v < 0 else "+" for v in pattern)
         vertex_certificates[key] = _sparse_cert(
             cert, {"scale": a_s, "snap_residual": snap_norm})
@@ -834,7 +843,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         vertex_residual_max=vertex_residual_max, seed=int(seed),
         query_tolerance=float(query_tolerance), calibration=cal.as_dict(),
         vertex_certificates=vertex_certificates, assembly_theta=theta_asm,
-        flat_m=flat_m, _entries=vertex_entries)
+        flat_m=flat_m, _entries=vertex_entries, _rows=vertex_rows)
 
     rng = np.random.default_rng(children[half])
     points = rng.uniform(-1.0, 1.0, size=(queries, len(sigma)))
@@ -863,17 +872,20 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     is at least -1/2 -- so the midpoint is within 1/2 in sup norm.  The two
     vertex certificates merge into one average term, the snap residuals are
     folded back into the running point, and the level budget contracts by
-    3/4.  The merged multiplicities and alphas of all levels go to
-    approx2_transform as rows, checked and expanded in one batched pass with
-    no certificate object per level.  The flattened representation evaluates
-    to x / C_over_eps on sigma.
+    3/4.  The walk runs in Python floats, with the same operations in the
+    same order as the array expression, and reads each vertex's nonzero
+    generators from the report's compact rows, so a query costs depth x
+    |sigma| float steps plus one approx2_transform over the depth x |cols|
+    rows, cols being the generators the walk touched.  The flattened
+    representation evaluates to x / C_over_eps on sigma.
     """
     x = np.asarray(x, dtype=float)
     k = len(report.sigma)
     if x.shape != (k,):
         raise InputError("query dimension must match sigma")
-    if np.abs(x).max() > 1.0 + 1e-12:
-        raise InputError("query point lies outside the sup-norm ball")
+    if not np.abs(x).max() <= 1.0 + 1e-12:
+        raise InputError("query point is not finite or lies outside the "
+                         "sup-norm ball")
     if not report._entries:
         raise InputError("report carries no in-memory vertex tables")
     theta = report.assembly_theta
@@ -881,28 +893,48 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     tol = report.query_tolerance
     depth = max(1, math.ceil(math.log(0.25 * tol / math.sqrt(k))
                              / math.log(theta)))
-    r = x.copy()
-    mults, alphas = [], []
+    r = x.tolist()
+    walked, rows, gens, mults, alphas = 0, [], [], [], []
     for level in range(depth):
-        if theta ** level * math.sqrt(float((r * r).sum())) <= 0.25 * tol:
-            break
-        a1 = np.where(r >= 0.5, 1.0, -1.0)
-        a2 = np.where(r >= -0.5, 1.0, -1.0)
-        m1, m2 = mask_of_vector(a1), mask_of_vector(a2)
+        # any float sum of the k squares is within k ulps of numpy's pairwise
+        # sum, so the two decide alike unless the sum is near the bound
+        if theta ** level * math.sqrt(sum(v * v for v in r)) <= 0.5 * tol:
+            rr = np.array(r)
+            if theta ** level * math.sqrt(float((rr * rr).sum())) <= 0.25 * tol:
+                break
+        m1 = m2 = 0
+        mid = []  # (a1 + a2) / 2, exactly
+        for j, v in enumerate(r):
+            low, lower = v < 0.5, v < -0.5
+            m1 |= low << j
+            m2 |= lower << j
+            mid.append(1.0 - low - lower)
         try:
-            (c1, r1), (c2, r2) = report._entries[m1], report._entries[m2]
+            e1, e2 = report._rows[m1], report._rows[m2]
         except KeyError:
             missing = m1 if m1 not in report._entries else m2
             raise PhaseError("assemble", "vertex certificate missing",
                              vertex=format(missing, "b")) from None
-        mults.append(c1.multiplicities + c2.multiplicities)
-        alphas.append(c1.alphas + c2.alphas)
-        r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
-        if np.abs(r).max() > 1.0 + 1e-9:
+        for g, mult, alpha, _ in (e1, e2):
+            rows += [level] * len(g)
+            gens += g
+            mults += mult
+            alphas += alpha
+        walked = level + 1
+        r = [(v - c + 0.5 * (q1 + q2)) / theta
+             for v, c, q1, q2 in zip(r, mid, e1[3], e2[3])]
+        worst = max(map(abs, r))
+        if worst > 1.0 + 1e-9:
             raise PhaseError("assemble", "splitting residual left the ball",
-                             level=level, residual=float(np.abs(r).max()))
-    rep, flat_scale = approx2_transform(theta, M2, np.ones(len(mults)), mults,
-                                        alphas)
+                             level=level, residual=worst)
+    # one scatter in level order, c1 before c2: (0 + a1) + a2 == a1 + a2
+    cols, pos = np.unique(np.array(gens, dtype=np.int64), return_inverse=True)
+    shape = (walked, cols.size)
+    M, A = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    np.add.at(M, (rows, pos), mults)
+    np.add.at(A, (rows, pos), alphas)
+    rep, flat_scale = approx2_transform(theta, M2, np.ones(walked), M, A)
+    rep.indices = cols[rep.indices]
     total = report.constants_used["chain_scale"] * flat_scale / (1.0 - theta)
     if abs(total - report.C_over_eps) > 1e-9 * report.C_over_eps:
         raise NumericalError("assembled scale drifted from the report")

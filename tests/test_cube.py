@@ -2,13 +2,15 @@ import dataclasses
 import itertools
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from geomhull import cli
-from geomhull.bodies import GeneratingSet, PBody, envelope_gauge
+from geomhull.bodies import (GeneratingSet, PBody, envelope_gauge,
+                             load_generating_set_json)
 from geomhull.cube import (Calibration, VertexSet, _max_shattered,
                            alesker_chain, chain_constants,
                            chain_cube_certificate, counting_select,
@@ -337,6 +339,60 @@ def report_and_set():
     return cube_quotient(S, 0.5, seed=0, queries=4), S
 
 
+@pytest.fixture(scope="module")
+def rotated_report():
+    S, _ = load_generating_set_json(
+        pathlib.Path(__file__).with_name("rotated_cube6.json"))
+    return cube_quotient(S, 0.5, seed=2, queries=4), S
+
+
+def _assert_bits_match_per_level_certificates(report, S, points):
+    """represent_cube_point against a reference built from report._entries:
+    one DeltaMCertificate per level, flattened slot by slot through
+    DeltaMCertificate.slots() and evaluated term by term."""
+    theta, M2 = report.assembly_theta, report.flat_m
+    for x in points:
+        r, terms = x.copy(), []
+        depth = max(1, math.ceil(math.log(0.25 * report.query_tolerance
+                                          / math.sqrt(len(report.sigma)))
+                                 / math.log(theta)))
+        for level in range(depth):
+            if theta ** level * math.sqrt(float((r * r).sum())) \
+                    <= 0.25 * report.query_tolerance:
+                break
+            a1 = np.where(r >= 0.5, 1.0, -1.0)
+            a2 = np.where(r >= -0.5, 1.0, -1.0)
+            (c1, r1) = report._entries[mask_of_vector(a1)]
+            (c2, r2) = report._entries[mask_of_vector(a2)]
+            terms.append((level, 1.0, DeltaMCertificate(
+                M2, c1.multiplicities + c2.multiplicities,
+                c1.alphas + c2.alphas)))
+            r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
+        outer = np.zeros(S.dimension)  # the series over averages
+        for level, lam, cert in terms:
+            outer += (1.0 - theta) * theta ** level * lam \
+                * (S.points.T @ cert.alphas / M2)
+        phi = theta ** (1.0 / M2)
+        flat = []
+        for level, lam, cert in terms:
+            idx, coef = cert.slots()
+            for j in range(M2):
+                mu = lam * coef[j] * phi ** (M2 - 1 - j)
+                if mu != 0.0:
+                    flat.append((level * M2 + j, mu, int(idx[j])))
+        w = np.array([(1.0 - phi) * phi ** lv * mu for lv, mu, _ in flat])
+        value = (w[:, None] * S.points[[i for *_, i in flat]]).sum(axis=0)
+        residual = float(np.linalg.norm(
+            x - report.C_over_eps * value[list(report.sigma)])
+            / report.C_over_eps)
+        rep = represent_cube_point(report, S, x)
+        assert rep.terms == flat
+        assert rep.residual_norm == residual
+        assert np.abs(outer - value * report.C_over_eps
+                      * (1.0 - theta) / report.constants_used["chain_scale"]
+                      ).max() < 1e-9
+
+
 class TestRepresentCubePoint:
     def test_interior_point(self, report_and_set):
         report, S = report_and_set
@@ -355,52 +411,28 @@ class TestRepresentCubePoint:
         assert np.abs(got - x).max() < 1e-9
 
     def test_bits_match_per_level_certificates(self, report_and_set):
-        # reference: one DeltaMCertificate per level, flattened slot by slot
-        # through DeltaMCertificate.slots() and evaluated term by term
         report, S = report_and_set
-        theta, M2 = report.assembly_theta, report.flat_m
         rng = np.random.default_rng(11)
-        for x in [np.array([0.6, -0.7, 0.0, 0.25]), np.ones(4),
-                  *rng.uniform(-1.0, 1.0, size=(6, 4))]:
-            r, terms = x.copy(), []
-            depth = max(1, math.ceil(math.log(0.25 * report.query_tolerance
-                                              / math.sqrt(len(report.sigma)))
-                                     / math.log(theta)))
-            for level in range(depth):
-                if theta ** level * math.sqrt(float((r * r).sum())) \
-                        <= 0.25 * report.query_tolerance:
-                    break
-                a1 = np.where(r >= 0.5, 1.0, -1.0)
-                a2 = np.where(r >= -0.5, 1.0, -1.0)
-                (c1, r1) = report._entries[mask_of_vector(a1)]
-                (c2, r2) = report._entries[mask_of_vector(a2)]
-                terms.append((level, 1.0, DeltaMCertificate(
-                    M2, c1.multiplicities + c2.multiplicities,
-                    c1.alphas + c2.alphas)))
-                r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
-            outer = np.zeros(S.dimension)  # the series over averages
-            for level, lam, cert in terms:
-                outer += (1.0 - theta) * theta ** level * lam \
-                    * (S.points.T @ cert.alphas / M2)
-            phi = theta ** (1.0 / M2)
-            flat = []
-            for level, lam, cert in terms:
-                idx, coef = cert.slots()
-                for j in range(M2):
-                    mu = lam * coef[j] * phi ** (M2 - 1 - j)
-                    if mu != 0.0:
-                        flat.append((level * M2 + j, mu, int(idx[j])))
-            w = np.array([(1.0 - phi) * phi ** lv * mu for lv, mu, _ in flat])
-            value = (w[:, None] * S.points[[i for *_, i in flat]]).sum(axis=0)
-            residual = float(np.linalg.norm(
-                x - report.C_over_eps * value[list(report.sigma)])
-                / report.C_over_eps)
-            rep = represent_cube_point(report, S, x)
-            assert rep.terms == flat
-            assert rep.residual_norm == residual
-            assert np.abs(outer - value * report.C_over_eps
-                          * (1.0 - theta) / report.constants_used["chain_scale"]
-                          ).max() < 1e-9
+        _assert_bits_match_per_level_certificates(report, S, [
+            np.array([0.6, -0.7, 0.0, 0.25]), np.ones(4),
+            *rng.uniform(-1.0, 1.0, size=(6, 4))])
+
+    def test_bits_match_on_multi_entry_certificates(self, rotated_report):
+        # every vertex certificate has several generators, and the two
+        # certificates of a level share some of them
+        report, S = rotated_report
+        assert all(len(c["entries"]) > 1
+                   for c in report.vertex_certificates.values())
+        rng = np.random.default_rng(12)
+        _assert_bits_match_per_level_certificates(report, S, [
+            np.array([0.6, -0.7, 0.0]), np.ones(3),
+            *rng.uniform(-1.0, 1.0, size=(4, 3))])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, report_and_set, value):
+        report, S = report_and_set
+        with pytest.raises(InputError):
+            represent_cube_point(report, S, np.array([value, 0.0, 0.0, 0.0]))
 
     def test_outside_ball_rejected(self, report_and_set):
         report, S = report_and_set
