@@ -366,6 +366,12 @@ def max_gauge_over_polytope(body, polytope_vertices, seed=0):
         with np.errstate(over="ignore", invalid="ignore"):
             Gw = ((F[0] - F[1]) / (2 * h)).T @ V.T
             norms = np.linalg.norm(Gw, axis=1, keepdims=True)
+            # squares overflow a norm past ~1e154, as at small p: divide such
+            # a finite row by its largest entry first
+            big = ~np.isfinite(norms[:, 0]) & np.isfinite(Gw).all(axis=1)
+            if big.any():
+                Gw[big] /= np.abs(Gw[big]).max(axis=1, keepdims=True)
+                norms[big] = np.linalg.norm(Gw[big], axis=1, keepdims=True)
         if not np.isfinite(norms).all():
             raise NumericalError(f"the gauge gradient is not finite at "
                                  f"p={body.p}: the delta ascent cannot step")

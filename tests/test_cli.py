@@ -125,13 +125,27 @@ class TestVerify:
                    "--samples", "5") == EXIT_NUMERIC
         assert "contraction bound" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p", ["0.001", "0.002"])
+    @pytest.mark.parametrize("p", ["0.001"])
     def test_small_p_names_delta(self, p, tmp_path, capsys):
+        # n^(1/p-1) itself overflows a float
         path = str(tmp_path / "lp.json")
         assert run("generate", "lp-ball", "--n", "4", "--p", p,
                    "--out", path) == EXIT_PASS
         assert run("verify", "delta", "--input", path) == EXIT_NUMERIC
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["0.002", "0.003"])
+    def test_small_p_delta_search_steps(self, p, tmp_path, capsys):
+        # delta = 4^(1/p-1) is finite, but the ascent's gradient norms
+        # overflow in their squares unless the rows are scaled first
+        path = str(tmp_path / "lp.json")
+        assert run("generate", "lp-ball", "--n", "4", "--p", p,
+                   "--out", path) == EXIT_PASS
+        capsys.readouterr()
+        assert run("verify", "delta", "--input", path) == EXIT_PASS
+        realized = json.loads(capsys.readouterr().out)["realized"]
+        assert realized["search"] == pytest.approx(realized["analytic"],
+                                                   rel=1e-9)
 
     def test_pconv_on_a_generic_body(self, tmp_path):
         # five points in the plane take the exact gauge, not the closed form
