@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -25,27 +26,64 @@ def greedy_signs(vectors):
     than sum ||x_k||^2, and the final sum obeys
     ||sum eps x|| <= sqrt(N) max||x|| (both asserted).  Returns the signs,
     one +-1 per vector.
+
+    The loop runs on Python floats, and each partial-sum update is the IEEE
+    operation of the array expression partial + sign * x.  A dot product
+    within the rounding band of sum |partial_i x_i| is retaken as numpy's
+    partial @ x, so every sign is the one numpy's dot decides, whether or
+    not its kernel fuses multiply-adds.  Along a run of equal vectors, once
+    a partial sum repeats the one two steps back, the run's remaining steps
+    repeat the last two.
     """
     X = np.atleast_2d(np.asarray(vectors, dtype=float))
-    N = X.shape[0]
+    N, n = X.shape
     if N < 1:
         raise InputError("need at least one vector")
-    signs = np.ones(N)
-    partial = np.zeros(X.shape[1])
-    budget = 0.0
-    for k in range(N):
-        dot = partial @ X[k]
-        if dot > 0:
-            signs[k] = -1.0
-        partial = partial + signs[k] * X[k]
-        budget += X[k] @ X[k]
-        if partial @ partial > budget * (1 + 1e-9) + 1e-12:
-            raise NumericalError("greedy square growth invariant violated")
-    sum_norm = float(np.linalg.norm(partial))
-    bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
+    # two float dots of n products differ by at most 2 n unit roundoffs of
+    # sum |p_i x_i|; the band doubles that.  That sum is at most
+    # ||partial|| ||x||, which screens out all but near-orthogonal steps.
+    band = 4.0 * (n + 1) * 2.0 ** -53
+    rows = X.tolist()
+    signs = []
+    partial = [0.0] * n
+    budget = square_sum = widest = 0.0
+    k = 0
+    while k < N:
+        x = rows[k]
+        square = sum(map(operator.mul, x, x))
+        widest = max(widest, square)
+        run = [partial]  # the partial sums along this run of equal vectors
+        while k < N and rows[k] == x:
+            k += 1
+            budget += square
+            if len(run) > 2 and run[-1] == run[-3]:
+                # the step from run[-3] again, whose square passed the check
+                # below against a smaller budget
+                signs.append(signs[-2])
+                run.append(run[-2])
+                continue
+            dot = sum(map(operator.mul, partial, x))
+            if dot * dot <= band * band * square_sum * square:
+                spread = sum(map(abs, map(operator.mul, partial, x)))
+                if spread and abs(dot) <= band * spread:
+                    dot = float(np.array(partial) @ X[k - 1])
+            if dot > 0:
+                signs.append(-1.0)
+                partial = list(map(operator.sub, partial, x))
+            else:
+                signs.append(1.0)
+                partial = list(map(operator.add, partial, x))
+            run.append(partial)
+            square_sum = sum(map(operator.mul, partial, partial))
+            if square_sum > budget * (1 + 1e-9) + 1e-12:
+                raise NumericalError("greedy square growth invariant violated")
+        partial = run[-1]
+        square_sum = sum(map(operator.mul, partial, partial))
+    sum_norm = math.sqrt(square_sum)
+    bound = math.sqrt(N * widest)
     if sum_norm > bound * (1 + 1e-9) + 1e-12:
         raise NumericalError("greedy final bound violated")
-    return signs
+    return np.array(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +97,8 @@ def halving_step(S: GeneratingSet, idx, scal):
     coefficient arrays with |scal| <= 1.  Signs come from greedy_signs on the
     term vectors; the minority sign class (at most N terms) averages to v in
     the N-term hull, and the defect ||u - v|| = ||(1/2N) sum eps_k x_k|| is
-    checked as an identity.
+    checked as an identity.  The class's multiplicities and alphas are
+    summed term by term in input order, as np.bincount sums them.
     """
     idx = np.asarray(idx, dtype=int)
     scal = np.asarray(scal, dtype=float)
@@ -68,26 +107,43 @@ def halving_step(S: GeneratingSet, idx, scal):
                          "of even length, at least 2")
     N = idx.size // 2
     k = S.count
-    if idx.min() < 0 or idx.max() >= k:
+    gens, coefs = idx.tolist(), scal.tolist()
+    if min(gens) < 0 or max(gens) >= k:
         raise InputError("generator index out of range")
-    if (np.abs(scal) > 1 + 1e-12).any():
+    if any(map((1 + 1e-12).__lt__, map(abs, coefs))):
         raise InputError("term scalar exceeds 1: not a star-hull element")
     X = scal[:, None] * S.points[idx]
     signs = greedy_signs(X)
-    plus = int((signs > 0).sum())
-    minority_sign = 1.0 if plus <= N else -1.0
-    mask = signs == minority_sign
-    mult = np.bincount(idx[mask], minlength=k)
-    alphas = np.bincount(idx[mask], weights=scal[mask], minlength=k)
+    sign_list = signs.tolist()
+    minority_sign = 1.0 if sign_list.count(1.0) <= N else -1.0
+    mult, alphas = [0] * k, [0.0] * k
+    for g, c, sign in zip(gens, coefs, sign_list):
+        if sign == minority_sign:
+            mult[g] += 1
+            alphas[g] += c
     cert = DeltaMCertificate(m=N, multiplicities=mult, alphas=alphas)
     u = X.sum(axis=0) / (2 * N)
-    v = cert.evaluate(S)
-    defect = float(np.linalg.norm(u - v))
-    eps = np.where(mask, -1.0, 1.0)
+    gap = u - cert.evaluate(S)
+    defect = float(np.linalg.norm(gap))
+    eps = -minority_sign * signs  # -1 on the minority class, +1 elsewhere
     identity = (eps[:, None] * X).sum(axis=0) / (2 * N)
-    if np.linalg.norm((u - v) - identity) > 1e-10 * max(1.0, np.linalg.norm(u)):
+    if np.linalg.norm(gap - identity) > 1e-10 * max(1.0, np.linalg.norm(u)):
         raise NumericalError("halving defect identity violated")
     return cert, defect
+
+
+def _slot_lists(cert: DeltaMCertificate):
+    """cert.slots() as Python lists, for the halvings that walk the slots one
+    by one: generator i fills multiplicities[i] adjacent slots of
+    coefficient alphas[i] / multiplicities[i] (the division numpy makes),
+    generators in index order, then (0, 0.0) up to m slots."""
+    counts, alphas = cert.multiplicities.tolist(), cert.alphas.tolist()
+    idx, coef = [], []
+    for g in itertools.compress(range(len(counts)), counts):
+        idx += [g] * counts[g]
+        coef += [alphas[g] / counts[g]] * counts[g]
+    pad = cert.m - len(idx)
+    return idx + [0] * pad, coef + [0.0] * pad
 
 
 def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
@@ -143,7 +199,8 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         while counts.sum() > M:  # mass does not fit; shed a little to the defect
             lam = lam * 0.95
             counts = np.ceil(np.abs(lam) - 1e-12).astype(int)
-        slots = DeltaMCertificate(m=M, multiplicities=counts, alphas=lam).slots()
+        slots = _slot_lists(DeltaMCertificate(m=M, multiplicities=counts,
+                                              alphas=lam))
         for h in range(halvings):
             n_in = len(slots[0])
             vcert, d = halving_step(S, *slots)
@@ -151,7 +208,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
             if trace is not None:
                 trace.append({"level": level, "halving": h,
                               "input_terms": n_in, "defect": d})
-            slots = vcert.slots()
+            slots = _slot_lists(vcert)
         y = vcert.evaluate(S)
         w = r - y
         defect = envelope_gauge(S, w)

@@ -8,6 +8,7 @@ primal and dual vectors and is verified against strong duality by its tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +64,18 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
                 return "optimal", basis, xB, y
             j = int(eligible[0])
         else:
-            j = int(np.argmax(score))
+            j = int(score.argmax())
             if score[j] <= FEAS_TOL:
                 return "optimal", basis, xB, y
         alpha = Binv @ M[:, j]
         d = -direction[j] * alpha  # x_B falls by t*d as column j moves by t
-        moved = np.abs(d) > FEAS_TOL
-        ratios = np.full(m, np.inf)
-        ratios[moved] = np.where(d > 0, xB, xB - upper[basis])[moved] / d[moved]
-        t = ratios.min(initial=np.inf)
+        # ratio of each x_B entry to the bound it falls or rises to; inf
+        # where it does not move
+        ratios = [(x if step > 0 else x - bound) / step
+                  if abs(step) > FEAS_TOL else math.inf
+                  for step, x, bound in zip(d.tolist(), xB.tolist(),
+                                            upper[basis].tolist())]
+        t = min(ratios, default=math.inf)
         if upper[j] <= t:
             if upper[j] == np.inf:
                 return "unbounded", basis, xB, y
@@ -79,10 +83,10 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
             direction[j] = -direction[j]
             degenerate_run = 0
             continue
-        r = int(np.argmin(ratios))
+        r = ratios.index(t)
         if bland:
-            ties = np.flatnonzero(ratios <= t + FEAS_TOL)
-            r = int(ties[np.argmin(basis[ties])])
+            ties = [i for i, q in enumerate(ratios) if q <= t + FEAS_TOL]
+            r = min(ties, key=basis.__getitem__)
             t = ratios[r]
         if t <= FEAS_TOL:
             degenerate_run += 1
@@ -96,7 +100,7 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
         xB[r] = t if direction[j] < 0 else upper[j] - t
         basis[r], direction[j] = j, 0
         row = Binv[r] / alpha[r]  # |alpha[r]| > FEAS_TOL by the ratio test
-        Binv -= np.outer(alpha, row)
+        Binv -= alpha[:, None] * row
         Binv[r] = row
         since += 1
     raise NumericalError("cycling guard exceeded (simplex iteration cap)")

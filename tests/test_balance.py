@@ -3,14 +3,83 @@ import math
 import numpy as np
 import pytest
 
+from geomhull import balance
 from geomhull.balance import greedy_signs, halving_step, type1_represent
 from geomhull.bodies import GeneratingSet, envelope_gauge
-from geomhull.errors import InputError
+from geomhull.errors import InputError, NumericalError
 
 
 def _circle(k):
     angles = np.linspace(0.0, 2.0 * math.pi, k + 1)[:-1]
     return GeneratingSet(2, np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def _reference_greedy_signs(vectors, dot=np.dot):
+    """The numpy loop greedy_signs replaced: one dot, one update and one
+    square per vector, each a numpy call."""
+    X = np.atleast_2d(np.asarray(vectors, dtype=float))
+    N = X.shape[0]
+    if N < 1:
+        raise InputError("need at least one vector")
+    signs = np.ones(N)
+    partial = np.zeros(X.shape[1])
+    budget = 0.0
+    for k in range(N):
+        if dot(partial, X[k]) > 0:
+            signs[k] = -1.0
+        partial = partial + signs[k] * X[k]
+        budget += X[k] @ X[k]
+        if partial @ partial > budget * (1 + 1e-9) + 1e-12:
+            raise NumericalError("greedy square growth invariant violated")
+    sum_norm = float(np.linalg.norm(partial))
+    bound = math.sqrt(N) * float(np.linalg.norm(X, axis=1).max())
+    if sum_norm > bound * (1 + 1e-9) + 1e-12:
+        raise NumericalError("greedy final bound violated")
+    return signs
+
+
+def _type1_requests(S, count, seed):
+    """Signed convex combinations of S, drawn as the type1 benchmark draws
+    them."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        w = rng.dirichlet(np.ones(S.count)) * rng.uniform(0.1, 1.0)
+        points.append((rng.choice([-1.0, 1.0], size=S.count) * w) @ S.points)
+    return points
+
+
+class _SkewedDot(np.ndarray):
+    """An array whose dot with a vector is the Python-float dot moved
+    2 n unit roundoffs of sum |p_i x_i| toward the other sign: as far as
+    another kernel's rounding (fused, reordered) may take it."""
+
+    def __matmul__(self, other):
+        products = [p * x for p, x in zip(self.tolist(), np.asarray(other).tolist())]
+        dot = sum(products)
+        shift = 2 * len(products) * 2.0 ** -53 * sum(map(abs, products))
+        return dot - math.copysign(shift, dot)
+
+
+def _skewed_dot(partial, x):
+    return partial.view(_SkewedDot) @ x
+
+
+class _CountingNumpy:
+    """numpy with the objects passed to np.array recorded; with skew=True,
+    np.array gives a _SkewedDot."""
+
+    def __init__(self, skew=False):
+        self.arrays = []
+        self.skew = skew
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, obj, *args, **kwargs):
+        self.arrays.append(obj)
+        out = np.array(obj, *args, **kwargs)
+        return out.view(_SkewedDot) if self.skew else out
 
 
 def _exhaustive_sum_norm(X):
@@ -51,6 +120,74 @@ class TestGreedySigns:
         with pytest.raises(InputError):
             greedy_signs(np.zeros((0, 2)))
 
+    def test_signs_equal_the_numpy_loop_on_type1_halvings(self, monkeypatch):
+        S = _circle(64)
+        calls = []
+
+        def both(vectors):
+            signs = greedy_signs(vectors)
+            assert np.array_equal(signs, _reference_greedy_signs(vectors))
+            calls.append(len(signs))
+            return signs
+
+        monkeypatch.setattr(balance, "greedy_signs", both)
+        for x in _type1_requests(S, 40, seed=7):
+            type1_represent(S, 0.5, 4, x)
+        assert len(calls) > 40 * 3 and set(calls) == {8, 16, 32}
+
+    @pytest.mark.parametrize("rows", [
+        # s0 against s16 of the 64-gon: cos(pi/2) ~ 6e-17, a dot far inside
+        # ||partial|| ||x|| that only its own products decide
+        [0, 0, 0, 16, 16, 16, 0, 0, 48, 48, 32, 16],
+        [16, 0, 16, 0, 32, 48, 48, 16, 0],
+        # s8 against s24 and s40: orthogonal pairs at 45 degrees
+        [8, 8, 24, 24, 24, 40, 40, 8, 56, 56],
+    ])
+    def test_near_orthogonal_runs_equal_the_numpy_loop(self, rows):
+        X = _circle(64).points[rows] * 0.75
+        assert np.array_equal(greedy_signs(X), _reference_greedy_signs(X))
+
+    def test_exactly_cancelling_dot_takes_numpy_dot(self, monkeypatch):
+        # 0.6 * 0.8 and 0.8 * -0.6 are one product with opposite signs, so
+        # the second dot is exactly 0 with nonzero products
+        X = np.array([[0.6, 0.8], [0.8, -0.6], [0.8, -0.6], [-0.6, -0.8],
+                      [0.0, 0.0], [0.6, 0.8]])
+        counting = _CountingNumpy()
+        monkeypatch.setattr(balance, "np", counting)
+        signs = greedy_signs(X)
+        assert len(counting.arrays) - 1 >= 1
+        assert np.array_equal(signs, _reference_greedy_signs(X))
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 1.0], [1.0, -1.0 + 2.0 ** -52], [1.0, -1.0 + 2.0 ** -52]],
+        # a dot of 1.5 n unit roundoffs of sum |p_i x_i|
+        [[1.0, 1.0], [1.0, -1.0 + 3 * 2.0 ** -52]],
+        [[0.6, 0.8], [0.8, -0.6 + 2.0 ** -53], [0.3, 0.4], [0.4, -0.3]],
+        [[3.0, -1.0, 2.0], [1.0, 1.0, -1.0 - 2.0 ** -52], [0.5, 0.5, 0.5]],
+    ])
+    def test_signs_follow_any_dot_kernel_within_rounding(self, rows, monkeypatch):
+        # numpy's dot may round otherwise than Python's sum of products
+        # (fused multiply-adds, another order); each sign must still be the
+        # one that dot decides
+        X = np.array(rows)
+        skewed = _CountingNumpy(skew=True)
+        monkeypatch.setattr(balance, "np", skewed)
+        signs = greedy_signs(X)
+        assert np.array_equal(signs, _reference_greedy_signs(X, _skewed_dot))
+        assert not np.array_equal(signs, _reference_greedy_signs(X))
+        assert len(skewed.arrays) - 1 >= 1
+
+    def test_random_rows_equal_the_numpy_loop(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 6):
+            for _ in range(20):
+                # runs of repeated rows, some zero, as halving inputs have
+                base = rng.standard_normal((6, n)) * rng.uniform(0, 2, (6, 1))
+                base[rng.integers(0, 6)] = 0.0
+                X = base[np.sort(rng.integers(0, 6, size=24))]
+                assert np.array_equal(greedy_signs(X),
+                                      _reference_greedy_signs(X))
+
 
 class TestHalving:
     def test_halves_and_identity(self):
@@ -79,6 +216,33 @@ class TestHalving:
         S = _circle(4)
         with pytest.raises(InputError):
             halving_step(S, [0, 1, 2, 3], [1.0, 0.5])
+
+    def test_certificate_and_slots_equal_the_numpy_path(self, monkeypatch):
+        # on every halving of seeded type1 requests: np.bincount over the
+        # minority class gives the certificate's bits, and the next slots
+        # are cert.slots()
+        S = _circle(64)
+        seen = []
+
+        def checked(S_, idx, scal):
+            cert, defect = halving_step(S_, idx, scal)
+            idx, scal = np.asarray(idx), np.asarray(scal)
+            signs = _reference_greedy_signs(scal[:, None] * S_.points[idx])
+            minority = 1.0 if (signs > 0).sum() <= idx.size // 2 else -1.0
+            mask = signs == minority
+            assert np.array_equal(cert.multiplicities,
+                                  np.bincount(idx[mask], minlength=S_.count))
+            assert np.array_equal(cert.alphas, np.bincount(
+                idx[mask], weights=scal[mask], minlength=S_.count))
+            slots = balance._slot_lists(cert)
+            assert [list(a) for a in slots] == [a.tolist() for a in cert.slots()]
+            seen.append(idx.size)
+            return cert, defect
+
+        monkeypatch.setattr(balance, "halving_step", checked)
+        for x in _type1_requests(S, 10, seed=8):
+            type1_represent(S, 0.5, 4, x)
+        assert set(seen) == {8, 16, 32}
 
 
 class TestType1Represent:
@@ -119,6 +283,26 @@ class TestType1Represent:
         assert trace, "no halving steps recorded"
         for rec in trace:
             assert rec["defect"] <= 1.0 / math.sqrt(rec["input_terms"]) + 1e-12
+
+    def test_bits_equal_with_the_numpy_greedy_loop(self, monkeypatch):
+        S = _circle(64)
+        points = _type1_requests(S, 8, seed=9)
+
+        def outputs():
+            result = []
+            for x in points:
+                trace = []
+                rep, scale = type1_represent(S, 0.5, 4, x, trace=trace)
+                result.append((rep.levels, rep.lambdas, rep.indices, scale,
+                               [rec["defect"] for rec in trace]))
+            return result
+
+        fast = outputs()
+        monkeypatch.setattr(balance, "greedy_signs", _reference_greedy_signs)
+        for new, old in zip(fast, outputs()):
+            for a, b in zip(new[:3], old[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert new[3] == old[3] and new[4] == old[4]
 
     def test_theta_domain(self):
         S = _circle(8)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from geomhull import hulls
-from geomhull.errors import DegeneracyError, InputError
-from geomhull.optim import (Ellipsoid, _newton_direction, max_gauge_over_polytope,
-                            mvee, solve_lp)
+from geomhull import hulls, optim
+from geomhull.errors import DegeneracyError, InputError, NumericalError
+from geomhull.optim import (FEAS_TOL, Ellipsoid, _newton_direction,
+                            max_gauge_over_polytope, mvee, solve_lp)
 from geomhull.bodies import GeneratingSet, PBody, lp_ball_body
 from geomhull.dvoretzky import random_projection
 
@@ -398,6 +398,158 @@ class TestBoundedVariables:
         sol = solve_lp(c, A, b, lower, upper)
         assert sol.status == "infeasible"
         assert _boxed_farkas_margin(sol.certificate, A, b, lower, upper) > 0
+
+
+def _reference_pivot_loop(c, M, b, upper, basis, direction, max_iter):
+    """The simplex iteration _pivot_loop replaced, with its ratio test on
+    masked arrays and np.outer; same arithmetic, more numpy calls."""
+    m = len(b)
+    bland = False
+    degenerate_run = 0
+    since = m
+    for _ in range(max_iter):
+        if since >= m:
+            Binv = np.linalg.inv(M[:, basis])
+            up = direction > 0
+            xB = Binv @ (b - M[:, up] @ upper[up])
+            since = 0
+        y = c[basis] @ Binv
+        score = (c - y @ M) * direction
+        if bland:
+            eligible = np.flatnonzero(score > FEAS_TOL)
+            if eligible.size == 0:
+                return "optimal", basis, xB, y
+            j = int(eligible[0])
+        else:
+            j = int(np.argmax(score))
+            if score[j] <= FEAS_TOL:
+                return "optimal", basis, xB, y
+        alpha = Binv @ M[:, j]
+        d = -direction[j] * alpha
+        moved = np.abs(d) > FEAS_TOL
+        ratios = np.full(m, np.inf)
+        ratios[moved] = np.where(d > 0, xB, xB - upper[basis])[moved] / d[moved]
+        t = ratios.min(initial=np.inf)
+        if upper[j] <= t:
+            if upper[j] == np.inf:
+                return "unbounded", basis, xB, y
+            xB -= upper[j] * d
+            direction[j] = -direction[j]
+            degenerate_run = 0
+            continue
+        r = int(np.argmin(ratios))
+        if bland:
+            ties = np.flatnonzero(ratios <= t + FEAS_TOL)
+            r = int(ties[np.argmin(basis[ties])])
+            t = ratios[r]
+        if t <= FEAS_TOL:
+            degenerate_run += 1
+            if degenerate_run > 60:
+                bland = True
+        else:
+            degenerate_run = 0
+        leaving = basis[r]
+        direction[leaving] = 0 if upper[leaving] == 0 else (1 if d[r] < 0 else -1)
+        xB -= t * d
+        xB[r] = t if direction[j] < 0 else upper[j] - t
+        basis[r], direction[j] = j, 0
+        row = Binv[r] / alpha[r]
+        Binv -= np.outer(alpha, row)
+        Binv[r] = row
+        since += 1
+    raise NumericalError("cycling guard exceeded (simplex iteration cap)")
+
+
+def _beale():
+    """Beale's (1955) LP, on which Dantzig pricing cycles: it runs the
+    Bland fallback."""
+    A = np.array([[1.0, 0, 0, 0.25, -8, -1, 9], [0, 1, 0, 0.5, -12, -0.5, 3],
+                  [0, 0, 1, 0, 0, 1, 0]])
+    c = np.array([0.0, 0, 0, -0.75, 20, -0.5, 6])
+    return c, A, np.array([0.0, 0.0, 1.0]), np.zeros(7), np.full(7, np.inf)
+
+
+def _envelope_lps(count):
+    angles = np.linspace(0.0, 2.0 * math.pi, 65)[:-1]
+    S = np.column_stack([np.cos(angles), np.sin(angles)])
+    A = np.hstack([S.T, -S.T])
+    rng = np.random.default_rng(12)
+    for _ in range(count):
+        w = rng.dirichlet(np.ones(64)) * rng.uniform(0.1, 1.0)
+        x = (rng.choice([-1.0, 1.0], size=64) * w) @ S
+        yield np.ones(128), A, x, np.zeros(128), np.full(128, np.inf)
+
+
+class TestPivotLoopBits:
+    """solve_lp gives the same bits with the former simplex iteration."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(13)
+        yield _beale()
+        yield from _envelope_lps(20)
+        for _ in range(20):
+            A, b, c = _random_lp(rng, 4, 7)
+            M, lower, upper = _to_equalities(A, b, 7)
+            yield np.concatenate([c, np.zeros(4)]), M, b, lower, upper
+        for _ in range(20):
+            yield _bounded_equality_lp(rng, 3, 8)
+        yield (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.zeros(1),
+               np.zeros(2), np.full(2, np.inf))  # unbounded along (1, 1)
+        yield (np.ones(2), np.array([[1.0, 1.0]]), np.array([3.0]),
+               np.zeros(2), np.ones(2))  # infeasible box
+
+    @staticmethod
+    def _node_lps(monkeypatch):
+        # branch-and-bound node LPs of criterion 10's generators: ranged
+        # and fixed columns, degenerate vertices
+        recorded = []
+
+        def record(*args):
+            recorded.append(args)
+            return solve_lp(*args)
+
+        angles = [0.37, 1.91, 3.85, 5.2]
+        S = GeneratingSet(2, np.array([[math.cos(a), math.sin(a)]
+                                       for a in angles]))
+        with monkeypatch.context() as patch:
+            patch.setattr(hulls, "solve_lp", record)
+            for gx in np.linspace(-1.4, 1.4, 7):
+                for gy in np.linspace(-1.4, 1.4, 7):
+                    hulls.delta_m_membership(S, 3, np.array([gx, gy]))
+        return recorded
+
+    def test_same_bits_as_the_masked_array_iteration(self, monkeypatch):
+        lps = list(self._instances()) + self._node_lps(monkeypatch)
+
+        def solve_all():
+            return [solve_lp(*lp) for lp in lps]
+
+        fast = solve_all()
+        monkeypatch.setattr(optim, "_pivot_loop", _reference_pivot_loop)
+        statuses = set()
+        for new, old in zip(fast, solve_all(), strict=True):
+            statuses.add(new.status)
+            assert new.status == old.status and new.value == old.value
+            for field in ("x", "y", "certificate"):
+                a, b = getattr(new, field), getattr(old, field)
+                assert (a is None and b is None) or np.array_equal(a, b)
+        assert statuses == {"optimal", "unbounded", "infeasible"}
+
+    def test_beale_runs_the_bland_fallback(self, monkeypatch):
+        # the degenerate-run guard is crossed: 61 zero steps in a row
+        runs = []
+        real = optim._pivot_loop
+
+        def watched(c, M, b, upper, basis, direction, max_iter):
+            result = real(c, M, b, upper, basis, direction, max_iter)
+            runs.append(result[0])
+            return result
+
+        monkeypatch.setattr(optim, "_pivot_loop", watched)
+        sol = solve_lp(*_beale())
+        assert sol.status == "optimal" and sol.value == pytest.approx(-1.25)
+        assert runs == ["optimal", "optimal"]
 
 
 class TestMVEE:
