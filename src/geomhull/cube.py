@@ -638,11 +638,9 @@ class QuotientReport:
     vertex_certificates: dict
     assembly_theta: float
     flat_m: int
-    # vertex mask -> (lifted certificate, its snap displacement on sigma);
-    # in memory only: underscore fields are never written
-    _entries: dict = field(repr=False)
-    # vertex mask -> the certificate's nonzero generators, their
-    # multiplicities and alphas, and the displacement on sigma, as lists
+    # vertex mask -> the lifted certificate's nonzero generators, their
+    # multiplicities and alphas, and its snap displacement on sigma, as
+    # lists; in memory only: underscore fields are never written
     _rows: dict = field(repr=False)
 
 
@@ -804,7 +802,6 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     sigma_idx = np.array(sigma, dtype=int)
     lifted = _lift_chain(chain, {p: parts[w] for p, w in witnesses.items()},
                          S, sigma_idx, m)
-    vertex_entries = {}
     vertex_rows = {}
     vertex_certificates = {}
     vertex_residual_max = 0.0
@@ -815,7 +812,6 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                              pattern=pattern, residual=snap_norm)
         vertex_residual_max = max(vertex_residual_max, snap_norm)
         mask = mask_of_vector(pattern)
-        vertex_entries[mask] = (cert, rvec[sigma_idx])
         gens = np.flatnonzero(cert.multiplicities)
         vertex_rows[mask] = (gens.tolist(), cert.multiplicities[gens].tolist(),
                              cert.alphas[gens].tolist(),
@@ -843,7 +839,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         vertex_residual_max=vertex_residual_max, seed=int(seed),
         query_tolerance=float(query_tolerance), calibration=cal.as_dict(),
         vertex_certificates=vertex_certificates, assembly_theta=theta_asm,
-        flat_m=flat_m, _entries=vertex_entries, _rows=vertex_rows)
+        flat_m=flat_m, _rows=vertex_rows)
 
     rng = np.random.default_rng(children[half])
     points = rng.uniform(-1.0, 1.0, size=(queries, len(sigma)))
@@ -886,7 +882,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     if not np.abs(x).max() <= 1.0 + 1e-12:
         raise InputError("query point is not finite or lies outside the "
                          "sup-norm ball")
-    if not report._entries:
+    if not report._rows:
         raise InputError("report carries no in-memory vertex tables")
     theta = report.assembly_theta
     M2 = report.flat_m
@@ -912,7 +908,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
         try:
             e1, e2 = report._rows[m1], report._rows[m2]
         except KeyError:
-            missing = m1 if m1 not in report._entries else m2
+            missing = m1 if m1 not in report._rows else m2
             raise PhaseError("assemble", "vertex certificate missing",
                              vertex=format(missing, "b")) from None
         for g, mult, alpha, _ in (e1, e2):

@@ -169,12 +169,14 @@ class DeltaMVerdict:
 
 
 def _node_lp(S, target):
-    """The node LP as a function of the node's (caps, commits):
+    """The node LP as a function of the node's (caps, commits) and a start:
     min sum_i max(|alpha_i|, commits_i) s.t. S^T alpha = target, |alpha_i| <= caps_i.
 
     Split alpha = a - b and introduce t_i >= a_i + b_i, t_i >= commits_i; the
     slack row a_i + b_i - t_i + w_i = 0 keeps everything in equality form.
-    Only the bounds depend on the node, so the rows and costs are built once.
+    Only the bounds depend on the node, so the rows and costs are built once,
+    and a child starts from its parent's optimal basis (None at the root).
+    Returns (value, alpha, basis), all None when the node is infeasible.
     """
     k = S.count
     n = S.dimension
@@ -186,12 +188,12 @@ def _node_lp(S, target):
     cost = np.concatenate([np.zeros(2 * k), np.ones(k), np.zeros(k)])
     zeros, inf = np.zeros(k), np.full(k, np.inf)
 
-    def solve(caps, commits):
+    def solve(caps, commits, start):
         sol = solve_lp(cost, A, rhs, np.concatenate([zeros, zeros, commits, zeros]),
-                       np.concatenate([caps, caps, inf, inf]))
+                       np.concatenate([caps, caps, inf, inf]), start=start)
         if sol.status != "optimal":
-            return None, None
-        return sol.value, sol.x[:k] - sol.x[k:2 * k]
+            return None, None, None
+        return sol.value, sol.x[:k] - sol.x[k:2 * k], sol.basis
 
     return solve
 
@@ -203,8 +205,9 @@ def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
     branch-and-bound: nodes carry per-generator caps and committed lower
     counts, each bounded below by the ceiling of an LP relaxation of
     sum max(|alpha_i|, committed_i).  Membership holds iff the optimum is
-    <= m.  Exhausting the budget of 10^6 nodes yields an undecided verdict,
-    which is distinct from non-membership.
+    <= m.  A child's LP starts from its parent's optimal basis, as the two
+    differ in one bound.  Exhausting the budget of 10^6 nodes yields an
+    undecided verdict, which is distinct from non-membership.
     """
     if m < 1:
         raise InputError("m must be at least 1")
@@ -216,16 +219,16 @@ def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
     best_val = None
     best_alpha = None
     nodes = 0
-    heap = [(0, 0, np.full(k, m), np.zeros(k, dtype=int))]
+    heap = [(0, 0, np.full(k, m), np.zeros(k, dtype=int), None)]
     tiebreak = 1
     while heap:
         if nodes >= 10 ** 6:
             return DeltaMVerdict("undecided", None, None, nodes)
-        parent_bound, _, caps, commits = heapq.heappop(heap)
+        parent_bound, _, caps, commits, start = heapq.heappop(heap)
         if best_val is not None and parent_bound >= best_val:
             continue
         nodes += 1
-        value, alpha = node_lp(caps, commits)
+        value, alpha, basis = node_lp(caps, commits, start)
         if value is None:
             continue
         lower = math.ceil(value - 1e-9)
@@ -250,10 +253,10 @@ def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
         caps_a[branch] = f
         commits_a = commits.copy()
         commits_a[branch] = min(commits_a[branch], f)
-        heapq.heappush(heap, (lower, tiebreak, caps_a, commits_a))
+        heapq.heappush(heap, (lower, tiebreak, caps_a, commits_a, basis))
         commits_b = commits.copy()
         commits_b[branch] = f + 1
-        heapq.heappush(heap, (lower, tiebreak + 1, caps, commits_b))
+        heapq.heappush(heap, (lower, tiebreak + 1, caps, commits_b, basis))
         tiebreak += 2
     if best_val is not None and best_val <= m:
         mult = np.ceil(np.abs(best_alpha) - 1e-9).astype(int)

@@ -4,6 +4,9 @@ ellipsoid, and multi-start gauge maximization over polytopes, a lower bound.
 Everything here is self-contained on top of numpy.  The LP solver is the
 workhorse behind every hull membership check in the package, so it returns
 primal and dual vectors and is verified against strong duality by its tests.
+Its optimal basis is a start for an LP that differs in its bounds, as a
+branch-and-bound child differs from its parent: a bounded dual simplex then
+replaces phase 1.
 """
 
 from __future__ import annotations
@@ -29,6 +32,26 @@ class LPSolution:
     x: np.ndarray = None
     y: np.ndarray = None        # duals of the original equality rows
     certificate: np.ndarray = None  # Farkas vector (equality rows) when infeasible
+    basis: tuple = None         # (basis, direction) at the optimum: a start
+
+
+def _factor(M, b, upper, basis, direction):
+    """B^-1 and x_B from scratch, each nonbasic column at the bound its
+    direction names."""
+    try:
+        Binv = np.linalg.inv(M[:, basis])
+    except np.linalg.LinAlgError:
+        raise NumericalError("working basis became singular")
+    up = direction > 0
+    return Binv, Binv @ (b - M[:, up] @ upper[up])
+
+
+def _eta(Binv, alpha, r):
+    """Rank-one update of B^-1 in place once the column whose B^-1 image is
+    alpha replaces the basic column of row r."""
+    row = Binv[r] / alpha[r]
+    Binv -= alpha[:, None] * row
+    Binv[r] = row
 
 
 def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
@@ -49,12 +72,7 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
     since = m  # eta updates since the last refactorisation
     for _ in range(max_iter):
         if since >= m:
-            try:
-                Binv = np.linalg.inv(M[:, basis])
-            except np.linalg.LinAlgError:
-                raise NumericalError("working basis became singular")
-            up = direction > 0
-            xB = Binv @ (b - M[:, up] @ upper[up])
+            Binv, xB = _factor(M, b, upper, basis, direction)
             since = 0
         y = c[basis] @ Binv
         score = (c - y @ M) * direction
@@ -99,14 +117,90 @@ def _pivot_loop(c, M, b, upper, basis, direction, max_iter):
         xB -= t * d
         xB[r] = t if direction[j] < 0 else upper[j] - t
         basis[r], direction[j] = j, 0
-        row = Binv[r] / alpha[r]  # |alpha[r]| > FEAS_TOL by the ratio test
-        Binv -= alpha[:, None] * row
-        Binv[r] = row
+        _eta(Binv, alpha, r)  # |alpha[r]| > FEAS_TOL by the ratio test
         since += 1
     raise NumericalError("cycling guard exceeded (simplex iteration cap)")
 
 
-def solve_lp(objective, A, b, lower, upper) -> LPSolution:
+def _dual_loop(c, M, b, upper, basis, direction, max_iter, tol):
+    """Bounded dual simplex on  min c@z, M@z = b, 0 <= z <= upper  from a
+    dual feasible basis, until x_B is within tol of its bounds (Koberstein
+    2005, without the bound-flipping ratio test).
+
+    `basis` and `direction` are as in _pivot_loop and change in place.  The
+    row whose x_B lies farthest outside [0, upper] leaves at the bound it
+    violates; among the nonbasic columns whose move from their bound pushes
+    that x_B back, the one whose reduced cost reaches zero first enters,
+    ties within FEAS_TOL going to the lowest column index.  Returns None
+    once x_B is within its bounds, or a Farkas vector w for the rows of M
+    when no column can push it back: w @ b > the largest w @ M @ z over the
+    box.  Raises InputError if the first basis is singular or not dual
+    feasible within FEAS_TOL.
+    """
+    m = len(b)
+    try:
+        Binv, xB = _factor(M, b, upper, basis, direction)
+    except NumericalError:
+        raise InputError("start basis is singular") from None
+    score = (c - (c[basis] @ Binv) @ M) * direction  # > 0: the column prices in
+    if score.max(initial=0.0) > FEAS_TOL:
+        raise InputError("start basis is not dual feasible")
+    since = 0
+    for _ in range(max_iter):
+        if since >= m:
+            Binv, xB = _factor(M, b, upper, basis, direction)
+            since = 0
+        width = upper[basis].tolist()
+        violation = [max(-x, x - w) for x, w in zip(xB.tolist(), width)]
+        worst = max(violation, default=0.0)
+        if worst <= tol:
+            return None
+        r = violation.index(worst)
+        if score is None:  # priced after each pivot only when needed
+            score = (c - (c[basis] @ Binv) @ M) * direction
+        side = 1.0 if xB[r] < 0 else -1.0  # +1: x_B[r] must rise
+        # reduced-cost ratio of each column whose move from its bound
+        # pushes x_B[r] back by more than FEAS_TOL a unit; inf elsewhere
+        push = (Binv[r] @ M) * (side * direction)
+        ratios = [max(-s, 0.0) / q if q > FEAS_TOL else math.inf
+                  for q, s in zip(push.tolist(), score.tolist())]
+        t = min(ratios, default=math.inf)
+        if t == math.inf:
+            return -side * Binv[r]
+        j = next(k for k, q in enumerate(ratios) if q <= t + FEAS_TOL)
+        alpha = Binv @ M[:, j]
+        leaving = basis[r]
+        step = (xB[r] - (0.0 if side > 0 else width[r])) / alpha[r]  # z_j's move
+        xB -= step * alpha
+        xB[r] = (0.0 if direction[j] < 0 else upper[j]) + step
+        direction[leaving] = 0 if upper[leaving] == 0 else -side
+        basis[r], direction[j] = j, 0
+        _eta(Binv, alpha, r)
+        since, score = since + 1, None
+    raise NumericalError("cycling guard exceeded (dual simplex iteration cap)")
+
+
+def _warm_start(start, width, m):
+    """Validated copies of a (basis, direction) start for columns of these
+    widths: nonbasic columns of zero width get direction 0, the other
+    nonbasic ones -1 (at 0) unless +1 (at their upper bound)."""
+    basis, direction = start
+    basis = np.array(basis, dtype=np.int64)
+    ids = basis.tolist()
+    if (basis.shape != (m,) or np.shape(direction) != width.shape
+            or len(set(ids)) != m
+            or not 0 <= min(ids, default=0) <= max(ids, default=0) < width.size):
+        raise InputError("start needs one distinct basic column per row and "
+                         "one direction per column")
+    direction = np.where(np.asarray(direction) > 0, 1.0, -1.0)
+    direction[width == 0] = 0.0
+    direction[basis] = 0.0
+    if np.isinf(width[direction > 0]).any():
+        raise InputError("start puts a column at an infinite upper bound")
+    return basis, direction
+
+
+def solve_lp(objective, A, b, lower, upper, start=None) -> LPSolution:
     """min objective @ x  subject to  A @ x = b  and  lower <= x <= upper.
 
     The only LP entry point of the package.  `lower` and `upper` are float
@@ -119,7 +213,19 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
     Two-phase bounded-variable simplex on z = x - lower in [0, upper - lower],
     with no rows for the bounds.  Phase 1 starts from one artificial per row;
     those it leaves basic at zero stay in phase 2 fixed at [0, 0], so a
-    redundant row keeps its artificial and gets a zero dual.
+    redundant row keeps its artificial and gets a zero dual.  An optimal
+    solution also carries `basis`, the (basis, direction) pair phase 2 ends
+    with: basic column indices, then -1/+1 for a nonbasic column at its
+    lower/upper bound and 0 for one that may not enter, over the n columns
+    and then the m artificials.
+
+    `start` is such a pair from an LP with the same A and objective; b and
+    the bounds may differ, and so may the row signs of b - A @ lower, as a
+    basis is a set of columns.  It must be nonsingular and dual feasible
+    within FEAS_TOL, else InputError.  Phase 1 is skipped: a bounded dual
+    simplex (_dual_loop) moves the basis until x_B is within its bounds, or
+    returns "infeasible" with a Farkas vector from the leaving row of B^-1,
+    and phase 2 then confirms the optimum.  The start is not modified.
     """
     c = np.atleast_1d(np.asarray(objective, dtype=float))
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -145,24 +251,34 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
     sign = np.where(b_std < 0, -1.0, 1.0)  # rows signed so that b_std >= 0
     b_std *= sign
     M = np.hstack([A * sign[:, None], np.eye(m)])  # then the m artificials
-    width = np.concatenate([upper - lower, np.full(m, np.inf)])
-    direction = np.concatenate([np.where(upper > lower, -1.0, 0.0), np.zeros(m)])
-    basis = np.arange(n, n + m)
+    c2 = np.concatenate([c, np.zeros(m)])
     max_iter = max(20000, 80 * (m + n))
-
-    # phase 1: minimise the sum of the artificials
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status, basis, xB, y1 = _pivot_loop(c1, M, b_std, width, basis,
-                                        direction, max_iter)
-    if status != "optimal":
-        raise NumericalError("phase-1 simplex did not converge")
-    if c1[basis] @ xB > FEAS_TOL * max(1.0, b_std.max(initial=0.0)) * max(1, m):
-        return LPSolution(status="infeasible", certificate=sign * y1)
+    if start is None:
+        width = np.concatenate([upper - lower, np.full(m, np.inf)])
+        direction = np.concatenate([np.where(upper > lower, -1.0, 0.0),
+                                    np.zeros(m)])
+        basis = np.arange(n, n + m)
+        # phase 1: minimise the sum of the artificials
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        status, basis, xB, y1 = _pivot_loop(c1, M, b_std, width, basis,
+                                            direction, max_iter)
+        if status != "optimal":
+            raise NumericalError("phase-1 simplex did not converge")
+        if c1[basis] @ xB > FEAS_TOL * max(1.0, b_std.max(initial=0.0)) * max(1, m):
+            return LPSolution(status="infeasible", certificate=sign * y1)
+        width[n:] = 0.0
+        direction[n:] = 0.0
+    else:
+        # a basis is a set of columns, so row signs that differ from the
+        # start's LP leave it valid; the dual loop replaces phase 1
+        width = np.concatenate([upper - lower, np.zeros(m)])
+        basis, direction = _warm_start(start, width, m)
+        farkas = _dual_loop(c2, M, b_std, width, basis, direction, max_iter,
+                            FEAS_TOL * max(1.0, b_std.max(initial=0.0)))
+        if farkas is not None:
+            return LPSolution(status="infeasible", certificate=sign * farkas)
 
     # phase 2: every artificial is fixed at [0, 0] and never enters
-    width[n:] = 0.0
-    direction[n:] = 0.0
-    c2 = np.concatenate([c, np.zeros(m)])
     status, basis, xB, y = _pivot_loop(c2, M, b_std, width, basis,
                                        direction, max_iter)
     z = np.where(direction > 0, width, 0.0)
@@ -176,7 +292,8 @@ def solve_lp(objective, A, b, lower, upper) -> LPSolution:
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)) * 10:
         raise NumericalError(f"primal residual {residual:.3e} out of tolerance")
-    return LPSolution(status="optimal", value=float(c @ x), x=x, y=sign * y)
+    return LPSolution(status="optimal", value=float(c @ x), x=x, y=sign * y,
+                      basis=(basis, direction))
 
 
 # ---------------------------------------------------------------------------

@@ -347,10 +347,18 @@ def rotated_report():
 
 
 def _assert_bits_match_per_level_certificates(report, S, points):
-    """represent_cube_point against a reference built from report._entries:
+    """represent_cube_point against a reference built from report._rows:
     one DeltaMCertificate per level, flattened slot by slot through
     DeltaMCertificate.slots() and evaluated term by term."""
     theta, M2 = report.assembly_theta, report.flat_m
+
+    def vertex(a):
+        """(multiplicities, alphas, snap displacement) of a stored vertex."""
+        gens, mults, alphas, snap = report._rows[mask_of_vector(a)]
+        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+        mult[gens], alpha[gens] = mults, alphas
+        return mult, alpha, np.array(snap)
+
     for x in points:
         r, terms = x.copy(), []
         depth = max(1, math.ceil(math.log(0.25 * report.query_tolerance
@@ -362,11 +370,9 @@ def _assert_bits_match_per_level_certificates(report, S, points):
                 break
             a1 = np.where(r >= 0.5, 1.0, -1.0)
             a2 = np.where(r >= -0.5, 1.0, -1.0)
-            (c1, r1) = report._entries[mask_of_vector(a1)]
-            (c2, r2) = report._entries[mask_of_vector(a2)]
-            terms.append((level, 1.0, DeltaMCertificate(
-                M2, c1.multiplicities + c2.multiplicities,
-                c1.alphas + c2.alphas)))
+            (n1, al1, r1), (n2, al2, r2) = vertex(a1), vertex(a2)
+            terms.append((level, 1.0, DeltaMCertificate(M2, n1 + n2,
+                                                        al1 + al2)))
             r = (r - 0.5 * (a1 + a2) + 0.5 * (r1 + r2)) / theta
         outer = np.zeros(S.dimension)  # the series over averages
         for level, lam, cert in terms:
@@ -441,7 +447,7 @@ class TestRepresentCubePoint:
 
     def test_requires_in_memory_tables(self, report_and_set):
         report, S = report_and_set
-        stripped = dataclasses.replace(report, _entries={})
+        stripped = dataclasses.replace(report, _rows={})
         with pytest.raises(InputError):
             represent_cube_point(stripped, S, np.zeros(4))
 

@@ -237,6 +237,16 @@ def _boxed_farkas_margin(y, A, b, lower, upper):
     return y @ b - np.maximum(g * lower, g * upper).sum()
 
 
+def _open_farkas_margin(y, A, b, lower, upper):
+    """_boxed_farkas_margin where some upper bounds are inf.  There the
+    solve_lp contract asks g_j = (y @ A)_j <= FEAS_TOL (rounding leaves
+    about 1e-16 where g_j is 0), and the largest g_j x_j over x_j >= lower_j
+    is taken as g_j lower_j."""
+    open_ = np.isinf(upper)
+    assert ((y @ A)[open_] <= FEAS_TOL * max(1.0, np.abs(y).max())).all()
+    return _boxed_farkas_margin(y, A, b, lower, np.where(open_, lower, upper))
+
+
 def _membership_node_lp(S, target, caps, commits):
     """The average-hull node LP: S^T (a - b) = target, a_i + b_i - t_i + w_i
     = 0, 0 <= a_i, b_i <= caps_i, t_i >= commits_i, minimising sum t_i."""
@@ -347,12 +357,16 @@ class TestBoundedVariables:
 
     def test_replayed_membership_node_lps_match_highs(self, monkeypatch):
         # every node LP of acceptance criterion 10's grid at m = 3, recorded
-        # from the branch-and-bound search and replayed against HiGHS
+        # from the branch-and-bound search with the solution the search got
+        # (warm-started from the parent's basis below the root) and checked
+        # against HiGHS
         recorded = []
 
-        def record(*args):
-            recorded.append([np.array(arg, dtype=float) for arg in args])
-            return solve_lp(*args)
+        def record(*args, start):
+            sol = solve_lp(*args, start=start)
+            recorded.append(([np.array(arg, dtype=float) for arg in args],
+                             start, sol))
+            return sol
 
         monkeypatch.setattr(hulls, "solve_lp", record)
         angles = [0.37, 1.91, 3.85, 5.2]
@@ -363,12 +377,14 @@ class TestBoundedVariables:
             for gy in grid:
                 hulls.delta_m_membership(S, 3, np.array([gx, gy]))
         assert len(recorded) == 717
-        infeasible = 0
-        for c, A, b, lower, upper in recorded:
+        infeasible = warm = 0
+        for (c, A, b, lower, upper), start, mine in recorded:
+            warm += start is not None
             ref = _highs(c, A, b, lower, upper)
-            mine = solve_lp(c, A, b, lower, upper)
             if ref.status == 2:
                 assert mine.status == "infeasible"
+                assert _open_farkas_margin(mine.certificate, A, b, lower,
+                                           upper) > 0
                 infeasible += 1
                 continue
             assert ref.status == 0 and mine.status == "optimal"
@@ -377,6 +393,7 @@ class TestBoundedVariables:
             assert (mine.x >= lower - 1e-9).all()
             assert (mine.x <= upper + 1e-9).all()
         assert infeasible == 30
+        assert warm == 717 - 21 * 21
 
     @pytest.mark.parametrize("seed", range(50))
     def test_infeasible_box_has_bounded_farkas_certificate(self, seed):
@@ -398,6 +415,103 @@ class TestBoundedVariables:
         sol = solve_lp(c, A, b, lower, upper)
         assert sol.status == "infeasible"
         assert _boxed_farkas_margin(sol.certificate, A, b, lower, upper) > 0
+
+
+def _children(rng, lp, sol):
+    """Branch-and-bound children of a solved LP, each one bound away:
+    an upper bound lowered below its basic value, a lower bound raised
+    above it, and a column fixed at [0, 0]."""
+    c, A, b, lower, upper = lp
+    basis = sol.basis[0]
+    basic = basis[basis < len(c)]
+    moved = basic[sol.x[basic] > lower[basic] + 1e-6]
+    if moved.size:
+        j = rng.choice(moved)
+        up = upper.copy()
+        up[j] = lower[j] + (sol.x[j] - lower[j]) * rng.uniform(0.1, 0.9)
+        yield c, A, b, lower, up
+    below = basic[sol.x[basic] < upper[basic] - 1e-6]
+    if below.size:
+        j = rng.choice(below)
+        lo = lower.copy()
+        room = upper[j] - sol.x[j] if np.isfinite(upper[j]) else 2.0
+        lo[j] = sol.x[j] + room * rng.uniform(0.1, 0.9)
+        yield c, A, b, lo, upper
+    j = rng.choice(basic) if basic.size else rng.integers(len(c))
+    lo, up = lower.copy(), upper.copy()
+    lo[j] = up[j] = 0.0
+    yield c, A, b, lo, up
+
+
+class TestWarmStart:
+    """solve_lp from a parent's optimal basis: the bounded dual simplex."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_children_from_the_parent_basis_match_highs(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        outcomes = set()
+        for _ in range(5):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(5, 10))
+            lp = _bounded_equality_lp(rng, m, n)
+            parent = solve_lp(*lp)
+            assert parent.status == "optimal"
+            for child in _children(rng, lp, parent):
+                c, A, b, lower, upper = child
+                ref = _highs(*child)
+                warm = solve_lp(*child, start=parent.basis)
+                outcomes.add(warm.status)
+                if ref.status == 2:
+                    assert warm.status == "infeasible"
+                    assert _open_farkas_margin(warm.certificate, A, b,
+                                               lower, upper) > 0
+                    continue
+                assert ref.status == 0 and warm.status == "optimal"
+                assert warm.value == pytest.approx(ref.fun, abs=1e-7)
+                assert np.abs(A @ warm.x - b).max() < 1e-7
+                assert (warm.x >= lower - 1e-9).all()
+                assert (warm.x <= upper + 1e-9).all()
+                # the child's basis starts its own children
+                again = solve_lp(*child, start=warm.basis)
+                assert again.value == pytest.approx(warm.value, abs=1e-9)
+        assert outcomes == {"optimal", "infeasible"}
+
+    def test_start_is_left_unchanged(self):
+        rng = np.random.default_rng(950)
+        lp = _bounded_equality_lp(rng, 3, 8)
+        parent = solve_lp(*lp)
+        basis, direction = (v.copy() for v in parent.basis)
+        for child in _children(rng, lp, parent):
+            solve_lp(*child, start=parent.basis)
+        assert np.array_equal(parent.basis[0], basis)
+        assert np.array_equal(parent.basis[1], direction)
+
+    def test_start_that_is_not_dual_feasible_raises(self):
+        A, b, c = _random_lp(np.random.default_rng(951), 3, 5)
+        M, lower, upper = _to_equalities(A, b, 5)
+        c = np.concatenate([c, np.zeros(3)])
+        parent = solve_lp(c, M, b, lower, upper)
+        # the same basis prices -c wrongly on every nonbasic column that
+        # may enter and has a nonzero reduced cost
+        free = parent.basis[1][:8] != 0
+        assert np.abs(c - parent.y @ M)[free].max() > 1e-3
+        with pytest.raises(InputError, match="dual feasible"):
+            solve_lp(-c, M, b, lower, upper, start=parent.basis)
+
+    def test_singular_or_malformed_start_raises(self):
+        # columns 0 and 1 are equal, so no basis holds both
+        A = np.array([[1.0, 1.0, 2.0], [0.5, 0.5, 1.0 + 1e-3]])
+        lp = (np.ones(3), A, A @ np.ones(3), np.zeros(3), np.full(3, 4.0))
+        direction = np.array([0.0, 0.0, -1.0, 0.0, 0.0])
+        with pytest.raises(InputError, match="singular"):
+            solve_lp(*lp, start=(np.array([0, 1]), direction))
+        for basis, d in (([0, 0], direction), ([0, 5], direction),
+                         ([0], direction), ([0, 2], direction[:4])):
+            with pytest.raises(InputError):
+                solve_lp(*lp, start=(np.array(basis), d))
+        unbounded = (lp[0], A, lp[2], np.zeros(3), np.array([4.0, np.inf, 4.0]))
+        with pytest.raises(InputError, match="infinite"):
+            solve_lp(*unbounded, start=(np.array([0, 2]),
+                                        np.array([0.0, 1.0, 0.0, 0.0, 0.0])))
 
 
 def _reference_pivot_loop(c, M, b, upper, basis, direction, max_iter):
@@ -502,28 +616,33 @@ class TestPivotLoopBits:
     @staticmethod
     def _node_lps(monkeypatch):
         # branch-and-bound node LPs of criterion 10's generators: ranged
-        # and fixed columns, degenerate vertices
+        # and fixed columns, degenerate vertices; each with its start.  At
+        # m = 3 every search ends at its root; at m = 1, 40 children replay
+        # the dual loop before the primal one
         recorded = []
 
-        def record(*args):
-            recorded.append(args)
-            return solve_lp(*args)
+        def record(*args, **start):
+            recorded.append((args, start))
+            return solve_lp(*args, **start)
 
         angles = [0.37, 1.91, 3.85, 5.2]
         S = GeneratingSet(2, np.array([[math.cos(a), math.sin(a)]
                                        for a in angles]))
         with monkeypatch.context() as patch:
             patch.setattr(hulls, "solve_lp", record)
-            for gx in np.linspace(-1.4, 1.4, 7):
-                for gy in np.linspace(-1.4, 1.4, 7):
-                    hulls.delta_m_membership(S, 3, np.array([gx, gy]))
+            for m in (3, 1):
+                for gx in np.linspace(-1.4, 1.4, 7):
+                    for gy in np.linspace(-1.4, 1.4, 7):
+                        hulls.delta_m_membership(S, m, np.array([gx, gy]))
         return recorded
 
     def test_same_bits_as_the_masked_array_iteration(self, monkeypatch):
-        lps = list(self._instances()) + self._node_lps(monkeypatch)
+        node_lps = self._node_lps(monkeypatch)
+        assert sum(start["start"] is not None for _, start in node_lps) == 40
+        lps = [(lp, {}) for lp in self._instances()] + node_lps
 
         def solve_all():
-            return [solve_lp(*lp) for lp in lps]
+            return [solve_lp(*lp, **start) for lp, start in lps]
 
         fast = solve_all()
         monkeypatch.setattr(optim, "_pivot_loop", _reference_pivot_loop)
@@ -550,6 +669,50 @@ class TestPivotLoopBits:
         sol = solve_lp(*_beale())
         assert sol.status == "optimal" and sol.value == pytest.approx(-1.25)
         assert runs == ["optimal", "optimal"]
+
+
+class TestTieBreaks:
+    """Which column leaves or enters when ratios tie within FEAS_TOL."""
+
+    def test_bland_ratio_tie_goes_to_the_lowest_basis_index(self, monkeypatch):
+        # Beale's LP from its slack basis: Dantzig pricing cycles until the
+        # degenerate-run guard turns on Bland's rule.  Its second pivot
+        # brings column 5 into the basis (3, 4, 2), where the rows of 3 and
+        # 4 both block it at ratio 0; the lower basis index, 3, leaves
+        c, A, b, _, upper = _beale()
+        basis = np.array([0, 1, 2])
+        direction = np.array([0.0, 0.0, 0.0, -1.0, -1.0, -1.0, -1.0])
+        last, pivots = basis.copy(), []
+        real_eta = optim._eta
+
+        def eta(Binv, alpha, r):
+            pivots.append((int(last[r]), int(basis[r])))  # (leaves, enters)
+            last[:] = basis
+            real_eta(Binv, alpha, r)
+
+        monkeypatch.setattr(optim, "_eta", eta)
+        status, basis, xB, _ = optim._pivot_loop(c, A, b, upper, basis,
+                                                 direction, 1000)
+        assert len(pivots) > 61
+        assert pivots[-5:] == [(1, 4), (3, 5), (4, 0), (2, 1), (1, 3)]
+        B = A[:, [3, 4, 2]]
+        x_tie, alpha = np.linalg.solve(B, b), np.linalg.solve(B, A[:, 5])
+        assert (x_tie[:2] == 0).all() and (alpha[:2] > FEAS_TOL).all()
+        assert status == "optimal" and basis.tolist() == [5, 0, 3]
+        assert c[basis] @ xB == pytest.approx(-1.25)
+
+    def test_dual_ratio_tie_goes_to_the_lowest_column(self):
+        # z0 - z1 - z2 = -1 from the basis {z0}: z0 = -1 leaves, and z1 or
+        # z2 can enter, at reduced-cost ratios 1 + 5e-10 and 1.  They tie
+        # within FEAS_TOL, so z1 enters although z2's ratio is smaller,
+        # and the primal check then keeps it
+        A = np.array([[1.0, -1.0, -1.0]])
+        start = (np.array([0]), np.array([0.0, -1.0, -1.0, 0.0]))
+        sol = solve_lp(np.array([0.0, 1.0 + 5e-10, 1.0]), A, np.array([-1.0]),
+                       np.zeros(3), np.full(3, np.inf), start=start)
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == [0.0, 1.0, 0.0]
+        assert sol.basis[0].tolist() == [1]
 
 
 class TestMVEE:
