@@ -424,9 +424,9 @@ def _children(rng, lp, sol):
     c, A, b, lower, upper = lp
     basis = sol.basis[0]
     basic = basis[basis < len(c)]
-    moved = basic[sol.x[basic] > lower[basic] + 1e-6]
-    if moved.size:
-        j = rng.choice(moved)
+    above = basic[sol.x[basic] > lower[basic] + 1e-6]
+    if above.size:
+        j = rng.choice(above)
         up = upper.copy()
         up[j] = lower[j] + (sol.x[j] - lower[j]) * rng.uniform(0.1, 0.9)
         yield c, A, b, lower, up
