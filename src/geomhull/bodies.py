@@ -3,9 +3,11 @@
 A GeneratingSet is a finite spanning family of points, always treated as
 closed under negation.  Its absolutely convex hull is the envelope ball;
 for 0 < p <= 1 the p-convex hull is the unit ball of a quasi-normed body.
-The envelope gauge comes with an LP certificate; the p-gauge is exact, a
-minimum over bases.  The largest p-gauge over the envelope ball is the
-non-convexity measure computed by delta_nonconvexity.
+Both gauges are minima over the bases of the generators, read from one
+table per set: the p-gauge exactly, and the envelope gauge (p = 1) with a
+dual certificate, or from an LP where the table cannot certify its answer
+or the set has more than MAX_BASES bases.  The largest p-gauge over the
+envelope ball is the non-convexity measure computed by delta_nonconvexity.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, InputError, NumericalError
-from .optim import max_gauge_over_polytope, solve_lp
+from .optim import FEAS_TOL, max_gauge_over_polytope, solve_lp
 
 
-# Cap on the C(k, n) bases of a generic body's exact p-gauge.  At the cap its
-# first gauge, which inverts them all, took 3-10 ms for n = 2..6 (2 cores,
+# Cap on the C(k, n) bases of a generating set's basis table, which the exact
+# p-gauge and the envelope gauge read.  At the cap the table's first use,
+# which inverts them all, took 3-10 ms for n = 2..6 (2 cores,
 # numpy 2.4), where the former null-space descent took 10-92 ms a point.
 # Above n = 6 the inverses may hold as many entries as MAX_BASES 6 x 6 ones.
 MAX_BASES = 5000
@@ -65,6 +68,37 @@ class GeneratingSet:
         """Rows stacked with their negations (the implicit symmetrization)."""
         return np.vstack([self.points, -self.points])
 
+    @cached_property
+    def _basis_table(self):
+        """The bases both gauges minimise over, or None over the MAX_BASES
+        cap, before any work.
+
+        (subsets, inverses, columns): each n-subset B of the generator rows P,
+        in itertools.combinations order, whose P_B has a condition number
+        (Frobenius) below 1e12; inv(P_B) for each, so x @ inv(P_B) is x
+        over B; and the same inverses side by side as one n x (bases * n)
+        matrix, whose one product with x gives every basis's coefficients
+        (x @ inverses makes a small product per basis, about 30 times as
+        slow at the 1,984 bases of the 64-gon).
+        """
+        P = self.points
+        k, n = P.shape
+        count = math.comb(k, n)
+        if count > MAX_BASES or count * n * n > MAX_BASES * 36:
+            return None
+        flat = itertools.chain.from_iterable(itertools.combinations(range(k), n))
+        subsets = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)
+        subsets = subsets[np.linalg.slogdet(P[subsets])[0] != 0]  # no zero pivot in LU
+        bases = P[subsets]
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverses = np.linalg.inv(bases)
+            cond = (np.linalg.norm(bases, axis=(1, 2))
+                    * np.linalg.norm(inverses, axis=(1, 2)))
+        kept = cond < 1e12
+        inverses = inverses[kept]
+        columns = np.ascontiguousarray(inverses.transpose(1, 0, 2)).reshape(n, -1)
+        return subsets[kept], inverses, columns
+
 
 @dataclass
 class PBody:
@@ -102,7 +136,13 @@ class PBody:
         the representations x = sum lambda_i s_i is at a basic one
         (Rockafellar, Convex Analysis, s. 32).  Not finite: NumericalError.
         """
-        inverses = self._basis_inverses
+        table = self.generators._basis_table
+        if table is None:
+            k, n = self.generators.points.shape
+            raise InputError(f"the exact p-gauge takes C({k}, {n}) = "
+                             f"{math.comb(k, n)} bases of {n} x {n}, over "
+                             f"MAX_BASES = {MAX_BASES}")
+        inverses = table[1]
         m, n = X.shape
         best = np.full(m, np.inf)
         chunk = max(1, (1 << 20) // max(1, m * n))  # coefficients per block
@@ -115,27 +155,6 @@ class PBody:
         if not np.isfinite(gauges).all():
             raise NumericalError(f"the exact p-gauge at p={self.p} is not finite")
         return gauges
-
-    @cached_property
-    def _basis_inverses(self):
-        """inv(P_B) for each n-subset B of generator rows P whose condition
-        number (Frobenius) is below 1e12, so x @ inv(P_B) is x over B.
-        Over the MAX_BASES cap: InputError, before any work."""
-        P = self.generators.points
-        k, n = P.shape
-        count = math.comb(k, n)
-        if count > MAX_BASES or count * n * n > MAX_BASES * 36:
-            raise InputError(f"the exact p-gauge takes C({k}, {n}) = {count} "
-                             f"bases of {n} x {n}, over MAX_BASES = {MAX_BASES}")
-        flat = itertools.chain.from_iterable(itertools.combinations(range(k), n))
-        subsets = np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n)
-        bases = P[subsets]
-        bases = bases[np.linalg.slogdet(bases)[0] != 0]  # no zero pivot in LU
-        with np.errstate(over="ignore", invalid="ignore"):
-            inverses = np.linalg.inv(bases)
-            cond = (np.linalg.norm(bases, axis=(1, 2))
-                    * np.linalg.norm(inverses, axis=(1, 2)))
-        return inverses[cond < 1e12]
 
 
 def lp_ball_body(n, p):
@@ -160,15 +179,43 @@ class GaugeCertificate:
 def envelope_gauge(S: GeneratingSet, x) -> GaugeCertificate:
     """Gauge of x in the envelope ball (absolutely convex hull) of S.
 
-    Exact LP through solve_lp: minimize sum (a_i + b_i) subject to
-    sum (a_i - b_i) s_i = x with a, b >= 0, and lambda = a - b.  The LP is
-    homogeneous: the optimum for t x (t > 0) is t times the optimum for x.
+    A basic optimum of the LP below uses n independent generators, so the
+    gauge is the least ||x over B||_1 over the bases B of S: the p = 1 case
+    of PBody's exact gauge, read from the same basis table.  The first basis
+    at the minimum, in itertools.combinations order, answers if its
+    coefficients lambda pass two checks: the primal residual of
+    sum lambda_i s_i - x, and a dual certificate y = inv(P_B) sign(lambda_B)
+    with max_i |y . s_i| <= 1 + 1e-9, so y . x = sum |lambda_i| and weak
+    duality proves the value least.
+
+    Otherwise (a set over the MAX_BASES cap, a zero coefficient whose sign
+    gives no dual, an optimal basis the table's condition filter dropped),
+    the exact LP through solve_lp answers: minimize sum (a_i + b_i) subject
+    to sum (a_i - b_i) s_i = x with a, b >= 0, and lambda = a - b.  Both
+    are homogeneous: the optimum for t x (t > 0) is t times the one for x.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (S.dimension,):
         raise InputError("point dimension mismatch")
+    P = S.points
     k = S.count
-    A = np.hstack([S.points.T, -S.points.T])
+    table = S._basis_table
+    if table is not None and table[0].size:  # within the cap, some basis kept
+        subsets, inverses, columns = table
+        with np.errstate(over="ignore", invalid="ignore"):
+            coefficients = (x @ columns).reshape(len(subsets), -1)
+            # l1 norms by a product: .sum(axis=1) over n = 2 is ten times slower
+            best = int(np.argmin(np.abs(coefficients) @ np.ones(S.dimension)))
+            lam = coefficients[best]
+            weights = np.zeros(k)
+            weights[subsets[best]] = lam
+            residual = np.abs(weights @ P - x).max()
+            dual = np.abs(P @ (inverses[best] @ np.sign(lam))).max()
+        tolerance = FEAS_TOL * max(1.0, np.abs(x).max()) * 10  # as in solve_lp
+        if residual <= tolerance and dual <= 1 + 1e-9:
+            return GaugeCertificate(value=float(np.abs(lam).sum()),
+                                    coefficients=weights)
+    A = np.hstack([P.T, -P.T])
     sol = solve_lp(np.ones(2 * k), A, x, np.zeros(2 * k),
                    np.full(2 * k, np.inf))
     if sol.status != "optimal":

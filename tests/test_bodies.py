@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from geomhull import bodies
+from geomhull import balance, bodies
 from geomhull.bodies import (GeneratingSet, PBody, delta_nonconvexity,
                              envelope_gauge, fmt17, generating_set_to_json,
                              load_generating_set_json, lp_ball_body)
 from geomhull.cube import _decompose_vertex, vector_of_mask
 from geomhull.errors import InputError, NumericalError, PhaseError
+from geomhull.optim import solve_lp
 
 
 class TestGeneratingSet:
@@ -90,12 +92,19 @@ def _generic_bodies(p):
 
 class TestExactGauge:
     def test_p1_matches_the_envelope_lp(self):
+        # the reference LP is built here: envelope_gauge reads the same basis
+        # table as batch_gauge
         for body, rng in _generic_bodies(1.0):
             assert body.analytic_kind == "generic"
+            P = body.generators.points
+            k = len(P)
             X = rng.standard_normal((5, body.generators.dimension))
             got = body.batch_gauge(X)
             for x, g in zip(X, got):
-                assert abs(g - envelope_gauge(body.generators, x).value) <= 1e-9
+                sol = solve_lp(np.ones(2 * k), np.hstack([P.T, -P.T]), x,
+                               np.zeros(2 * k), np.full(2 * k, np.inf))
+                assert sol.status == "optimal"
+                assert abs(g - sol.value) <= 1e-9
 
     @pytest.mark.parametrize("p", [0.5, 0.75])
     def test_no_representation_beats_the_gauge(self, p):
@@ -139,6 +148,131 @@ class TestExactGauge:
             PBody(S, 0.5).batch_gauge([np.inf, 0.0])
         with pytest.raises(NumericalError):  # (about 2)^2000 overflows
             PBody(S, 0.0005).batch_gauge([1.0, 1.0])
+
+
+def _circle(k):
+    angles = np.linspace(0.0, 2.0 * math.pi, k + 1)[:-1]
+    return GeneratingSet(2, np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def _highs_envelope(S, x):
+    """The envelope gauge LP over [S^T, -S^T], solved by HiGHS for x / ||x||
+    and scaled back: HiGHS's tolerances are absolute."""
+    P = S.points
+    norm = np.linalg.norm(x)
+    if norm == 0:
+        return 0.0
+    ref = scipy.optimize.linprog(np.ones(2 * len(P)), A_eq=np.hstack([P.T, -P.T]),
+                                 b_eq=x / norm, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return norm * ref.fun
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The envelope LPs solved from here on, one argument tuple each."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(bodies, "solve_lp", counting)
+    return calls
+
+
+def _fails_the_dual_check(S, x):
+    """The first basis at the table's minimum gives no dual certificate."""
+    subsets, inverses, columns = S._basis_table
+    coefficients = (x @ columns).reshape(len(subsets), -1)
+    first = np.argmin(np.abs(coefficients).sum(axis=1))
+    y = inverses[first] @ np.sign(coefficients[first])
+    return np.abs(S.points @ y).max() > 1 + 1e-9
+
+
+class TestEnvelopeTable:
+    """envelope_gauge from the basis table, and the LP where the table
+    cannot certify its answer, both against HiGHS."""
+
+    def test_type1_points_match_highs(self, lp_calls):
+        # the type1 benchmark's 300 request points at seed 101, and every
+        # point whose envelope gauge the first 40 of them ask for
+        S = _circle(64)
+        points = []
+        for i in range(300):
+            rng = np.random.default_rng([101, i])
+            w = rng.dirichlet(np.ones(64)) * rng.uniform(0.1, 1.0)
+            points.append((rng.choice([-1.0, 1.0], size=64) * w) @ S.points)
+        asked = []
+
+        def recording(S, x):
+            asked.append(np.array(x))
+            return envelope_gauge(S, x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(balance, "envelope_gauge", recording)
+            for x in points[:40]:
+                balance.type1_represent(S, 0.5, 4, x)
+        assert len(asked) > 40 * 10
+        lp_calls.clear()
+        for x in points + asked:
+            cert = envelope_gauge(S, x)
+            ref = _highs_envelope(S, x)
+            assert abs(cert.value - ref) <= 1e-9 * ref
+            assert np.abs(cert.coefficients @ S.points - x).max() <= 1e-9
+        # the table answers nearly all of them
+        assert len(lp_calls) <= (len(points) + len(asked)) // 10
+
+    def test_a_point_on_a_generator_ray_reaches_the_lp(self, lp_calls):
+        # x is tied over the bases {i, 30}: the first at the minimum has a
+        # coefficient of about 1e-19 on s_i, whose sign gives a y that is no
+        # facet normal of the 64-gon
+        S = _circle(64)
+        x = -0.106 * S.points[30]
+        assert _fails_the_dual_check(S, x)
+        cert = envelope_gauge(S, x)
+        assert len(lp_calls) == 1
+        assert cert.value == pytest.approx(_highs_envelope(S, x), rel=1e-9)
+        assert np.abs(cert.coefficients @ S.points - x).max() <= 1e-12
+
+    def test_a_basis_the_condition_filter_drops_reaches_the_lp(self, lp_calls):
+        # s0 and s1 are nearly parallel: {s0, s1} (condition about 2e12) is
+        # optimal for x = s0 + s1 and missing from the table, whose best
+        # basis {s0, s2} is worse by 1e-8 and fails the dual check
+        P = np.array([[1.0, 0.0], [1.0, 1e-12], [0.0, 1e-4]])
+        S = GeneratingSet(2, P)
+        x = P[0] + P[1]
+        assert [0, 1] not in S._basis_table[0].tolist()
+        assert _fails_the_dual_check(S, x)
+        cert = envelope_gauge(S, x)
+        assert len(lp_calls) == 1
+        # both LPs stop within their tolerances of 2: solve_lp's basis holds
+        # s2 at -1e-8, just past its bound (value 2 + 1e-8), and HiGHS
+        # reports 2 - 1e-8
+        assert cert.value == pytest.approx(_highs_envelope(S, x), rel=1e-7)
+        assert np.abs(cert.coefficients @ P - x).max() <= 1e-12
+        # with no other generator the table keeps no basis at all
+        pair = GeneratingSet(2, P[:2])
+        assert pair._basis_table[0].size == 0
+        assert envelope_gauge(pair, x).value == pytest.approx(2.0, rel=1e-9)
+        assert len(lp_calls) == 2
+
+    def test_a_set_over_max_bases_takes_the_lp(self, lp_calls, monkeypatch):
+        rng = np.random.default_rng(11)
+        P = rng.standard_normal((40, 3))  # C(40, 3) = 9,880 bases
+        assert math.comb(40, 3) > bodies.MAX_BASES
+
+        def enumerate_bases(*args):
+            raise AssertionError("the bases were enumerated")
+
+        monkeypatch.setattr(bodies.itertools, "combinations", enumerate_bases)
+        S = GeneratingSet(3, P)
+        for x in rng.standard_normal((3, 3)):
+            cert = envelope_gauge(S, x)
+            assert cert.value == pytest.approx(_highs_envelope(S, x), rel=1e-9)
+            assert np.abs(cert.coefficients @ P - x).max() <= 1e-9
+        assert len(lp_calls) == 3
+        assert S._basis_table is None
 
 
 class TestDelta:
