@@ -293,9 +293,8 @@ def verify_approx2(cfg):
         S = _circle(8)
     theta = cfg.theta
     rng = np.random.default_rng(cfg.seed)
-    trials = min(cfg.trials, 200)
     worst_scale, worst_err, samples = 0.0, 0.0, []
-    for t in range(trials):
+    for t in range(cfg.trials):
         m = int(rng.choice([2, 3, 5]))
         lams, mults, alphas = _random_hull_element(S, m, depth=6, rng=rng)
         rep, scale = approx2_transform(theta, m, lams, mults, alphas)
@@ -309,7 +308,7 @@ def verify_approx2(cfg):
         samples.append({"trial": t, "m": m, "scale": scale, "error": err})
     report = {
         "lemma": "approx2",
-        "constants": {"theta": theta, "trials": trials},
+        "constants": {"theta": theta, "trials": cfg.trials},
         "target": {"scale_max": 1.2},
         "realized": {"scale_max": worst_scale, "reconstruction_max": worst_err},
         "pass": bool(worst_scale <= 1.2 + 1e-12 and worst_err <= cfg.tol),
@@ -324,9 +323,10 @@ def verify_type1(cfg):
         S = _circle(32)
     theta, m = cfg.theta, cfg.m
     rng = np.random.default_rng(cfg.seed)
-    trials = min(cfg.trials, 200)
+    # greedy_signs bounds a halving's defect by max ||s_i|| / sqrt(N)
+    widest = float(np.linalg.norm(S.points, axis=1).max())
     worst_err, worst_defect_ratio, samples = 0.0, 0.0, []
-    for t in range(trials):
+    for t in range(cfg.trials):
         w = rng.dirichlet(np.ones(S.count)) * rng.uniform(0.2, 1.0)
         signs = rng.choice([-1.0, 1.0], size=S.count)
         x = (signs * w) @ S.points
@@ -334,14 +334,14 @@ def verify_type1(cfg):
         rep, scale = type1_represent(S, theta, m, x, trace=trace)
         err = float(np.linalg.norm(scale * rep.evaluate(S) - x))
         for rec in trace:
-            bound = 1.0 / math.sqrt(rec["input_terms"])
+            bound = widest / math.sqrt(rec["input_terms"])
             worst_defect_ratio = max(worst_defect_ratio,
                                      rec["defect"] / bound)
         worst_err = max(worst_err, err)
         samples.append({"trial": t, "scale": scale, "error": err})
     report = {
         "lemma": "type1",
-        "constants": {"theta": theta, "m": m, "trials": trials},
+        "constants": {"theta": theta, "m": m, "trials": cfg.trials},
         "target": {"reconstruction": cfg.tol, "defect_ratio": 1.0},
         "realized": {"reconstruction_max": worst_err,
                      "defect_ratio_max": worst_defect_ratio},
@@ -620,10 +620,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int_from(low):
+    """An option type: an integer of at least `low`."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_common(parser):
     """The one table of options: each flag's type, default and choices."""
     parser.add_argument("--config", help="flat key=value file of these flags")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_from(0), default=0)
     parser.add_argument("--input")
     parser.add_argument("--out")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -636,9 +646,9 @@ def _add_common(parser):
     parser.add_argument("--eps", type=float, default=0.5)
     parser.add_argument("--theta", type=float, default=0.75)
     parser.add_argument("--eta", type=float, default=0.2)
-    parser.add_argument("--trials", type=int, default=64)
-    parser.add_argument("--queries", type=int, default=32)
-    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--trials", type=_int_from(1), default=64)
+    parser.add_argument("--queries", type=_int_from(1), default=32)
+    parser.add_argument("--samples", type=_int_from(1), default=1000)
     parser.add_argument("--budget", type=int, default=NODE_BUDGET)
     parser.add_argument("--coords")
     for name, value in Calibration().as_dict().items():

@@ -1,11 +1,12 @@
-"""Exact cube-vertex combinatorics and the randomized cube-quotient pipeline.
+"""Exact cube-vertex combinatorics and the cube-quotient pipeline.
 
 Everything that touches vertex patterns runs in exact integer or rational
 arithmetic: the shattered-subset search, the anchored chain construction with
 its dyadic representation tables, and the pattern-counting selection.
-Floating point enters only through the LP decomposition and subsampling
-phases of the quotient pipeline, and every float result is re-checked against
-the exact combinatorial certificate it came from.
+Floating point enters only through the LP decomposition and halving phases
+of the quotient pipeline, and every float result is re-checked against the
+exact combinatorial certificate it came from.  The pipeline draws only its
+query points at random.
 
 Vertices are bitmasks: bit j set means coordinate j equals -1, so mask 0 is
 the all-plus vertex.
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .balance import halving_step
 from .bodies import GeneratingSet, PBody, delta_nonconvexity, envelope_gauge
 from .errors import BudgetError, InputError, NumericalError, PhaseError
 from .hulls import (DeltaMCertificate, GammaRepresentation, approx2_transform,
@@ -540,57 +542,43 @@ def counting_select(candidates, k):
 
 
 # ---------------------------------------------------------------------------
-# subsampling
+# vertex fit
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SubsampleFit:
-    """Best m-subset average of a decomposition, with its deviation statistics."""
+    """m-slot average of a vertex decomposition, with its agreement set."""
 
+    certificate: DeltaMCertificate
     x: np.ndarray
-    chosen: tuple
     agreement_set: tuple
-    mean_square_vs_vertex: float
-    deviation_variance: float
+    square_error: float
 
 
-def subsample_vertex_fit(elements, vertex, delta, m, trials, seed) -> SubsampleFit:
-    """Sample uniform m-subsets of the decomposition, keep the best agreement.
+def subsample_vertex_fit(S: GeneratingSet, cert: DeltaMCertificate, vertex,
+                         delta, m) -> SubsampleFit:
+    """Halve an N-slot average of a vertex down to m slots, N = 2^h m.
 
-    The winning average maximizes the number of coordinates within delta of
-    the target vertex (first winner kept on ties).  The mean and sample
-    variance over the trials of the squared distance from subset average to
-    vertex are returned for the caller's n d^2/m allowance check.  When
-    m == N every m-subset is the whole decomposition, so one draw decides.
+    Each of the h halving_steps keeps the minority class of greedy signs
+    over the current slots, so the fit's slots are a sub-multiset of the
+    input's and N = m returns the input certificate.  The agreement set is
+    the coordinates where the m-slot average x is within delta of the
+    vertex, and square_error is ||x - vertex||^2, which the caller checks
+    against the 4 n d^2/m allowance.
     """
-    elements = np.asarray(elements, dtype=float)
     vertex = np.asarray(vertex, dtype=float)
-    if elements.ndim != 2 or elements.shape[1] != vertex.shape[0]:
+    if vertex.shape != (S.dimension,):
         raise InputError("decomposition and vertex dimensions differ")
-    N = elements.shape[0]
-    if not 1 <= m <= N:
-        raise InputError("subset size must lie in 1..N")
-    if trials < 1:
-        raise InputError("at least one trial required")
-    if m == N:
-        trials = 1
-    rng = np.random.default_rng(seed)
-    best = None
-    sq_vertex = np.empty(trials)
-    for t in range(trials):
-        chosen = rng.choice(N, size=m, replace=False)
-        x = elements[chosen].mean(axis=0)
-        count = int((np.abs(x - vertex) <= delta + 1e-12).sum())
-        sq_vertex[t] = float(((x - vertex) ** 2).sum())
-        if best is None or count > best[0]:
-            best = (count, x, tuple(int(i) for i in np.sort(chosen)))
-    _, x, chosen = best
-    agreement = tuple(int(j) for j in
-                      np.nonzero(np.abs(x - vertex) <= delta + 1e-12)[0])
-    variance = float(sq_vertex.var(ddof=1)) if trials > 1 else 0.0
-    return SubsampleFit(x=x, chosen=chosen, agreement_set=agreement,
-                        mean_square_vs_vertex=float(sq_vertex.mean()),
-                        deviation_variance=variance)
+    N = cert.m
+    if m < 1 or N % m or (N // m) & (N // m - 1):
+        raise InputError(f"slot count {N} is not m 2^h for m = {m}")
+    for _ in range((N // m).bit_length() - 1):
+        cert, _ = halving_step(S, *cert.slots())
+    x = cert.evaluate(S)
+    agreement = tuple(np.flatnonzero(np.abs(x - vertex) <= delta + 1e-12)
+                      .tolist())
+    return SubsampleFit(certificate=cert, x=x, agreement_set=agreement,
+                        square_error=float(((x - vertex) ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +593,9 @@ def subsample_vertex_fit(elements, vertex, delta, m, trials, seed) -> SubsampleF
 #   and m = 12,191 3.8 s; at n = 3, m = 9,875 took 3.5 s (250 MB peak RSS),
 #   21,673 10.3 s (462 MB) and 44,009 22.7 s (769 MB).  A ~20 s budget alone
 #   would allow m near 40,000, but the slot arrays then need ~0.75 GB.
-# - MAX_VERTEX_SLOTS bounds the vertex phase, 64 sampled m-subsets for each
-#   of the 2^(n-1) vertex pairs.  At n = 10, 2^9 m = 1.36M took 12.5 s,
+# - MAX_VERTEX_SLOTS bounds the vertex phase, m slots for each of the
+#   2^(n-1) vertex pairs.  Timed when that phase drew random m-subsets, and
+#   not yet re-derived for halving: at n = 10, 2^9 m = 1.36M took 12.5 s,
 #   2.50M 15.3 s and 2.77M 21.2 s; at the cap n = 10 to 12 took 15.7 to
 #   16.3 s.  From n = 13 the part that does not grow with m already takes
 #   14 s or more, which neither cap bounds.
@@ -658,10 +647,11 @@ def _decompose_vertex(S, a, m, singleton_index):
 
     Returns (certificate, shrink_error): the vertex, slightly shrunk, as an
     N-term average over S whose N slots are the decomposition's elements.
-    Members of S (up to sign) take all m slots; otherwise the envelope LP
-    coefficients are shrunk so that each generator's weight rounds up to a
-    slot count within N.  The shrink error is charged against the subsample
-    variance allowance by the caller.
+    Members of S (up to sign) take all N = m slots; otherwise N is the first
+    m 2^h at least max(2m, 8 nz), nz the LP's nonzero coefficients, and
+    those are shrunk so that each generator's weight rounds up to a slot
+    count within N.  The caller checks the shrink error against the n d^2/m
+    allowance before halving N down to m.
     """
     key = mask_of_vector(a)
     if key in singleton_index:
@@ -676,7 +666,9 @@ def _decompose_vertex(S, a, m, singleton_index):
     lam = cert.coefficients
     live = np.abs(lam) > 1e-12
     nz = int(live.sum())
-    N = max(2 * m, 8 * nz)
+    N = 2 * m
+    while N < 8 * nz:
+        N *= 2
     rho = min(1.0, (N - nz) / (N * max(gauge, 1e-12)))
     weight = np.where(live, rho * np.abs(lam) * N, 0.0)
     mult = np.where(live, np.maximum(1, np.ceil(weight - 1e-12)), 0).astype(int)
@@ -689,22 +681,23 @@ def _decompose_vertex(S, a, m, singleton_index):
 def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                   queries=32, query_tolerance=1e-6,
                   node_budget=NODE_BUDGET) -> QuotientReport:
-    """Full randomized pipeline from a cube-sandwiched set to a cube quotient.
+    """Full pipeline from a cube-sandwiched set to a cube quotient.
 
     Phases: per-vertex decomposition (doubling as the sandwich check),
-    subsampling to short averages, snapping at delta = c1 * eps, counting
+    halving to m-slot averages, snapping at delta = c1 * eps, counting
     selection of the agreement coordinates, the anchored chain over the
     selected patterns, lifting of the chain tables to certificates, and
     the splitting iteration that turns them into geometric representations.
-    Each vertex keeps the best of 64 sampled m-subsets and its snap
-    displacement y - x; its mirror keeps the negated pair.  The lift
+    Each vertex keeps its m-slot average x, halved from its decomposition by
+    subsample_vertex_fit, and its snap displacement y - x; its mirror keeps
+    the negated pair.  Only the query points depend on the seed.  The lift
     (_lift_chain, shared with chain_cube_certificate) re-evaluates every
     lifted certificate against its pattern on sigma, and each lifted
     displacement is bounded by chain_scale * delta.  The selected patterns
     count as dense against the calibration's c.  An instance whose subsample
     size m exceeds MAX_SUBSAMPLE, or whose 2^(n-1) m vertex-phase slots
-    exceed MAX_VERTEX_SLOTS, is rejected before any work.  Fails loudly
-    with the phase name.
+    exceed MAX_VERTEX_SLOTS, or a query count below 1, is rejected before
+    any work.  Fails loudly with the phase name.
     """
     cal = Calibration.from_mapping(calibration)
     n = S.dimension
@@ -724,7 +717,8 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                          f"{MAX_VERTEX_SLOTS} (n = {n}, m = {m})")
     delta = cal.c1 * epsilon
     quota = math.ceil(n * (1.0 - epsilon))
-    trials = 64
+    if queries < 1:
+        raise InputError("queries must be at least 1")
 
     singleton_index = {}
     for i, row in enumerate(S.points):
@@ -732,14 +726,11 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             singleton_index.setdefault(mask_of_vector(row), (i, 1.0))
             singleton_index.setdefault(mask_of_vector(-row), (i, -1.0))
 
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(half + 1)
     full_mask = (1 << n) - 1
 
     parts = {}
     candidates = {}
-    pooled_sq = []
-    pooled_var = []
+    square_errors = []
     allowance = n * d * d / m
     for mask in range(half):
         a = vector_of_mask(n, mask)
@@ -748,36 +739,24 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
             raise PhaseError("decompose", "rounding error exceeds the allowance",
                              vertex=a.tolist(), error=shrink_error,
                              allowance=allowance)
-        idx, scal = avg.slots()
-        fit = subsample_vertex_fit(scal[:, None] * S.points[idx], a, delta, m,
-                                   trials, children[mask])
-        chosen = np.array(fit.chosen, dtype=int)
-        mult = np.bincount(idx[chosen], minlength=S.count)
-        alphas = np.bincount(idx[chosen], weights=scal[chosen], minlength=S.count)
+        fit = subsample_vertex_fit(S, avg, a, delta, m)
+        cert = fit.certificate
         # snapping moves the agreement coordinates of x onto the vertex
         agree = list(fit.agreement_set)
         displacement = np.zeros(n)
         displacement[agree] = a[agree] - fit.x[agree]
-        parts[mask] = (DeltaMCertificate(m=m, multiplicities=mult,
-                                         alphas=alphas), displacement)
+        parts[mask] = (cert, displacement)
         parts[full_mask ^ mask] = (DeltaMCertificate(
-            m=m, multiplicities=mult, alphas=-alphas), -displacement)
+            m=m, multiplicities=cert.multiplicities, alphas=-cert.alphas),
+            -displacement)
         candidates[mask] = fit.agreement_set
         candidates[full_mask ^ mask] = fit.agreement_set
-        pooled_sq.append(fit.mean_square_vs_vertex)
-        pooled_var.append(fit.deviation_variance)
+        square_errors.append(fit.square_error)
 
-    mean_square = float(np.mean(pooled_sq))
-    total_trials = trials * half
-    standard_error = float(math.sqrt(max(np.mean(pooled_var), 0.0) / total_trials))
+    mean_square = float(np.mean(square_errors))
     variance_bound = 4.0 * n * d * d / m
-    variance_check = {
-        "mean_square": mean_square,
-        "bound": variance_bound,
-        "standard_error": standard_error,
-        "trials": total_trials,
-        "pass": mean_square <= variance_bound + 3.0 * standard_error,
-    }
+    variance_check = {"mean_square": mean_square, "bound": variance_bound,
+                      "pass": mean_square <= variance_bound}
 
     k_agree = min(len(c) for c in candidates.values())
     if k_agree < quota:
@@ -841,7 +820,8 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
         vertex_certificates=vertex_certificates, assembly_theta=theta_asm,
         flat_m=flat_m, _rows=vertex_rows)
 
-    rng = np.random.default_rng(children[half])
+    # child `half` of SeedSequence(seed), as spawn(half + 1)[half] gives it
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(half,)))
     points = rng.uniform(-1.0, 1.0, size=(queries, len(sigma)))
     verified = 0
     records = []
@@ -855,7 +835,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                         "residual": residual, "verified": bool(ok),
                         "terms": rep.levels.size})
     report.certificates = records
-    report.verified_fraction = verified / queries if queries else 1.0
+    report.verified_fraction = verified / queries
     return report
 
 

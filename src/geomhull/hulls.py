@@ -295,6 +295,8 @@ def verify_pconv_contraction(body: PBody, theta, samples=1000, seed=0):
     generator picks, depth 64), measures their p-gauge, and compares
     the worst against pconv_contraction_bound(p, theta).
     """
+    if samples < 1:
+        raise InputError("samples must be at least 1")
     bound = pconv_contraction_bound(body.p, theta)
     depth = 64
     rng = np.random.default_rng(seed)

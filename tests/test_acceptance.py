@@ -206,8 +206,7 @@ def test_criterion_07_cube_quotient_end_to_end():
     var = report.variance_check
     ok = (len(report.sigma) >= 5
           and report.verified_fraction >= 0.99
-          and var["mean_square"] <= var["bound"]
-                + 3 * var["standard_error"] + 1e-12
+          and var["mean_square"] <= var["bound"] + 1e-12
           and clock.ok())
     _line(7, ok, f"|sigma| {len(report.sigma)}, verified "
                  f"{report.verified_fraction:.3f}, variance "

@@ -214,6 +214,20 @@ class TestVerify:
         assert run("verify", "alesker", "--n", "8", "--eps", "0.5",
                    "--seed", "4") == EXIT_FAIL
 
+    def test_type1_defect_scales_with_the_generators(self, tmp_path, capsys):
+        # the halving defect is bounded by max ||s_i|| / sqrt(N), 3.5 / sqrt(N)
+        # here; against 1 / sqrt(N) this valid run read 1.13
+        path = tmp_path / "four.json"
+        path.write_text('{"dimension": 2, "points": '
+                        '[[3, 0], [0, 3], [2, 2.5], [-1, 2.7]]}')
+        assert run("verify", "type1", "--input", str(path)) == EXIT_PASS
+        realized = json.loads(capsys.readouterr().out)["realized"]
+        assert 0.0 < realized["defect_ratio_max"] <= 1.0
+
+    def test_trials_are_never_capped(self, capsys):
+        assert run("verify", "approx2", "--trials", "201") == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["constants"]["trials"] == 201
+
     # dvoretzky (about 14 s) is left to acceptance criterion 09
     @pytest.mark.parametrize("suite", ["approx2", "type1", "counting",
                                        "alesker"])
@@ -333,6 +347,17 @@ OPTION_MISTAKES = [
     ("format-key", "format = xml\n", ()),
     ("const-word-key", "const.c = abc\n", ()),
     ("config-key", "config = other.cfg\n", ()),
+    # seeds below 0 and counts below 1, which once ended in a traceback or
+    # passed on nothing
+    ("negative-seed-flag", None, ("--seed", "-1")),
+    ("negative-seed-key", "seed = -1\n", ()),
+    ("negative-queries-flag", None, ("--queries", "-1")),
+    ("zero-queries-flag", None, ("--queries", "0")),
+    ("zero-samples-flag", None, ("--samples", "0")),
+    ("negative-samples-flag", None, ("--samples", "-5")),
+    ("zero-trials-flag", None, ("--trials", "0")),
+    ("negative-trials-flag", None, ("--trials", "-3")),
+    ("zero-trials-key", "trials = 0\n", ()),
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -11,8 +12,8 @@ import pytest
 from geomhull import cli
 from geomhull.bodies import (GeneratingSet, PBody, envelope_gauge,
                              load_generating_set_json)
-from geomhull.cube import (Calibration, VertexSet, _max_shattered,
-                           alesker_chain, chain_constants,
+from geomhull.cube import (Calibration, VertexSet, _decompose_vertex,
+                           _max_shattered, alesker_chain, chain_constants,
                            chain_cube_certificate, counting_select,
                            cube_quotient, cubic_quotient_from_nonconvexity,
                            l1_to_cube_operator, mask_of_vector,
@@ -205,45 +206,60 @@ class TestCountingSelect:
             counting_select({0: frozenset({0})}, 2)
 
 
+def _rotated_cube(n, scale):
+    """scale {+-1}^n Q^T, Q the QR factor of default_rng(n)'s Gaussian n x n,
+    rows in itertools.product order: no cube vertex is in the set."""
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    return GeneratingSet(n, scale * _cube_points(n) @ Q.T, label="rotated")
+
+
+def _nonzero_slots(cert):
+    idx, coef = cert.slots()
+    return collections.Counter((i, round(c, 12)) for i, c
+                               in zip(idx.tolist(), coef.tolist()) if c)
+
+
 class TestSubsample:
-    def test_exact_elements_have_zero_deviation(self):
-        vertex = np.array([1.0, -1.0, 1.0])
-        elements = np.tile(vertex, (10, 1))
-        fit = subsample_vertex_fit(elements, vertex, delta=0.01, m=4,
-                                   trials=8, seed=0)
-        assert len(fit.agreement_set) == 3
-        assert fit.mean_square_vs_vertex == pytest.approx(0.0, abs=1e-18)
+    @pytest.fixture(scope="class")
+    def decomposition(self):
+        S = _rotated_cube(3, math.sqrt(3.0))
+        a = vector_of_mask(3, 5)
+        cert, _ = _decompose_vertex(S, a, 5, {})
+        return S, a, cert
 
-    def test_whole_decomposition_is_one_draw(self):
-        # m == N: every m-subset is all of the decomposition
-        vertex = np.array([1.0, -1.0, 1.0, -1.0])
-        elements = np.tile(vertex, (6, 1))
-        fit = subsample_vertex_fit(elements, vertex, delta=0.01, m=6,
-                                   trials=64, seed=0)
-        assert fit.chosen == tuple(range(6))
-        assert fit.agreement_set == tuple(range(4))
-        assert fit.mean_square_vs_vertex == 0.0
-        assert fit.deviation_variance == 0.0
+    def test_whole_decomposition_is_returned(self):
+        S = GeneratingSet(3, _cube_points(3))
+        a = vector_of_mask(3, 2)
+        row = int(np.flatnonzero((S.points == a).all(axis=1))[0])
+        mult = 6 * np.bincount([row], minlength=8)
+        cert = DeltaMCertificate(m=6, multiplicities=mult, alphas=1.0 * mult)
+        fit = subsample_vertex_fit(S, cert, a, delta=0.01, m=6)
+        assert fit.certificate is cert
+        assert fit.agreement_set == (0, 1, 2)
+        assert fit.square_error == 0.0
 
-    def test_variance_bound_formula(self):
-        rng = np.random.default_rng(2)
-        elements = rng.uniform(-2, 2, size=(30, 4))
-        n, m, trials = 4, 10, 16
-        d = float(np.abs(elements).max())
-        centre = elements.mean(axis=0)
-        fit = subsample_vertex_fit(elements, centre, delta=0.5, m=m,
-                                   trials=trials, seed=3)
-        assert len(fit.chosen) == m
-        # the statistics are the mean and ddof=1 variance, over the trials,
-        # of the squared distance from each m-subset average to the target
-        draws = np.random.default_rng(3)
-        sq = [float(((elements[draws.choice(30, size=m, replace=False)]
-                      .mean(axis=0) - centre) ** 2).sum())
-              for _ in range(trials)]
-        assert fit.mean_square_vs_vertex == pytest.approx(np.mean(sq))
-        assert fit.deviation_variance == pytest.approx(np.var(sq, ddof=1))
-        # about the decomposition's own mean they sit inside 4 n d^2 / m
-        assert fit.mean_square_vs_vertex <= 4 * n * d * d / m
+    def test_halved_slots_come_from_the_input(self, decomposition):
+        S, a, cert = decomposition
+        assert cert.m == 8 * 5   # three halvings
+        fit = subsample_vertex_fit(S, cert, a, delta=0.1, m=5)
+        assert fit.certificate.m == 5
+        assert _nonzero_slots(fit.certificate)
+        assert not _nonzero_slots(fit.certificate) - _nonzero_slots(cert)
+
+    def test_square_error_is_the_fit_error(self, decomposition):
+        S, a, cert = decomposition
+        fit = subsample_vertex_fit(S, cert, a, delta=0.1, m=5)
+        x = fit.certificate.evaluate(S)
+        assert np.array_equal(fit.x, x)
+        assert fit.square_error == float(((x - a) ** 2).sum())
+        assert fit.agreement_set == tuple(
+            j for j in range(3) if abs(x[j] - a[j]) <= 0.1 + 1e-12)
+
+    @pytest.mark.parametrize("m", [3, 6, 7])
+    def test_slot_count_must_be_m_times_a_power_of_two(self, decomposition, m):
+        S, a, cert = decomposition   # N = 40
+        with pytest.raises(InputError):
+            subsample_vertex_fit(S, cert, a, delta=0.1, m=m)
 
 
 class TestOperator:
@@ -283,6 +299,17 @@ class TestCubeQuotient:
             4 * used["n"] * used["d"] ** 2 / used["m"])
         assert report.vertex_residual_max == 0.0
 
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_rotated_cubes_keep_every_coordinate(self, n):
+        # no vertex is in S, so every vertex is halved from its LP
+        # decomposition, and every coordinate must survive the snap
+        S = _rotated_cube(n, math.sqrt(n))
+        for seed in range(5):
+            report = cube_quotient(S, 0.5, seed=seed, queries=2)
+            assert report.sigma == tuple(range(n))
+            assert report.verified_fraction == 1.0
+            assert report.variance_check["pass"]
+
     def test_generic_lp_decomposition_path(self):
         rng = np.random.default_rng(20)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -304,6 +331,12 @@ class TestCubeQuotient:
         with pytest.raises(PhaseError) as err:
             cube_quotient(S, 0.5, seed=0)
         assert err.value.phase == "sandwich"
+
+    @pytest.mark.parametrize("queries", [0, -1])
+    def test_no_queries_is_no_pass(self, queries):
+        with pytest.raises(InputError, match="queries"):
+            cube_quotient(GeneratingSet(3, _cube_points(3)), 0.5,
+                          queries=queries)
 
     def test_dimension_cap(self):
         with pytest.raises(InputError):
@@ -429,10 +462,12 @@ class TestRepresentCubePoint:
         report, S = rotated_report
         assert all(len(c["entries"]) > 1
                    for c in report.vertex_certificates.values())
+        k = len(report.sigma)
+        assert k == 6
         rng = np.random.default_rng(12)
         _assert_bits_match_per_level_certificates(report, S, [
-            np.array([0.6, -0.7, 0.0]), np.ones(3),
-            *rng.uniform(-1.0, 1.0, size=(4, 3))])
+            np.resize([0.6, -0.7, 0.0], k), np.ones(k),
+            *rng.uniform(-1.0, 1.0, size=(4, k))])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_rejected(self, report_and_set, value):

@@ -90,6 +90,11 @@ class TestPconv:
         assert result["pass"]
         assert result["max_ratio"] <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_is_no_pass(self, samples):
+        with pytest.raises(InputError):
+            verify_pconv_contraction(lp_ball_body(3, 0.5), 0.5, samples=samples)
+
 
 class TestApprox2:
     def _random_outer(self, S, m, depth, rng):
