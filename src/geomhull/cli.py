@@ -9,7 +9,7 @@ produce byte-identical files.  Calibrated constants always appear under a
 emitted certificates, not the constants.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 numerical or phase
-failure, 4 search budget exhausted.
+failure, 4 search budget exhausted or out of memory.
 """
 
 from __future__ import annotations
@@ -620,24 +620,24 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _int_from(low):
-    """An option type: an integer of at least `low`."""
+def _above(low, kind=int):
+    """An option type: a finite int (or float) above `low`."""
     def parse(text):
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}: {text}")
-        return int(text)
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
+        if not low < kind(text) < math.inf:
+            raise argparse.ArgumentTypeError(f"must be above {low}: {text}")
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
 
 
 def _add_common(parser):
     """The one table of options: each flag's type, default and choices."""
     parser.add_argument("--config", help="flat key=value file of these flags")
-    parser.add_argument("--seed", type=_int_from(0), default=0)
+    parser.add_argument("--seed", type=_above(-1), default=0)
     parser.add_argument("--input")
     parser.add_argument("--out")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument("--tol", type=_above(0, float), default=1e-6)
     parser.add_argument("--n", type=int)
     parser.add_argument("--p", type=float)
     parser.add_argument("--k", type=int, default=3)
@@ -646,14 +646,14 @@ def _add_common(parser):
     parser.add_argument("--eps", type=float, default=0.5)
     parser.add_argument("--theta", type=float, default=0.75)
     parser.add_argument("--eta", type=float, default=0.2)
-    parser.add_argument("--trials", type=_int_from(1), default=64)
-    parser.add_argument("--queries", type=_int_from(1), default=32)
-    parser.add_argument("--samples", type=_int_from(1), default=1000)
-    parser.add_argument("--budget", type=int, default=NODE_BUDGET)
+    parser.add_argument("--trials", type=_above(0), default=64)
+    parser.add_argument("--queries", type=_above(0), default=32)
+    parser.add_argument("--samples", type=_above(0), default=1000)
+    parser.add_argument("--budget", type=_above(0), default=NODE_BUDGET)
     parser.add_argument("--coords")
     for name, value in Calibration().as_dict().items():
-        parser.add_argument(f"--const.{name}", type=float, default=value,
-                            dest=f"const_{name}")
+        parser.add_argument(f"--const.{name}", type=_above(0, float),
+                            default=value, dest=f"const_{name}")
 
 
 def build_parser():
@@ -716,8 +716,8 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        print(f"budget exhausted: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (NumericalError, PhaseError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

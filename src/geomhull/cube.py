@@ -69,8 +69,8 @@ class Calibration:
             if key not in values:
                 raise InputError(f"unknown calibration constant {key!r}")
             values[key] = float(value)
-            if not math.isfinite(values[key]):
-                raise InputError(f"calibration constant {key!r} must be finite")
+            if not 0 < values[key] < math.inf:
+                raise InputError(f"constant {key!r} must be finite and positive")
         return cls(**values)
 
 
@@ -431,41 +431,45 @@ class ChainCertificates:
 
 
 def _lift_chain(chain: ShatterChain, parts, S: GeneratingSet, sigma_idx, m):
-    """Lift the chain's dyadic tables to certificates over S, checked on sigma.
+    """Lift the chain's dyadic tables to certificate rows over S, checked on sigma.
 
-    parts maps each chain member to (certificate, displacement): an m-slot
-    average over S and the offset that carries it onto the member.  A table
-    entry sum_j c_j member_j lifts to sum_j c_j 2^levels cert_j over
-    chain_N * m slots and to the displacement sum_j c_j disp_j; the chain
-    scale times the certificate plus the displacement is re-evaluated in
-    floats and must hit the pattern on sigma to 1e-9.  Returns
-    {pattern: (certificate, displacement)} in pattern order.
+    parts maps each chain member to (rows, displacement): an m-slot average
+    over S as nonzero (generators, multiplicities, alphas) lists, and the
+    offset that carries it onto the member.  A table entry sum_j c_j member_j
+    lifts to sum_j c_j 2^levels rows_j over chain_N * m slots, summed per
+    generator in member order, and to the displacement sum_j c_j disp_j.
+    The rows must fit the slot budget and pass the DeltaMCertificate checks,
+    and the chain scale times their average plus the displacement must hit
+    the pattern on sigma to 1e-9.  Returns {pattern: (rows, displacement)}.
     """
     a_s, b_s = chain_constants(chain.levels)
     weight = 1 << chain.levels
     budget = b_s * m
     lifted = {}
     for pattern, combo in sorted(chain.rep_table.items()):
-        mult = np.zeros(S.count, dtype=int)
-        alphas = np.zeros(S.count)
+        mult, alpha = {}, {}
         rvec = np.zeros(S.dimension)
         for member, coef in combo.items():
             scaled = coef * weight
             if scaled.denominator != 1:
                 raise NumericalError("non-dyadic chain coefficient")
-            cert, displacement = parts[member]
-            mult += abs(scaled.numerator) * cert.multiplicities
-            alphas += scaled.numerator * cert.alphas
+            (gens, mults, alphas), displacement = parts[member]
+            for g, k, a in zip(gens, mults, alphas):
+                mult[g] = mult.get(g, 0) + abs(scaled.numerator) * k
+                alpha[g] = alpha.get(g, 0.0) + scaled.numerator * a
             rvec += float(coef) * displacement
-        if int(mult.sum()) > budget:
+        gens = sorted(mult)
+        rows = gens, [mult[g] for g in gens], [alpha[g] for g in gens]
+        if sum(rows[1]) > budget:
             raise PhaseError("certify", "lifted certificate exceeds its budget",
                              pattern=pattern)
-        cert = DeltaMCertificate(m=budget, multiplicities=mult, alphas=alphas)
-        achieved = a_s * cert.evaluate(S)[sigma_idx] + rvec[sigma_idx]
+        cert = DeltaMCertificate(budget, rows[1], rows[2])
+        achieved = (a_s * (S.points[np.ix_(gens, sigma_idx)].T @ cert.alphas)
+                    / budget + rvec[sigma_idx])
         if np.abs(achieved - np.array(pattern, dtype=float)).max() > 1e-9:
             raise PhaseError("certify", "vertex certificate mismatch",
                              pattern=pattern)
-        lifted[pattern] = (cert, rvec)
+        lifted[pattern] = (rows, rvec)
     return lifted
 
 
@@ -481,27 +485,25 @@ def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
     Scales beyond the calibrated targets are flagged, not fatal -- the
     calibration is a fitted record, not a guarantee.
     """
-    index = {}
+    zero = np.zeros(S.dimension)
+    parts = {}
     for i, row in enumerate(S.points):
         if not np.all(np.abs(row) == 1.0):
             raise InputError("generating set must consist of cube vertices")
-        index[mask_of_vector(row)] = i
+        parts[mask_of_vector(row)] = (([i], [1], [1.0]), zero)
     members = {member for combo in chain.rep_table.values() for member in combo}
-    if not members <= index.keys():
+    if not members <= parts.keys():
         raise InputError("chain member missing from the generating set")
-    zero = np.zeros(S.dimension)
-    parts = {}
-    for member in members:
-        unit = np.bincount([index[member]], minlength=S.count)
-        parts[member] = (DeltaMCertificate(m=1, multiplicities=unit,
-                                           alphas=unit), zero)
-    sigma_idx = np.array(chain.sigma[-1], dtype=int)
-    lifted = _lift_chain(chain, parts, S, sigma_idx, 1)
     a_s, b_s = chain_constants(chain.levels)
+    certificates = {}
+    for pattern, ((gens, mults, alphas), _) in _lift_chain(
+            chain, parts, S, np.array(chain.sigma[-1]), 1).items():
+        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+        mult[gens], alpha[gens] = mults, alphas
+        certificates[pattern] = DeltaMCertificate(b_s, mult, alpha)
     eps = chain.epsilon
     calibration_ok = a_s <= C / eps + 1e-9 and b_s <= C / eps ** 2 + 1e-9
-    return ChainCertificates(scale=a_s, m=b_s,
-                             certificates={p: c for p, (c, _) in lifted.items()},
+    return ChainCertificates(scale=a_s, m=b_s, certificates=certificates,
                              calibration_ok=calibration_ok,
                              scale_target=C / eps, m_target=C / eps ** 2)
 
@@ -597,8 +599,8 @@ def subsample_vertex_fit(S: GeneratingSet, cert: DeltaMCertificate, vertex,
 #   2^(n-1) vertex pairs.  Timed when that phase drew random m-subsets, and
 #   not yet re-derived for halving: at n = 10, 2^9 m = 1.36M took 12.5 s,
 #   2.50M 15.3 s and 2.77M 21.2 s; at the cap n = 10 to 12 took 15.7 to
-#   16.3 s.  From n = 13 the part that does not grow with m already takes
-#   14 s or more, which neither cap bounds.
+#   16.3 s.  At m = 14, with certificates lifted as nonzero rows, n = 13 took
+#   1.7-2.8 s (73 MB) and n = 14 3.9-4.3 s (110 MB), neither cap reached.
 MAX_SUBSAMPLE = 10 ** 4
 MAX_VERTEX_SLOTS = 2 * 10 ** 6
 
@@ -627,19 +629,9 @@ class QuotientReport:
     vertex_certificates: dict
     assembly_theta: float
     flat_m: int
-    # vertex mask -> the lifted certificate's nonzero generators, their
-    # multiplicities and alphas, and its snap displacement on sigma, as
+    # vertex mask -> its lifted rows and snap displacement on sigma, as
     # lists; in memory only: underscore fields are never written
     _rows: dict = field(repr=False)
-
-
-def _sparse_cert(cert: DeltaMCertificate, extra=None):
-    entries = [[int(i), int(cert.multiplicities[i]), float(cert.alphas[i])]
-               for i in np.nonzero(cert.multiplicities)[0]]
-    out = {"m": int(cert.m), "entries": entries}
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _decompose_vertex(S, a, m, singleton_index):
@@ -688,16 +680,18 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     selection of the agreement coordinates, the anchored chain over the
     selected patterns, lifting of the chain tables to certificates, and
     the splitting iteration that turns them into geometric representations.
-    Each vertex keeps its m-slot average x, halved from its decomposition by
-    subsample_vertex_fit, and its snap displacement y - x; its mirror keeps
-    the negated pair.  Only the query points depend on the seed.  The lift
-    (_lift_chain, shared with chain_cube_certificate) re-evaluates every
-    lifted certificate against its pattern on sigma, and each lifted
-    displacement is bounded by chain_scale * delta.  The selected patterns
-    count as dense against the calibration's c.  An instance whose subsample
-    size m exceeds MAX_SUBSAMPLE, or whose 2^(n-1) m vertex-phase slots
-    exceed MAX_VERTEX_SLOTS, or a query count below 1, is rejected before
-    any work.  Fails loudly with the phase name.
+    Each vertex keeps its m-slot average x, halved by subsample_vertex_fit,
+    as nonzero (generators, multiplicities, alphas) rows, the certificate
+    format through to the report, and its snap displacement y - x; its
+    mirror negates the alphas and the displacement.  Only the query points
+    depend on the seed.  The lift (_lift_chain, shared with
+    chain_cube_certificate) re-evaluates every lifted certificate against
+    its pattern on sigma, and each lifted displacement is bounded by
+    chain_scale * delta.  The selected patterns count as dense against the
+    calibration's c.  An instance whose subsample size m exceeds
+    MAX_SUBSAMPLE, or whose 2^(n-1) m vertex-phase slots exceed
+    MAX_VERTEX_SLOTS, or a query count or tolerance not above 0, is
+    rejected before any work.  Fails loudly with the phase name.
     """
     cal = Calibration.from_mapping(calibration)
     n = S.dimension
@@ -717,8 +711,8 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                          f"{MAX_VERTEX_SLOTS} (n = {n}, m = {m})")
     delta = cal.c1 * epsilon
     quota = math.ceil(n * (1.0 - epsilon))
-    if queries < 1:
-        raise InputError("queries must be at least 1")
+    if queries < 1 or not 0 < query_tolerance < math.inf:
+        raise InputError("queries must be >= 1 and the tolerance in (0, inf)")
 
     singleton_index = {}
     for i, row in enumerate(S.points):
@@ -741,16 +735,17 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                              allowance=allowance)
         fit = subsample_vertex_fit(S, avg, a, delta, m)
         cert = fit.certificate
+        gens = np.flatnonzero(cert.multiplicities)
+        rows = (gens.tolist(), cert.multiplicities[gens].tolist(),
+                cert.alphas[gens].tolist())
         # snapping moves the agreement coordinates of x onto the vertex
         agree = list(fit.agreement_set)
         displacement = np.zeros(n)
         displacement[agree] = a[agree] - fit.x[agree]
-        parts[mask] = (cert, displacement)
-        parts[full_mask ^ mask] = (DeltaMCertificate(
-            m=m, multiplicities=cert.multiplicities, alphas=-cert.alphas),
-            -displacement)
-        candidates[mask] = fit.agreement_set
-        candidates[full_mask ^ mask] = fit.agreement_set
+        parts[mask] = (rows, displacement)
+        parts[full_mask ^ mask] = ((*rows[:2], [-v for v in rows[2]]),
+                                   -displacement)
+        candidates[mask] = candidates[full_mask ^ mask] = fit.agreement_set
         square_errors.append(fit.square_error)
 
     mean_square = float(np.mean(square_errors))
@@ -781,23 +776,18 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     sigma_idx = np.array(sigma, dtype=int)
     lifted = _lift_chain(chain, {p: parts[w] for p, w in witnesses.items()},
                          S, sigma_idx, m)
-    vertex_rows = {}
-    vertex_certificates = {}
-    vertex_residual_max = 0.0
-    for pattern, (cert, rvec) in lifted.items():
+    vertex_rows, vertex_certificates, vertex_residual_max = {}, {}, 0.0
+    for pattern, (rows, rvec) in lifted.items():
         snap_norm = float(np.abs(rvec).max())
         if snap_norm > a_s * delta + 1e-9:
             raise PhaseError("certify", "snap residual exceeds its budget",
                              pattern=pattern, residual=snap_norm)
         vertex_residual_max = max(vertex_residual_max, snap_norm)
-        mask = mask_of_vector(pattern)
-        gens = np.flatnonzero(cert.multiplicities)
-        vertex_rows[mask] = (gens.tolist(), cert.multiplicities[gens].tolist(),
-                             cert.alphas[gens].tolist(),
-                             rvec[sigma_idx].tolist())
+        vertex_rows[mask_of_vector(pattern)] = (*rows, rvec[sigma_idx].tolist())
         key = "".join("-" if v < 0 else "+" for v in pattern)
-        vertex_certificates[key] = _sparse_cert(
-            cert, {"scale": a_s, "snap_residual": snap_norm})
+        vertex_certificates[key] = {"m": M, "scale": a_s,
+                                    "entries": [list(e) for e in zip(*rows)],
+                                    "snap_residual": snap_norm}
 
     theta_asm = 0.75
     flat_m = 2 * M

@@ -87,8 +87,10 @@ class GammaRepresentation:
         self._set(*(zip(*terms) if terms else ((), (), ())))
 
     def evaluate(self, S: GeneratingSet):
-        """One weighted gather; Python-float powers and an in-order row sum
-        give the bits of the term-by-term sum."""
+        """Python-float powers and an in-order row sum, carried across blocks
+        of at most 2^13 floats, give the bits of the term-by-term sum.  The
+        allocator keeps and reuses a 64 KB block, while a quotient query's
+        whole 6,000 x 10 series is unmapped and faulted back in each call."""
         levels = self.levels
         # the power table may hold 8 entries per term, a memory bound tied to
         # the term arrays and not a timed crossover: cube-quotient series
@@ -100,7 +102,14 @@ class GammaRepresentation:
         else:
             powers = np.array([self.theta ** level for level in levels.tolist()])
         w = (1.0 - self.theta) * powers * self.lambdas
-        return (w[:, None] * S.points[self.indices]).sum(axis=0)
+        step = max(1, 2 ** 13 // S.dimension)
+        total = np.zeros(S.dimension)
+        for start in range(0, w.size, step):
+            rows = S.points[self.indices[start:start + step]]
+            rows *= w[start:start + step, None]
+            rows[0] += total
+            total = rows.sum(axis=0)
+        return total
 
 
 def _check_rows(m, multiplicities, alphas):

@@ -184,6 +184,18 @@ class TestVerify:
                       "--coords", "0,1,2,3")):
             assert run("run", *argv, "--budget", "1") == EXIT_BUDGET, argv
 
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError(
+        "Unable to allocate 964. MiB for an array with shape (8192, 8192)")])
+    def test_out_of_memory_exits_four(self, error, cube_file, monkeypatch,
+                                      capsys):
+        # exit 1 would read as "verification failed"
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "cube_quotient", exhausted)
+        assert run("run", "cube-quotient", "--input", cube_file) == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("budget exhausted: ")
+
     def test_numerical_failure_exits_three(self, lp_ball_file):
         # cross-polytope envelope cannot contain the cube
         assert run("run", "pnormed-quotient", "--input", lp_ball_file,
@@ -358,6 +370,22 @@ OPTION_MISTAKES = [
     ("zero-trials-flag", None, ("--trials", "0")),
     ("negative-trials-flag", None, ("--trials", "-3")),
     ("zero-trials-key", "trials = 0\n", ()),
+    # tolerances and constants that are not finite and positive, and node
+    # budgets below 1, which once ran on, ended in a traceback or exited 4
+    ("zero-tol-flag", None, ("--tol", "0")),
+    ("zero-tol-key", "tol = 0\n", ()),
+    ("nan-tol-flag", None, ("--tol", "nan")),
+    ("nan-tol-key", "tol = nan\n", ()),
+    ("negative-tol-flag", None, ("--tol", "-1")),
+    ("negative-tol-key", "tol = -1\n", ()),
+    ("infinite-tol-flag", None, ("--tol", "inf")),
+    ("negative-budget-flag", None, ("--budget", "-1")),
+    ("negative-budget-key", "budget = -1\n", ()),
+    ("zero-budget-flag", None, ("--budget", "0")),
+    ("negative-const-flag", None, ("--const.c", "-1")),
+    ("negative-const-key", "c = -1\n", ()),
+    ("zero-const-flag", None, ("--const.c2", "0")),
+    ("zero-const-key", "const.c1 = 0\n", ()),
 ]
 
 

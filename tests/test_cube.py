@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,10 @@ from geomhull import cli
 from geomhull.bodies import (GeneratingSet, PBody, envelope_gauge,
                              load_generating_set_json)
 from geomhull.cube import (Calibration, VertexSet, _decompose_vertex,
-                           _max_shattered, alesker_chain, chain_constants,
-                           chain_cube_certificate, counting_select,
-                           cube_quotient, cubic_quotient_from_nonconvexity,
+                           _lift_chain, _max_shattered, alesker_chain,
+                           chain_constants, chain_cube_certificate,
+                           counting_select, cube_quotient,
+                           cubic_quotient_from_nonconvexity,
                            l1_to_cube_operator, mask_of_vector,
                            pnormed_quotient, represent_cube_point,
                            subsample_vertex_fit, vector_of_mask,
@@ -170,6 +172,39 @@ class TestChainCertificates:
         chain = alesker_chain(VertexSet.full(2), 0.5, density_c=1.0)
         with pytest.raises(InputError):
             chain_cube_certificate(chain, GeneratingSet(2, 0.5 * np.eye(2)))
+
+    @staticmethod
+    def _unit_parts(chain, S, rows):
+        """Each chain member's part: rows(generator) and no displacement."""
+        index = {mask_of_vector(row): i for i, row in enumerate(S.points)}
+        return {member: (rows(index[member]), np.zeros(S.dimension))
+                for combo in chain.rep_table.values() for member in combo}
+
+    def test_lift_rejects_alpha_above_its_multiplicity(self):
+        V = _hamming_ball(4, 1)
+        chain = alesker_chain(V, 0.5, density_c=1.0, enforce_density=False)
+        S = vertex_generating_set(V)
+        parts = self._unit_parts(chain, S, lambda i: ([i], [1], [1.0]))
+        member = next(iter(chain.rep_table[min(chain.rep_table)]))
+        (gens, _, _), zero = parts[member]
+        parts[member] = ((gens, [1], [1.5]), zero)
+        sigma_idx = np.array(chain.sigma[-1])
+        with pytest.raises(InputError, match="alpha exceeds"):
+            _lift_chain(chain, parts, S, sigma_idx, 1)
+
+    def test_lift_rejects_rows_over_the_slot_budget(self):
+        V = _hamming_ball(4, 1)
+        chain = alesker_chain(V, 0.5, density_c=1.0, enforce_density=False)
+        S = vertex_generating_set(V)
+        sigma_idx = np.array(chain.sigma[-1])
+        # chain_N = 6 slots a pattern at m = 1: unit parts fit, but seven
+        # slots a member cannot
+        _lift_chain(chain, self._unit_parts(
+            chain, S, lambda i: ([i], [1], [1.0])), S, sigma_idx, 1)
+        parts = self._unit_parts(chain, S, lambda i: ([i], [7], [1.0]))
+        with pytest.raises(PhaseError, match="budget") as err:
+            _lift_chain(chain, parts, S, sigma_idx, 1)
+        assert err.value.phase == "certify"
 
     def test_tampered_table_fails_certify(self):
         V = _hamming_ball(4, 1)
@@ -347,6 +382,29 @@ class TestCubeQuotient:
         # 2^9 m = 2,004,480 vertex-phase slots exceed MAX_VERTEX_SLOTS
         with pytest.raises(InputError, match="vertex phase"):
             cube_quotient(GeneratingSet(10, np.eye(10) * 17), 0.5)
+
+    def test_lift_holds_rows_not_dense_arrays(self):
+        # 2^(n-1) antipodal vertices and e_1: a dense multiplicity and alpha
+        # array over S for each of the 2^n lifted patterns alone would take
+        # 2^n |S| 16 bytes, 33.6 MB at n = 11
+        n = 11
+        S = GeneratingSet(n, np.vstack(
+            [[vector_of_mask(n, mask) for mask in range(1 << (n - 1))],
+             np.eye(n)[:1]]))
+        tracemalloc.start()
+        try:
+            report = cube_quotient(S, 0.5, seed=0, queries=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.sigma) == n and report.verified_fraction == 1.0
+        assert peak < (1 << n) * S.count * 16
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_query_tolerance_must_be_positive(self, tol):
+        with pytest.raises(InputError, match="tolerance"):
+            cube_quotient(GeneratingSet(3, _cube_points(3)), 0.5,
+                          query_tolerance=tol)
 
     def test_reports_are_byte_identical(self):
         S = GeneratingSet(4, _cube_points(4))
@@ -540,6 +598,11 @@ class TestCalibration:
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError):
             Calibration.from_mapping({"c3": 1.0})
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
+    def test_constants_must_be_finite_and_positive(self, value):
+        with pytest.raises(InputError, match="finite and positive"):
+            Calibration.from_mapping({"c": value})
 
     def test_passthrough_and_none(self):
         cal = Calibration.from_mapping(None)
