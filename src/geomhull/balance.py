@@ -90,60 +90,55 @@ def greedy_signs(vectors):
 # halving
 # ---------------------------------------------------------------------------
 
-def halving_step(S: GeneratingSet, idx, scal):
-    """Split a 2N-term star-hull average into an N-term average plus a defect.
+def halving_step(S: GeneratingSet, rows, N):
+    """Halve an N-slot star-hull average: nonzero rows in, rows for N/2 out.
 
-    The terms are scal[k] * s_idx[k], given as equal-length index and
-    coefficient arrays with |scal| <= 1.  Signs come from greedy_signs on the
-    term vectors; the minority sign class (at most N terms) averages to v in
-    the N-term hull, and the defect ||u - v|| = ||(1/2N) sum eps_k x_k|| is
-    checked as an identity.  The class's multiplicities and alphas are
-    summed term by term in input order, as np.bincount sums them.
+    rows are (generators, multiplicities, alphas) lists, generators
+    increasing.  They fill N slots as DeltaMCertificate.slots() lays them
+    out: generator g takes mult adjacent slots of alpha / mult (at most 1 in
+    absolute value), then (0, 0.0) up to N.  Greedy signs split the slot
+    vectors; the minority class (at most N/2 slots) is summed per generator
+    in slot order, as np.bincount sums it.  The defect ||u - v|| =
+    ||(1/N) sum eps_k x_k|| is checked as an identity, and bound =
+    max ||x_k|| / sqrt(N) is what greedy_signs asserts of it.  Returns
+    (rows, defect, bound).
     """
-    idx = np.asarray(idx, dtype=int)
-    scal = np.asarray(scal, dtype=float)
-    if idx.ndim != 1 or idx.shape != scal.shape or idx.size < 2 or idx.size % 2:
-        raise InputError("need equal-length index and coefficient arrays "
-                         "of even length, at least 2")
-    N = idx.size // 2
+    gens, mults, alphas = map(list, rows)
+    if N < 2 or N % 2 or not len(gens) == len(mults) == len(alphas):
+        raise InputError("need an even N >= 2 and equal-length rows")
     k = S.count
-    gens, coefs = idx.tolist(), scal.tolist()
-    if min(gens) < 0 or max(gens) >= k:
-        raise InputError("generator index out of range")
+    if any(map(operator.ge, [-1] + gens, gens + [k])):  # -1 < g0 < ... < k
+        raise InputError("generators must be increasing indices into S")
+    if any(map((1).__gt__, mults)) or sum(mults) > N:
+        raise InputError("multiplicities must be at least 1 and fit N slots")
+    idx, coefs = [], []
+    for g, count, alpha in zip(gens, mults, alphas):
+        idx += [g] * count
+        coefs += [alpha / count] * count
     if any(map((1 + 1e-12).__lt__, map(abs, coefs))):
-        raise InputError("term scalar exceeds 1: not a star-hull element")
-    X = scal[:, None] * S.points[idx]
+        raise InputError("alpha exceeds its multiplicity")
+    pad = N - len(idx)
+    idx, coefs = idx + [0] * pad, coefs + [0.0] * pad
+    X = np.array(coefs)[:, None] * S.points[idx]
     signs = greedy_signs(X)
     sign_list = signs.tolist()
-    minority_sign = 1.0 if sign_list.count(1.0) <= N else -1.0
-    mult, alphas = [0] * k, [0.0] * k
-    for g, c, sign in zip(gens, coefs, sign_list):
+    minority_sign = 1.0 if sign_list.count(1.0) <= N // 2 else -1.0
+    mult, alpha = {}, {}
+    for g, c, sign in zip(idx, coefs, sign_list):
         if sign == minority_sign:
-            mult[g] += 1
-            alphas[g] += c
-    cert = DeltaMCertificate(m=N, multiplicities=mult, alphas=alphas)
-    u = X.sum(axis=0) / (2 * N)
-    gap = u - cert.evaluate(S)
+            mult[g] = mult.get(g, 0) + 1
+            alpha[g] = alpha.get(g, 0.0) + c
+    out = sorted(mult)
+    rows = out, [mult[g] for g in out], [alpha[g] for g in out]
+    u = X.sum(axis=0) / N
+    gap = u - S.points.T @ np.bincount(out, rows[2], k) / (N // 2)
     defect = float(np.linalg.norm(gap))
     eps = -minority_sign * signs  # -1 on the minority class, +1 elsewhere
-    identity = (eps[:, None] * X).sum(axis=0) / (2 * N)
+    identity = (eps[:, None] * X).sum(axis=0) / N
     if np.linalg.norm(gap - identity) > 1e-10 * max(1.0, np.linalg.norm(u)):
         raise NumericalError("halving defect identity violated")
-    return cert, defect
-
-
-def _slot_lists(cert: DeltaMCertificate):
-    """cert.slots() as Python lists, for the halvings that walk the slots one
-    by one: generator i fills multiplicities[i] adjacent slots of
-    coefficient alphas[i] / multiplicities[i] (the division numpy makes),
-    generators in index order, then (0, 0.0) up to m slots."""
-    counts, alphas = cert.multiplicities.tolist(), cert.alphas.tolist()
-    idx, coef = [], []
-    for g in itertools.compress(range(len(counts)), counts):
-        idx += [g] * counts[g]
-        coef += [alphas[g] / counts[g]] * counts[g]
-    pad = cert.m - len(idx)
-    return idx + [0] * pad, coef + [0.0] * pad
+    bound = math.sqrt((X * X).sum(axis=1).max() / N)
+    return rows, defect, bound
 
 
 def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
@@ -153,14 +148,13 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     weights lambda, write it as an average over M = 2^halvings * m slots,
     with halvings = max(1, ceil(log2(16 n / m))), halve down to m terms,
     emit the m-term certificate at coefficient 1, and pass the accumulated
-    defect divided by theta to the next level.  The M slots are
-    DeltaMCertificate(M, ceil(|lambda M|), lambda M).slots(), the layout
-    every halving returns: generator i fills ceil(|lambda_i M|) adjacent
-    equal slots (none for weights at or below 1e-12), so equal slots cancel
-    in pairs under greedy signs.  If the slots exceed M, lambda shrinks by
-    0.95 until they fit and the shed mass joins the defect.  The level
-    defect must have envelope gauge <= theta or the pipeline fails with
-    diagnostics.  The series stops at the first level whose remaining tail
+    defect divided by theta to the next level.  The halvings pass nonzero
+    rows; the first are (ceil(|lambda_i M|), lambda_i M) for each weight
+    above 1e-12, so generator i fills that many adjacent equal slots, which
+    cancel in pairs under greedy signs.  If the slots exceed M, lambda
+    shrinks by 0.95 until they fit and the shed mass joins the defect.  The
+    level defect must have envelope gauge <= theta or the pipeline fails
+    with diagnostics.  The series stops at the first level whose remaining tail
     theta^level * ||residual|| is at most 1e-9; since every residual stays
     in the envelope ball, that level always comes.  Finally the level
     certificates, one row per level, go to approx2_transform, which
@@ -169,7 +163,8 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     Returns (representation, scale) with scale * eval(rep) = x up to the
     representation's residual_norm * scale; the scale never exceeds
     2 theta / ((3 theta - 1)(1 - theta)).  Pass a list as `trace` to collect
-    one record per halving step (level, halving, input_terms, defect).
+    one record per halving step (level, halving, input_terms, defect and
+    the bound greedy_signs proves on it).
     """
     if not 1.0 / 3.0 < theta < 1:
         raise InputError("theta must lie in (1/3, 1)")
@@ -199,17 +194,19 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         while counts.sum() > M:  # mass does not fit; shed a little to the defect
             lam = lam * 0.95
             counts = np.ceil(np.abs(lam) - 1e-12).astype(int)
-        slots = _slot_lists(DeltaMCertificate(m=M, multiplicities=counts,
-                                              alphas=lam))
+        gens = np.flatnonzero(counts)
+        rows = gens.tolist(), counts[gens].tolist(), lam[gens].tolist()
         for h in range(halvings):
-            n_in = len(slots[0])
-            vcert, d = halving_step(S, *slots)
+            rows, d, bound = halving_step(S, rows, M >> h)
             defect_log.append(d)
             if trace is not None:
                 trace.append({"level": level, "halving": h,
-                              "input_terms": n_in, "defect": d})
-            slots = _slot_lists(vcert)
-        y = vcert.evaluate(S)
+                              "input_terms": M >> h, "defect": d,
+                              "bound": bound})
+        gens, counts, weights = rows
+        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+        mult[gens], alpha[gens] = counts, weights
+        y = DeltaMCertificate(m, mult, alpha).evaluate(S)
         w = r - y
         defect = envelope_gauge(S, w)
         gauge_w = defect.value
@@ -219,8 +216,8 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
                 f"level {level} defect gauge {gauge_w:.6g} exceeds theta {theta}",
                 level=level, defect_gauge=gauge_w, theta=theta,
                 defects=defect_log, m=m, halvings=halvings)
-        mults.append(vcert.multiplicities)
-        alphas.append(vcert.alphas)
+        mults.append(mult)
+        alphas.append(alpha)
         r = w / theta
         coefficients = defect.coefficients / theta
     rep, flatten_scale = approx2_transform(theta, m, np.ones(len(mults)),

@@ -234,27 +234,27 @@ class ShatterChain:
                 raise InputError("empty tau level")
 
     def verify(self, V: VertexSet):
-        """Re-check every representation entry in exact rational arithmetic."""
+        """Re-check every representation entry exactly, in integers: the
+        coefficients scaled by 2^levels, whose projections must be the
+        pattern scaled alike."""
         sigma = self.sigma[-1]
         if len(self.rep_table) != 1 << len(sigma):
             raise NumericalError("representation table does not cover the cube")
-        a_s, b_s = chain_constants(self.levels)
+        b_s = chain_constants(self.levels)[1]
         weight = 1 << self.levels
         for pattern, combo in self.rep_table.items():
-            slots = 0
-            for member, coef in combo.items():
-                if member not in V.members:
-                    raise NumericalError("representation uses a non-member")
-                scaled = abs(coef) * weight
-                slots += -(-scaled.numerator // scaled.denominator)
+            if not combo.keys() <= V.members:
+                raise NumericalError("representation uses a non-member")
+            scaled = {member: coef * weight for member, coef in combo.items()}
+            if any(c.denominator != 1 for c in scaled.values()):
+                raise NumericalError("non-dyadic chain coefficient")
+            scaled = {member: c.numerator for member, c in scaled.items()}
+            slots = sum(map(abs, scaled.values()))
             if slots > b_s:
                 raise NumericalError(f"slot budget {slots} exceeds {b_s}")
-            for pos, coord in enumerate(sigma):
-                total = Fraction(0)
-                for member, coef in combo.items():
-                    sign = -1 if (member >> coord) & 1 else 1
-                    total += coef * sign
-                if total != pattern[pos]:
+            for value, coord in zip(pattern, sigma):
+                if sum(-c if (member >> coord) & 1 else c
+                       for member, c in scaled.items()) != value * weight:
                     raise NumericalError("projection mismatch in the chain table")
         return True
 
@@ -420,7 +420,7 @@ def _all_patterns(k):
 
 @dataclass
 class ChainCertificates:
-    """Average-hull certificates for every pattern the chain reaches."""
+    """Average-hull certificate rows for every pattern the chain reaches."""
 
     scale: int
     m: int
@@ -478,10 +478,10 @@ def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
     """Lift the chain tables to average-hull certificates over S.
 
     Each chain member is a row of S, a one-slot certificate with no
-    displacement, so every pattern gets a certificate with the chain's slot
-    count b and scale a.  The lift re-evaluates each certificate against its
+    displacement, so every pattern gets certificate rows with the chain's
+    slot count b and scale a.  The lift re-evaluates each against its
     pattern on sigma in floats (a mismatch is PhaseError "certify"), a check
-    independent of the exact rational one alesker_chain runs on the table.
+    independent of the exact integer one alesker_chain runs on the table.
     Scales beyond the calibrated targets are flagged, not fatal -- the
     calibration is a fitted record, not a guarantee.
     """
@@ -495,12 +495,8 @@ def chain_cube_certificate(chain: ShatterChain, S: GeneratingSet,
     if not members <= parts.keys():
         raise InputError("chain member missing from the generating set")
     a_s, b_s = chain_constants(chain.levels)
-    certificates = {}
-    for pattern, ((gens, mults, alphas), _) in _lift_chain(
-            chain, parts, S, np.array(chain.sigma[-1]), 1).items():
-        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
-        mult[gens], alpha[gens] = mults, alphas
-        certificates[pattern] = DeltaMCertificate(b_s, mult, alpha)
+    lifted = _lift_chain(chain, parts, S, np.array(chain.sigma[-1]), 1)
+    certificates = {pattern: rows for pattern, (rows, _) in lifted.items()}
     eps = chain.epsilon
     calibration_ok = a_s <= C / eps + 1e-9 and b_s <= C / eps ** 2 + 1e-9
     return ChainCertificates(scale=a_s, m=b_s, certificates=certificates,
@@ -549,38 +545,47 @@ def counting_select(candidates, k):
 
 @dataclass
 class SubsampleFit:
-    """m-slot average of a vertex decomposition, with its agreement set."""
+    """m-slot vertex fit: rows, x, agreement set, summed defects and bounds."""
 
-    certificate: DeltaMCertificate
+    rows: tuple
     x: np.ndarray
     agreement_set: tuple
-    square_error: float
+    defect: float
+    bound: float
 
 
-def subsample_vertex_fit(S: GeneratingSet, cert: DeltaMCertificate, vertex,
-                         delta, m) -> SubsampleFit:
-    """Halve an N-slot average of a vertex down to m slots, N = 2^h m.
+def subsample_vertex_fit(S: GeneratingSet, rows, N, vertex, delta,
+                         m) -> SubsampleFit:
+    """Halve a vertex's N-slot average, as nonzero rows, to m slots, N = 2^h m.
 
     Each of the h halving_steps keeps the minority class of greedy signs
     over the current slots, so the fit's slots are a sub-multiset of the
-    input's and N = m returns the input certificate.  The agreement set is
-    the coordinates where the m-slot average x is within delta of the
-    vertex, and square_error is ||x - vertex||^2, which the caller checks
-    against the 4 n d^2/m allowance.
+    input's and N = m returns the input rows.  A defect past its bound,
+    beyond greedy_signs' slack, fails decompose.  x is the m-slot average
+    with DeltaMCertificate.evaluate's bits, and the agreement set is the
+    coordinates where x is within delta of the vertex.
     """
     vertex = np.asarray(vertex, dtype=float)
     if vertex.shape != (S.dimension,):
         raise InputError("decomposition and vertex dimensions differ")
-    N = cert.m
     if m < 1 or N % m or (N // m) & (N // m - 1):
         raise InputError(f"slot count {N} is not m 2^h for m = {m}")
-    for _ in range((N // m).bit_length() - 1):
-        cert, _ = halving_step(S, *cert.slots())
-    x = cert.evaluate(S)
+    defects = bounds = 0.0
+    for h in range((N // m).bit_length() - 1):
+        rows, defect, bound = halving_step(S, rows, N >> h)
+        if defect > bound * (1 + 1e-9) + 1e-12:
+            raise PhaseError("decompose", "halving defect exceeds its bound",
+                             vertex=vertex.tolist(), defect=defect, bound=bound)
+        defects, bounds = defects + defect, bounds + bound
+    gens, _, alphas = rows
+    if len(gens) == 1:  # the one nonzero product of the dense sum
+        x = S.points[gens[0]] * alphas[0] / m
+    else:
+        x = S.points.T @ np.bincount(gens, alphas, S.count) / m
     agreement = tuple(np.flatnonzero(np.abs(x - vertex) <= delta + 1e-12)
                       .tolist())
-    return SubsampleFit(certificate=cert, x=x, agreement_set=agreement,
-                        square_error=float(((x - vertex) ** 2).sum()))
+    return SubsampleFit(rows=rows, x=x, agreement_set=agreement,
+                        defect=defects, bound=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +601,10 @@ def subsample_vertex_fit(S: GeneratingSet, cert: DeltaMCertificate, vertex,
 #   21,673 10.3 s (462 MB) and 44,009 22.7 s (769 MB).  A ~20 s budget alone
 #   would allow m near 40,000, but the slot arrays then need ~0.75 GB.
 # - MAX_VERTEX_SLOTS bounds the vertex phase, m slots for each of the
-#   2^(n-1) vertex pairs.  Timed when that phase drew random m-subsets, and
-#   not yet re-derived for halving: at n = 10, 2^9 m = 1.36M took 12.5 s,
-#   2.50M 15.3 s and 2.77M 21.2 s; at the cap n = 10 to 12 took 15.7 to
-#   16.3 s.  At m = 14, with certificates lifted as nonzero rows, n = 13 took
-#   1.7-2.8 s (73 MB) and n = 14 3.9-4.3 s (110 MB), neither cap reached.
+#   2^(n-1) vertex pairs.  At the cap, halving each pair once from 2m slots
+#   (d = 16.9 at n = 10: 1.98M slots, the scaled basis or a rotated cube;
+#   d = 12 at n = 11: 2.0M) took 5.4-5.9 s of 5.2-6.3 s runs (72-103 MB,
+#   one BLAS thread).  At m = 14, n = 14 took 2.0-2.4 s (108 MB).
 MAX_SUBSAMPLE = 10 ** 4
 MAX_VERTEX_SLOTS = 2 * 10 ** 6
 
@@ -621,7 +625,7 @@ class QuotientReport:
     theta_formula: float
     chain_levels: int
     density_ok: bool
-    variance_check: dict
+    vertex_fit: dict
     vertex_residual_max: float
     seed: int
     query_tolerance: float
@@ -635,21 +639,18 @@ class QuotientReport:
 
 
 def _decompose_vertex(S, a, m, singleton_index):
-    """Equal-weight star decomposition of a vertex, as an average certificate.
+    """Equal-weight star decomposition of a vertex, as nonzero average rows.
 
-    Returns (certificate, shrink_error): the vertex, slightly shrunk, as an
-    N-term average over S whose N slots are the decomposition's elements.
-    Members of S (up to sign) take all N = m slots; otherwise N is the first
-    m 2^h at least max(2m, 8 nz), nz the LP's nonzero coefficients, and
-    those are shrunk so that each generator's weight rounds up to a slot
-    count within N.  The caller checks the shrink error against the n d^2/m
-    allowance before halving N down to m.
+    Returns (rows, N, shrink_error): the vertex, slightly shrunk, as an
+    N-slot average over S.  Members of S (up to sign) take all N = m slots;
+    otherwise N is the first m 2^h at least max(2m, 8 nz), nz the LP's
+    nonzero coefficients, shrunk so that each generator's weight rounds up
+    to a slot count within N.
     """
     key = mask_of_vector(a)
     if key in singleton_index:
         idx, sign = singleton_index[key]
-        mult = m * np.bincount([idx], minlength=S.count)
-        return DeltaMCertificate(m=m, multiplicities=mult, alphas=sign * mult), 0.0
+        return ([idx], [m], [sign * m]), m, 0.0
     cert = envelope_gauge(S, a)
     gauge = cert.value
     if gauge > 1.0 + 1e-6:
@@ -666,8 +667,9 @@ def _decompose_vertex(S, a, m, singleton_index):
     mult = np.where(live, np.maximum(1, np.ceil(weight - 1e-12)), 0).astype(int)
     if mult.sum() > N:
         raise NumericalError("slot split exceeded its budget")
-    avg = DeltaMCertificate(m=N, multiplicities=mult, alphas=np.sign(lam) * weight)
-    return avg, float(np.linalg.norm(a - avg.evaluate(S)))
+    alphas, gens = np.sign(lam) * weight, np.flatnonzero(live)
+    rows = gens.tolist(), mult[gens].tolist(), alphas[gens].tolist()
+    return rows, N, float(np.linalg.norm(a - S.points.T @ alphas / N))
 
 
 def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
@@ -680,18 +682,18 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     selection of the agreement coordinates, the anchored chain over the
     selected patterns, lifting of the chain tables to certificates, and
     the splitting iteration that turns them into geometric representations.
-    Each vertex keeps its m-slot average x, halved by subsample_vertex_fit,
-    as nonzero (generators, multiplicities, alphas) rows, the certificate
-    format through to the report, and its snap displacement y - x; its
-    mirror negates the alphas and the displacement.  Only the query points
-    depend on the seed.  The lift (_lift_chain, shared with
-    chain_cube_certificate) re-evaluates every lifted certificate against
-    its pattern on sigma, and each lifted displacement is bounded by
-    chain_scale * delta.  The selected patterns count as dense against the
-    calibration's c.  An instance whose subsample size m exceeds
-    MAX_SUBSAMPLE, or whose 2^(n-1) m vertex-phase slots exceed
-    MAX_VERTEX_SLOTS, or a query count or tolerance not above 0, is
-    rejected before any work.  Fails loudly with the phase name.
+    Each vertex keeps its m-slot average x as nonzero (generators,
+    multiplicities, alphas) rows, the certificate format through to the
+    report, and its snap displacement y - x; its mirror negates both.
+    ||x - vertex|| must be within the shrink error plus the halvings'
+    defects, and vertex_fit reports the largest error and the largest
+    proved bound, shrink + the greedy bounds.  Only the queries depend on
+    the seed.  _lift_chain re-checks every lifted certificate on sigma, and
+    each lifted displacement is bounded by chain_scale * delta.  The
+    selected patterns count as dense against the calibration's c.  An
+    instance whose m exceeds MAX_SUBSAMPLE, or whose 2^(n-1) m vertex-phase
+    slots exceed MAX_VERTEX_SLOTS, or a query count or tolerance not above
+    0, is rejected before any work.  Fails loudly with the phase name.
     """
     cal = Calibration.from_mapping(calibration)
     n = S.dimension
@@ -722,36 +724,32 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
 
     full_mask = (1 << n) - 1
 
-    parts = {}
-    candidates = {}
-    square_errors = []
+    parts, candidates = {}, {}
     allowance = n * d * d / m
+    error_max = bound_max = 0.0
     for mask in range(half):
         a = vector_of_mask(n, mask)
-        avg, shrink_error = _decompose_vertex(S, a, m, singleton_index)
+        rows, N, shrink_error = _decompose_vertex(S, a, m, singleton_index)
         if shrink_error ** 2 > allowance + 1e-9:
             raise PhaseError("decompose", "rounding error exceeds the allowance",
                              vertex=a.tolist(), error=shrink_error,
                              allowance=allowance)
-        fit = subsample_vertex_fit(S, avg, a, delta, m)
-        cert = fit.certificate
-        gens = np.flatnonzero(cert.multiplicities)
-        rows = (gens.tolist(), cert.multiplicities[gens].tolist(),
-                cert.alphas[gens].tolist())
+        fit = subsample_vertex_fit(S, rows, N, a, delta, m)
+        # the triangle inequality through the average after each halving
+        error = float(np.linalg.norm(fit.x - a))
+        if error > (shrink_error + fit.defect) * (1 + 1e-9) + 1e-12:
+            raise PhaseError("decompose", "fit error exceeds the shrink error "
+                             "plus the halving defects", vertex=a.tolist())
+        error_max = max(error_max, error)
+        bound_max = max(bound_max, shrink_error + fit.bound)
         # snapping moves the agreement coordinates of x onto the vertex
         agree = list(fit.agreement_set)
         displacement = np.zeros(n)
         displacement[agree] = a[agree] - fit.x[agree]
-        parts[mask] = (rows, displacement)
-        parts[full_mask ^ mask] = ((*rows[:2], [-v for v in rows[2]]),
+        parts[mask] = (fit.rows, displacement)
+        parts[full_mask ^ mask] = ((*fit.rows[:2], [-v for v in fit.rows[2]]),
                                    -displacement)
         candidates[mask] = candidates[full_mask ^ mask] = fit.agreement_set
-        square_errors.append(fit.square_error)
-
-    mean_square = float(np.mean(square_errors))
-    variance_bound = 4.0 * n * d * d / m
-    variance_check = {"mean_square": mean_square, "bound": variance_bound,
-                      "pass": mean_square <= variance_bound}
 
     k_agree = min(len(c) for c in candidates.values())
     if k_agree < quota:
@@ -804,7 +802,8 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
                         "k_agreement": k_agree},
         certificates=[], verified_fraction=0.0, tau=tau,
         theta_formula=float(theta_formula), chain_levels=chain.levels,
-        density_ok=bool(density_ok), variance_check=variance_check,
+        density_ok=bool(density_ok),
+        vertex_fit={"error_max": error_max, "bound_max": bound_max},
         vertex_residual_max=vertex_residual_max, seed=int(seed),
         query_tolerance=float(query_tolerance), calibration=cal.as_dict(),
         vertex_certificates=vertex_certificates, assembly_theta=theta_asm,

@@ -203,14 +203,18 @@ def test_criterion_07_cube_quotient_end_to_end():
     clock = _Clock(600.0)
     S = _noisy_cube_instance()
     report = cube.cube_quotient(S, 0.5, seed=11, queries=200)
-    var = report.variance_check
+    # the proved per-vertex fit bound, against Maurey's 4 n d^2 / m
+    fit = report.vertex_fit
+    used = report.constants_used
+    allowance = 4 * used["n"] * used["d"] ** 2 / used["m"]
     ok = (len(report.sigma) >= 5
           and report.verified_fraction >= 0.99
-          and var["mean_square"] <= var["bound"] + 1e-12
+          and fit["error_max"] <= fit["bound_max"] + 1e-12
+          and fit["bound_max"] ** 2 <= allowance
           and clock.ok())
     _line(7, ok, f"|sigma| {len(report.sigma)}, verified "
-                 f"{report.verified_fraction:.3f}, variance "
-                 f"{var['mean_square']:.3e} <= {var['bound']:.3f}, "
+                 f"{report.verified_fraction:.3f}, vertex fit "
+                 f"{fit['error_max']:.3e} <= {fit['bound_max']:.3e}, "
                  f"{clock.elapsed:.1f}s")
 
 

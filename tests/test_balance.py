@@ -7,6 +7,7 @@ from geomhull import balance
 from geomhull.balance import greedy_signs, halving_step, type1_represent
 from geomhull.bodies import GeneratingSet, envelope_gauge
 from geomhull.errors import InputError, NumericalError
+from geomhull.hulls import DeltaMCertificate
 
 
 def _circle(k):
@@ -189,55 +190,102 @@ class TestGreedySigns:
                                       _reference_greedy_signs(X))
 
 
+def _dense(S, rows, N):
+    """The rows as a DeltaMCertificate over all of S."""
+    gens, mults, alphas = rows
+    mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+    mult[gens], alpha[gens] = mults, alphas
+    return DeltaMCertificate(m=N, multiplicities=mult, alphas=alpha)
+
+
 class TestHalving:
     def test_halves_and_identity(self):
         S = _circle(8)
         rng = np.random.default_rng(3)
-        idx = rng.integers(0, 8, size=16)
-        scal = rng.uniform(-1, 1, size=16)
-        cert, defect = halving_step(S, idx, scal)
-        assert cert.m == 8
+        gens = [0, 2, 3, 5, 7]
+        mults = [4, 1, 3, 2, 4]
+        alphas = (rng.uniform(-1, 1, size=5) * mults).tolist()
+        rows, defect, bound = halving_step(S, (gens, mults, alphas), 16)
+        assert sum(rows[1]) <= 8 and set(rows[0]) <= set(gens) | {0}
+        assert all(m >= 1 for m in rows[1])
         # defect == distance between the 16-term and 8-term averages
-        u = sum(s * S.points[i] for i, s in zip(idx, scal)) / 16.0
-        assert np.linalg.norm(u - cert.evaluate(S)) == pytest.approx(defect)
-        assert defect <= math.sqrt(16) / 16 + 1e-12
+        u = _dense(S, (gens, mults, alphas), 16).evaluate(S)
+        v = _dense(S, rows, 8).evaluate(S)
+        assert np.linalg.norm(u - v) == pytest.approx(defect)
+        widest = max(abs(a) / k for a, k in zip(alphas, mults))
+        assert bound == pytest.approx(widest / 4.0)
+        assert defect <= bound * (1 + 1e-9) + 1e-12
+
+    def test_padding_halves_with_generator_zero(self):
+        # three slots of generator 5 in eight: the five padding slots are
+        # (0, 0.0), and whichever class is smaller keeps its share
+        S = _circle(8)
+        rows, defect, bound = halving_step(S, ([5], [3], [1.5]), 8)
+        assert sum(rows[1]) <= 4
+        assert set(rows[0]) <= {0, 5}
+        assert bound == pytest.approx(0.5 / math.sqrt(8))
 
     def test_odd_count_rejected(self):
         S = _circle(4)
-        with pytest.raises(InputError):
-            halving_step(S, [0, 1, 2], [1.0, 0.5, -0.5])
+        for N in (3, 7, 0):
+            with pytest.raises(InputError, match="even N"):
+                halving_step(S, ([0], [1], [0.5]), N)
 
     def test_scalar_cap_enforced(self):
+        # an alpha above its multiplicity puts a slot scalar above 1
         S = _circle(4)
-        with pytest.raises(InputError):
-            halving_step(S, [0, 1], [2.0, 0.5])
+        with pytest.raises(InputError, match="alpha exceeds"):
+            halving_step(S, ([0, 1], [1, 2], [0.5, 2.5]), 4)
 
     def test_length_mismatch_rejected(self):
         S = _circle(4)
-        with pytest.raises(InputError):
-            halving_step(S, [0, 1, 2, 3], [1.0, 0.5])
+        for rows in (([0, 1], [1, 1], [0.5]), ([0, 1], [1], [0.5, 0.5])):
+            with pytest.raises(InputError, match="equal-length"):
+                halving_step(S, rows, 4)
+
+    @pytest.mark.parametrize("gens", [[1, 0], [1, 1], [0, 4], [-1]])
+    def test_generators_must_increase_within_s(self, gens):
+        S = _circle(4)
+        with pytest.raises(InputError, match="increasing"):
+            halving_step(S, (gens, [1] * len(gens), [0.5] * len(gens)), 4)
+
+    def test_zero_multiplicity_rejected(self):
+        S = _circle(4)
+        with pytest.raises(InputError, match="at least 1"):
+            halving_step(S, ([0], [0], [0.0]), 4)
+
+    def test_multiplicities_over_the_slot_count_rejected(self):
+        S = _circle(4)
+        with pytest.raises(InputError, match="fit N slots"):
+            halving_step(S, ([0, 1], [2, 3], [1.0, 1.0]), 4)
 
     def test_certificate_and_slots_equal_the_numpy_path(self, monkeypatch):
-        # on every halving of seeded type1 requests: np.bincount over the
-        # minority class gives the certificate's bits, and the next slots
-        # are cert.slots()
+        # on every halving of seeded type1 requests: the slots are the input
+        # certificate's DeltaMCertificate.slots(), and np.bincount over the
+        # minority class of the numpy greedy loop gives the output rows
         S = _circle(64)
         seen = []
 
-        def checked(S_, idx, scal):
-            cert, defect = halving_step(S_, idx, scal)
-            idx, scal = np.asarray(idx), np.asarray(scal)
-            signs = _reference_greedy_signs(scal[:, None] * S_.points[idx])
-            minority = 1.0 if (signs > 0).sum() <= idx.size // 2 else -1.0
+        def checked(S_, rows, N):
+            out, defect, bound = halving_step(S_, rows, N)
+            idx, scal = _dense(S_, rows, N).slots()
+            X = scal[:, None] * S_.points[idx]
+            signs = _reference_greedy_signs(X)
+            minority = 1.0 if (signs > 0).sum() <= N // 2 else -1.0
             mask = signs == minority
-            assert np.array_equal(cert.multiplicities,
-                                  np.bincount(idx[mask], minlength=S_.count))
-            assert np.array_equal(cert.alphas, np.bincount(
-                idx[mask], weights=scal[mask], minlength=S_.count))
-            slots = balance._slot_lists(cert)
-            assert [list(a) for a in slots] == [a.tolist() for a in cert.slots()]
-            seen.append(idx.size)
-            return cert, defect
+            mult = np.bincount(idx[mask], minlength=S_.count)
+            alpha = np.bincount(idx[mask], weights=scal[mask],
+                                minlength=S_.count)
+            gens = np.flatnonzero(mult)
+            assert out[0] == gens.tolist()
+            assert out[1] == mult[gens].tolist()
+            assert out[2] == alpha[gens].tolist()
+            v = S_.points.T @ alpha / (N // 2)
+            assert defect == float(np.linalg.norm(X.sum(axis=0) / N - v))
+            assert bound == pytest.approx(
+                np.linalg.norm(X, axis=1).max() / math.sqrt(N), rel=1e-14)
+            seen.append(N)
+            return out, defect, bound
 
         monkeypatch.setattr(balance, "halving_step", checked)
         for x in _type1_requests(S, 10, seed=8):
@@ -282,7 +330,9 @@ class TestType1Represent:
         rep, scale = type1_represent(S, 0.5, 2, x, trace=trace)
         assert trace, "no halving steps recorded"
         for rec in trace:
-            assert rec["defect"] <= 1.0 / math.sqrt(rec["input_terms"]) + 1e-12
+            # unit generators: the greedy bound is at most 1 / sqrt(N)
+            assert rec["defect"] <= rec["bound"] * (1 + 1e-9) + 1e-12
+            assert rec["bound"] <= 1.0 / math.sqrt(rec["input_terms"]) + 1e-12
 
     def test_bits_equal_with_the_numpy_greedy_loop(self, monkeypatch):
         S = _circle(64)

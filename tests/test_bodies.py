@@ -309,7 +309,7 @@ class TestCubeSandwich:
         n = S.dimension
         for mask in range(1 << (n - 1)):  # a vertex and its negation agree
             a = vector_of_mask(n, mask)
-            _, shrink_error = _decompose_vertex(S, a, m, {})
+            *_, shrink_error = _decompose_vertex(S, a, m, {})
             assert shrink_error ** 2 <= n * np.abs(S.points).max() ** 2 / m
             assert envelope_gauge(S, a).value == pytest.approx(1.0, abs=1e-9)
         return float(np.abs(S.points).max())

@@ -13,7 +13,8 @@ import pytest
 from geomhull import cli
 from geomhull.bodies import (GeneratingSet, PBody, envelope_gauge,
                              load_generating_set_json)
-from geomhull.cube import (Calibration, VertexSet, _decompose_vertex,
+from geomhull.cube import (Calibration, ShatterChain, VertexSet,
+                           _decompose_vertex,
                            _lift_chain, _max_shattered, alesker_chain,
                            chain_constants, chain_cube_certificate,
                            counting_select, cube_quotient,
@@ -22,7 +23,8 @@ from geomhull.cube import (Calibration, VertexSet, _decompose_vertex,
                            pnormed_quotient, represent_cube_point,
                            subsample_vertex_fit, vector_of_mask,
                            vertex_generating_set, vertex_set_from_generating_set)
-from geomhull.errors import BudgetError, InputError, PhaseError
+from geomhull import cube
+from geomhull.errors import BudgetError, InputError, NumericalError, PhaseError
 from geomhull.hulls import DeltaMCertificate
 
 
@@ -135,6 +137,24 @@ class TestAleskerChain:
                 assert isinstance(coef, Fraction)
                 assert (2 ** s) % coef.denominator == 0
 
+    def test_verify_rejects_a_non_dyadic_coefficient(self):
+        # each pattern over sigma = (0, 1) as 2/3 and 1/3 of its two members
+        # on the 3-cube: the projections and the slot count (3 <= 6) hold,
+        # but 2/3 times 2^levels is not an integer
+        V = VertexSet.full(3)
+        table = {}
+        for mask in range(4):
+            pattern = tuple(1 - 2 * ((mask >> i) & 1) for i in range(2))
+            table[pattern] = {mask: Fraction(2, 3), mask | 4: Fraction(1, 3)}
+        chain = ShatterChain(levels=1, sigma=[(0,), (0, 1)], tau=[(1,)],
+                             rep_table=table, epsilon=0.5)
+        with pytest.raises(NumericalError, match="non-dyadic"):
+            chain.verify(V)
+        for combo in table.values():
+            for member in combo:
+                combo[member] = Fraction(1, 2)
+        chain.verify(V)
+
     def test_parity_set_cannot_grow(self):
         members = frozenset(m for m in range(16) if bin(m).count("1") % 2 == 0)
         V = VertexSet(4, members)
@@ -161,10 +181,11 @@ class TestChainCertificates:
         certs = chain_cube_certificate(chain, S)
         assert certs.scale == 3 and certs.m == 6
         assert len(certs.certificates) == 2 ** len(chain.sigma[-1])
-        # every certificate hits its vertex exactly on sigma
+        # every certificate's rows hit its vertex exactly on sigma
         sig = list(chain.sigma[-1])
-        for pattern, cert in certs.certificates.items():
-            got = certs.scale * cert.evaluate(S)
+        for pattern, (gens, mults, alphas) in certs.certificates.items():
+            assert sum(mults) <= certs.m
+            got = certs.scale * (S.points[gens].T @ alphas) / certs.m
             want = np.array(pattern, dtype=float)
             assert np.abs(got[sig] - want).max() < 1e-12
 
@@ -248,8 +269,11 @@ def _rotated_cube(n, scale):
     return GeneratingSet(n, scale * _cube_points(n) @ Q.T, label="rotated")
 
 
-def _nonzero_slots(cert):
-    idx, coef = cert.slots()
+def _nonzero_slots(S, rows, N):
+    gens, mults, alphas = rows
+    mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+    mult[gens], alpha[gens] = mults, alphas
+    idx, coef = DeltaMCertificate(N, mult, alpha).slots()
     return collections.Counter((i, round(c, 12)) for i, c
                                in zip(idx.tolist(), coef.tolist()) if c)
 
@@ -259,42 +283,47 @@ class TestSubsample:
     def decomposition(self):
         S = _rotated_cube(3, math.sqrt(3.0))
         a = vector_of_mask(3, 5)
-        cert, _ = _decompose_vertex(S, a, 5, {})
-        return S, a, cert
+        rows, N, shrink = _decompose_vertex(S, a, 5, {})
+        return S, a, rows, N, shrink
 
     def test_whole_decomposition_is_returned(self):
         S = GeneratingSet(3, _cube_points(3))
         a = vector_of_mask(3, 2)
         row = int(np.flatnonzero((S.points == a).all(axis=1))[0])
-        mult = 6 * np.bincount([row], minlength=8)
-        cert = DeltaMCertificate(m=6, multiplicities=mult, alphas=1.0 * mult)
-        fit = subsample_vertex_fit(S, cert, a, delta=0.01, m=6)
-        assert fit.certificate is cert
+        rows = [row], [6], [6.0]
+        assert _decompose_vertex(S, a, 6, {2: (row, 1.0)}) == (rows, 6, 0.0)
+        fit = subsample_vertex_fit(S, rows, 6, a, delta=0.01, m=6)
+        assert fit.rows is rows
+        assert np.array_equal(fit.x, a)
         assert fit.agreement_set == (0, 1, 2)
-        assert fit.square_error == 0.0
+        assert fit.defect == fit.bound == 0.0
 
     def test_halved_slots_come_from_the_input(self, decomposition):
-        S, a, cert = decomposition
-        assert cert.m == 8 * 5   # three halvings
-        fit = subsample_vertex_fit(S, cert, a, delta=0.1, m=5)
-        assert fit.certificate.m == 5
-        assert _nonzero_slots(fit.certificate)
-        assert not _nonzero_slots(fit.certificate) - _nonzero_slots(cert)
+        S, a, rows, N, _ = decomposition
+        assert N == 8 * 5   # three halvings
+        fit = subsample_vertex_fit(S, rows, N, a, delta=0.1, m=5)
+        assert sum(fit.rows[1]) <= 5
+        assert _nonzero_slots(S, fit.rows, 5)
+        assert not _nonzero_slots(S, fit.rows, 5) - _nonzero_slots(S, rows, N)
 
-    def test_square_error_is_the_fit_error(self, decomposition):
-        S, a, cert = decomposition
-        fit = subsample_vertex_fit(S, cert, a, delta=0.1, m=5)
-        x = fit.certificate.evaluate(S)
+    def test_fit_error_is_within_the_halving_defects(self, decomposition):
+        S, a, rows, N, shrink = decomposition
+        fit = subsample_vertex_fit(S, rows, N, a, delta=0.1, m=5)
+        gens, mults, alphas = fit.rows
+        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+        mult[gens], alpha[gens] = mults, alphas
+        x = DeltaMCertificate(5, mult, alpha).evaluate(S)
         assert np.array_equal(fit.x, x)
-        assert fit.square_error == float(((x - a) ** 2).sum())
+        assert 0.0 < fit.defect <= fit.bound
+        assert np.linalg.norm(x - a) <= shrink + fit.defect + 1e-12
         assert fit.agreement_set == tuple(
             j for j in range(3) if abs(x[j] - a[j]) <= 0.1 + 1e-12)
 
     @pytest.mark.parametrize("m", [3, 6, 7])
     def test_slot_count_must_be_m_times_a_power_of_two(self, decomposition, m):
-        S, a, cert = decomposition   # N = 40
+        S, a, rows, N, _ = decomposition   # N = 40
         with pytest.raises(InputError):
-            subsample_vertex_fit(S, cert, a, delta=0.1, m=m)
+            subsample_vertex_fit(S, rows, N, a, delta=0.1, m=m)
 
 
 class TestOperator:
@@ -328,10 +357,8 @@ class TestCubeQuotient:
         assert report.verified_fraction == 1.0
         assert report.chain_levels == 0
         assert report.C_over_eps == pytest.approx(4.6110, abs=1e-3)
-        assert report.variance_check["pass"]
-        used = report.constants_used
-        assert report.variance_check["bound"] == pytest.approx(
-            4 * used["n"] * used["d"] ** 2 / used["m"])
+        # every vertex is in S: nothing is shrunk or halved
+        assert report.vertex_fit == {"error_max": 0.0, "bound_max": 0.0}
         assert report.vertex_residual_max == 0.0
 
     @pytest.mark.parametrize("n", [5, 6, 8])
@@ -343,7 +370,32 @@ class TestCubeQuotient:
             report = cube_quotient(S, 0.5, seed=seed, queries=2)
             assert report.sigma == tuple(range(n))
             assert report.verified_fraction == 1.0
-            assert report.variance_check["pass"]
+            fit = report.vertex_fit
+            used = report.constants_used
+            assert 0.0 < fit["error_max"] <= fit["bound_max"]
+            # the proved bound is tighter than Maurey's 4 n d^2 / m
+            assert fit["bound_max"] ** 2 < 4 * n * used["d"] ** 2 / used["m"]
+
+    @pytest.mark.parametrize("corrupt, message", [
+        # defects reach 0.074 of their bounds here: a bound at half the
+        # defect is caught by the halving check
+        (lambda defect, bound: (defect, defect / 2), "exceeds its bound"),
+        # with every defect claimed as 0, the fit error exceeds the shrink
+        (lambda defect, bound: (0.0, bound), "plus the halving defects")],
+        ids=["bound-below-defect", "defects-claimed-zero"])
+    def test_misreported_halving_fails_decompose(self, monkeypatch, corrupt,
+                                                 message):
+        # no vertex of the rotated 5-cube is in S: every one is halved
+        real = cube.halving_step
+
+        def misreported(*args):
+            rows, defect, bound = real(*args)
+            return (rows, *corrupt(defect, bound))
+
+        monkeypatch.setattr(cube, "halving_step", misreported)
+        with pytest.raises(PhaseError, match=message) as err:
+            cube_quotient(_rotated_cube(5, math.sqrt(5)), 0.5, queries=2)
+        assert err.value.phase == "decompose"
 
     def test_generic_lp_decomposition_path(self):
         rng = np.random.default_rng(20)
