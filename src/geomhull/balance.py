@@ -16,7 +16,7 @@ import numpy as np
 
 from .bodies import GeneratingSet, envelope_gauge
 from .errors import InputError, NumericalError, PhaseError
-from .hulls import DeltaMCertificate, approx2_transform
+from .hulls import DeltaMCertificate, approx2_transform, rows_average
 
 
 def greedy_signs(vectors):
@@ -94,9 +94,9 @@ def halving_step(S: GeneratingSet, rows, N):
     """Halve an N-slot star-hull average: nonzero rows in, rows for N/2 out.
 
     rows are (generators, multiplicities, alphas) lists, generators
-    increasing.  They fill N slots as DeltaMCertificate.slots() lays them
-    out: generator g takes mult adjacent slots of alpha / mult (at most 1 in
-    absolute value), then (0, 0.0) up to N.  Greedy signs split the slot
+    increasing, that pass DeltaMCertificate's checks.  They fill N slots as
+    DeltaMCertificate.slots() lays them out: generator g takes mult adjacent
+    slots of alpha / mult, then (0, 0.0) up to N.  Greedy signs split the slot
     vectors; the minority class (at most N/2 slots) is summed per generator
     in slot order, as np.bincount sums it.  The defect ||u - v|| =
     ||(1/N) sum eps_k x_k|| is checked as an identity, and bound =
@@ -109,14 +109,12 @@ def halving_step(S: GeneratingSet, rows, N):
     k = S.count
     if any(map(operator.ge, [-1] + gens, gens + [k])):  # -1 < g0 < ... < k
         raise InputError("generators must be increasing indices into S")
-    if any(map((1).__gt__, mults)) or sum(mults) > N:
-        raise InputError("multiplicities must be at least 1 and fit N slots")
+    DeltaMCertificate(N, mults, alphas)  # the certificate checks, on the rows
     idx, coefs = [], []
     for g, count, alpha in zip(gens, mults, alphas):
-        idx += [g] * count
-        coefs += [alpha / count] * count
-    if any(map((1 + 1e-12).__lt__, map(abs, coefs))):
-        raise InputError("alpha exceeds its multiplicity")
+        if count:
+            idx += [g] * count
+            coefs += [alpha / count] * count
     pad = N - len(idx)
     idx, coefs = idx + [0] * pad, coefs + [0.0] * pad
     X = np.array(coefs)[:, None] * S.points[idx]
@@ -131,7 +129,7 @@ def halving_step(S: GeneratingSet, rows, N):
     out = sorted(mult)
     rows = out, [mult[g] for g in out], [alpha[g] for g in out]
     u = X.sum(axis=0) / N
-    gap = u - S.points.T @ np.bincount(out, rows[2], k) / (N // 2)
+    gap = u - rows_average(S, rows, N // 2)
     defect = float(np.linalg.norm(gap))
     eps = -minority_sign * signs  # -1 on the minority class, +1 elsewhere
     identity = (eps[:, None] * X).sum(axis=0) / N
@@ -203,11 +201,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
                 trace.append({"level": level, "halving": h,
                               "input_terms": M >> h, "defect": d,
                               "bound": bound})
-        gens, counts, weights = rows
-        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
-        mult[gens], alpha[gens] = counts, weights
-        y = DeltaMCertificate(m, mult, alpha).evaluate(S)
-        w = r - y
+        w = r - rows_average(S, rows, m)
         defect = envelope_gauge(S, w)
         gauge_w = defect.value
         if gauge_w > theta * (1 + 1e-9):
@@ -216,6 +210,9 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
                 f"level {level} defect gauge {gauge_w:.6g} exceeds theta {theta}",
                 level=level, defect_gauge=gauge_w, theta=theta,
                 defects=defect_log, m=m, halvings=halvings)
+        gens, counts, weights = rows
+        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
+        mult[gens], alpha[gens] = counts, weights
         mults.append(mult)
         alphas.append(alpha)
         r = w / theta

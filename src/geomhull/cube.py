@@ -24,7 +24,7 @@ from .balance import halving_step
 from .bodies import GeneratingSet, PBody, delta_nonconvexity, envelope_gauge
 from .errors import BudgetError, InputError, NumericalError, PhaseError
 from .hulls import (DeltaMCertificate, GammaRepresentation, approx2_transform,
-                    flatten_scale, pconv_contraction_bound)
+                    flatten_scale, pconv_contraction_bound, rows_average)
 
 # node budget of the shattered-subset search unless a caller sets one
 NODE_BUDGET = 10 ** 7
@@ -561,9 +561,9 @@ def subsample_vertex_fit(S: GeneratingSet, rows, N, vertex, delta,
     Each of the h halving_steps keeps the minority class of greedy signs
     over the current slots, so the fit's slots are a sub-multiset of the
     input's and N = m returns the input rows.  A defect past its bound,
-    beyond greedy_signs' slack, fails decompose.  x is the m-slot average
-    with DeltaMCertificate.evaluate's bits, and the agreement set is the
-    coordinates where x is within delta of the vertex.
+    beyond greedy_signs' slack, fails decompose.  x is the rows_average of
+    the m-slot rows, and the agreement set is the coordinates where x is
+    within delta of the vertex.
     """
     vertex = np.asarray(vertex, dtype=float)
     if vertex.shape != (S.dimension,):
@@ -577,11 +577,7 @@ def subsample_vertex_fit(S: GeneratingSet, rows, N, vertex, delta,
             raise PhaseError("decompose", "halving defect exceeds its bound",
                              vertex=vertex.tolist(), defect=defect, bound=bound)
         defects, bounds = defects + defect, bounds + bound
-    gens, _, alphas = rows
-    if len(gens) == 1:  # the one nonzero product of the dense sum
-        x = S.points[gens[0]] * alphas[0] / m
-    else:
-        x = S.points.T @ np.bincount(gens, alphas, S.count) / m
+    x = rows_average(S, rows, m)
     agreement = tuple(np.flatnonzero(np.abs(x - vertex) <= delta + 1e-12)
                       .tolist())
     return SubsampleFit(rows=rows, x=x, agreement_set=agreement,
@@ -604,7 +600,7 @@ def subsample_vertex_fit(S: GeneratingSet, rows, N, vertex, delta,
 #   2^(n-1) vertex pairs.  At the cap, halving each pair once from 2m slots
 #   (d = 16.9 at n = 10: 1.98M slots, the scaled basis or a rotated cube;
 #   d = 12 at n = 11: 2.0M) took 5.4-5.9 s of 5.2-6.3 s runs (72-103 MB,
-#   one BLAS thread).  At m = 14, n = 14 took 2.0-2.4 s (108 MB).
+#   one BLAS thread).  At m = 14, n = 14 took 2.4-3.5 s (108 MB).
 MAX_SUBSAMPLE = 10 ** 4
 MAX_VERTEX_SLOTS = 2 * 10 ** 6
 

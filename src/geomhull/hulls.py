@@ -167,6 +167,13 @@ class DeltaMCertificate:
         return idx[0], coef[0]
 
 
+def rows_average(S: GeneratingSet, rows, m):
+    """(1/m) sum alpha_i s_i for nonzero (generators, multiplicities, alphas)
+    rows, with the bits DeltaMCertificate.evaluate gives the dense rows."""
+    gens, _, alphas = rows
+    return S.points.T @ np.bincount(gens, alphas, S.count) / m
+
+
 @dataclass
 class DeltaMVerdict:
     """Outcome of the average-hull membership search."""

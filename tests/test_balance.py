@@ -190,8 +190,9 @@ class TestGreedySigns:
                                       _reference_greedy_signs(X))
 
 
-def _dense(S, rows, N):
-    """The rows as a DeltaMCertificate over all of S."""
+def dense_certificate(S, rows, N):
+    """Nonzero (generators, multiplicities, alphas) rows as a DeltaMCertificate
+    over all of S; test_cube uses it too."""
     gens, mults, alphas = rows
     mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
     mult[gens], alpha[gens] = mults, alphas
@@ -209,8 +210,8 @@ class TestHalving:
         assert sum(rows[1]) <= 8 and set(rows[0]) <= set(gens) | {0}
         assert all(m >= 1 for m in rows[1])
         # defect == distance between the 16-term and 8-term averages
-        u = _dense(S, (gens, mults, alphas), 16).evaluate(S)
-        v = _dense(S, rows, 8).evaluate(S)
+        u = dense_certificate(S, (gens, mults, alphas), 16).evaluate(S)
+        v = dense_certificate(S, rows, 8).evaluate(S)
         assert np.linalg.norm(u - v) == pytest.approx(defect)
         widest = max(abs(a) / k for a, k in zip(alphas, mults))
         assert bound == pytest.approx(widest / 4.0)
@@ -249,14 +250,16 @@ class TestHalving:
         with pytest.raises(InputError, match="increasing"):
             halving_step(S, (gens, [1] * len(gens), [0.5] * len(gens)), 4)
 
-    def test_zero_multiplicity_rejected(self):
+    def test_zero_multiplicity_fills_no_slot(self):
         S = _circle(4)
-        with pytest.raises(InputError, match="at least 1"):
-            halving_step(S, ([0], [0], [0.0]), 4)
+        assert (halving_step(S, ([0, 1], [0, 3], [0.0, 1.5]), 4)
+                == halving_step(S, ([1], [3], [1.5]), 4))
+        with pytest.raises(InputError, match="alpha exceeds"):
+            halving_step(S, ([0], [0], [0.5]), 4)
 
     def test_multiplicities_over_the_slot_count_rejected(self):
         S = _circle(4)
-        with pytest.raises(InputError, match="fit N slots"):
+        with pytest.raises(InputError, match="exceed the budget"):
             halving_step(S, ([0, 1], [2, 3], [1.0, 1.0]), 4)
 
     def test_certificate_and_slots_equal_the_numpy_path(self, monkeypatch):
@@ -268,7 +271,7 @@ class TestHalving:
 
         def checked(S_, rows, N):
             out, defect, bound = halving_step(S_, rows, N)
-            idx, scal = _dense(S_, rows, N).slots()
+            idx, scal = dense_certificate(S_, rows, N).slots()
             X = scal[:, None] * S_.points[idx]
             signs = _reference_greedy_signs(X)
             minority = 1.0 if (signs > 0).sum() <= N // 2 else -1.0

@@ -26,6 +26,7 @@ from geomhull.cube import (Calibration, ShatterChain, VertexSet,
 from geomhull import cube
 from geomhull.errors import BudgetError, InputError, NumericalError, PhaseError
 from geomhull.hulls import DeltaMCertificate
+from test_balance import dense_certificate
 
 
 def _cube_points(n):
@@ -270,10 +271,7 @@ def _rotated_cube(n, scale):
 
 
 def _nonzero_slots(S, rows, N):
-    gens, mults, alphas = rows
-    mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
-    mult[gens], alpha[gens] = mults, alphas
-    idx, coef = DeltaMCertificate(N, mult, alpha).slots()
+    idx, coef = dense_certificate(S, rows, N).slots()
     return collections.Counter((i, round(c, 12)) for i, c
                                in zip(idx.tolist(), coef.tolist()) if c)
 
@@ -309,10 +307,7 @@ class TestSubsample:
     def test_fit_error_is_within_the_halving_defects(self, decomposition):
         S, a, rows, N, shrink = decomposition
         fit = subsample_vertex_fit(S, rows, N, a, delta=0.1, m=5)
-        gens, mults, alphas = fit.rows
-        mult, alpha = np.zeros(S.count, dtype=int), np.zeros(S.count)
-        mult[gens], alpha[gens] = mults, alphas
-        x = DeltaMCertificate(5, mult, alpha).evaluate(S)
+        x = dense_certificate(S, fit.rows, 5).evaluate(S)
         assert np.array_equal(fit.x, x)
         assert 0.0 < fit.defect <= fit.bound
         assert np.linalg.norm(x - a) <= shrink + fit.defect + 1e-12

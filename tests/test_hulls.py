@@ -7,7 +7,8 @@ from geomhull.bodies import GeneratingSet, lp_ball_body
 from geomhull.errors import InputError, NumericalError
 from geomhull.hulls import (DeltaMCertificate, GammaRepresentation,
                             approx2_transform, delta_m_membership,
-                            pconv_contraction_bound, verify_pconv_contraction)
+                            pconv_contraction_bound, rows_average,
+                            verify_pconv_contraction)
 
 
 def _square():
@@ -164,6 +165,19 @@ class TestDeltaMCertificate:
         # generator by generator, then zero slots up to m
         assert idx.tolist() == [0, 0, 1, 0, 0]
         assert coef.tolist() == [0.75, 0.75, -0.25, 0.0, 0.0]
+
+    def test_rows_average_has_the_dense_bits(self):
+        rng = np.random.default_rng(5)
+        S = GeneratingSet(7, rng.standard_normal((300, 7)))
+        for size in (0, 1, 2, 40):
+            gens = np.sort(rng.choice(300, size=size, replace=False))
+            mult = np.zeros(300, dtype=int)
+            mult[gens] = rng.integers(1, 4, size=size)
+            alpha = np.zeros(300)
+            alpha[gens] = rng.uniform(-1, 1, size=size) * mult[gens]
+            cert = DeltaMCertificate(97, mult, alpha)
+            rows = gens.tolist(), mult[gens].tolist(), alpha[gens].tolist()
+            assert np.array_equal(rows_average(S, rows, 97), cert.evaluate(S))
 
 
 def _zonogon_member(S, mult, m, x, tol=1e-9):
