@@ -269,21 +269,15 @@ def verify_pconv(cfg):
 
 
 def _random_hull_element(S, m, depth, rng):
-    """Rows (lambdas, multiplicities, alphas) of a random series over m-term
-    averages, one m-slot row a level."""
-    k = S.count
-    mults, alphas, lams = [], [], []
+    """lambdas and level-tagged rows (levels, generators, multiplicities,
+    alphas) of a random series over m-term averages, one entry a slot."""
+    levels, gens, alphas, lams = [], [], [], []
     for level in range(depth):
-        idx = rng.integers(0, k, size=m)
-        alphas_full = np.zeros(k)
-        mult = np.bincount(idx, minlength=k)
-        signs = rng.uniform(-1.0, 1.0, size=m)
-        for slot, i in enumerate(idx):
-            alphas_full[i] += signs[slot]
+        levels += [level] * m
+        gens += rng.integers(0, S.count, size=m).tolist()
+        alphas += rng.uniform(-1.0, 1.0, size=m).tolist()
         lams.append(rng.uniform(-1.0, 1.0))
-        mults.append(mult)
-        alphas.append(alphas_full)
-    return lams, mults, alphas
+    return lams, (levels, gens, [1] * len(gens), alphas)
 
 
 def verify_approx2(cfg):
@@ -296,12 +290,14 @@ def verify_approx2(cfg):
     worst_scale, worst_err, samples = 0.0, 0.0, []
     for t in range(cfg.trials):
         m = int(rng.choice([2, 3, 5]))
-        lams, mults, alphas = _random_hull_element(S, m, depth=6, rng=rng)
-        rep, scale = approx2_transform(theta, m, lams, mults, alphas)
-        # the series over averages, summed term by term as stated
+        lams, rows = _random_hull_element(S, m, depth=6, rng=rng)
+        rep, scale = approx2_transform(theta, m, lams, rows)
+        # the series over averages, summed slot by slot as stated
+        levels, gens, _, alphas = rows
         want = np.zeros(S.dimension)
-        for level, (lam, row) in enumerate(zip(lams, alphas)):
-            want += (1.0 - theta) * theta ** level * lam * (S.points.T @ row / m)
+        for level, gen, alpha in zip(levels, gens, alphas):
+            want += ((1.0 - theta) * theta ** level * lams[level] * alpha / m
+                     * S.points[gen])
         err = float(np.linalg.norm(scale * rep.evaluate(S) - want))
         worst_scale = max(worst_scale, scale)
         worst_err = max(worst_err, err)
@@ -642,8 +638,8 @@ def _add_common(parser):
     parser.add_argument("--p", type=float)
     parser.add_argument("--k", type=int, default=3)
     parser.add_argument("--m", type=int, default=4)
-    parser.add_argument("--count", type=int)
-    parser.add_argument("--eps", type=float, default=0.5)
+    parser.add_argument("--count", type=_above(0))
+    parser.add_argument("--eps", type=_above(0, float), default=0.5)
     parser.add_argument("--theta", type=float, default=0.75)
     parser.add_argument("--eta", type=float, default=0.2)
     parser.add_argument("--trials", type=_above(0), default=64)

@@ -834,11 +834,11 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     vertex certificates merge into one average term, the snap residuals are
     folded back into the running point, and the level budget contracts by
     3/4.  The walk runs in Python floats, with the same operations in the
-    same order as the array expression, and reads each vertex's nonzero
-    generators from the report's compact rows, so a query costs depth x
-    |sigma| float steps plus one approx2_transform over the depth x |cols|
-    rows, cols being the generators the walk touched.  The flattened
-    representation evaluates to x / C_over_eps on sigma.
+    same order as the array expression, and appends each vertex's nonzero
+    rows from the report, tagged with the level, so a query costs depth x
+    |sigma| float steps plus one approx2_transform over the rows it
+    gathered.  The flattened representation evaluates to x / C_over_eps on
+    sigma.
     """
     x = np.asarray(x, dtype=float)
     k = len(report.sigma)
@@ -855,7 +855,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
     depth = max(1, math.ceil(math.log(0.25 * tol / math.sqrt(k))
                              / math.log(theta)))
     r = x.tolist()
-    walked, rows, gens, mults, alphas = 0, [], [], [], []
+    walked, levels, gens, mults, alphas = 0, [], [], [], []
     for level in range(depth):
         # any float sum of the k squares is within k ulps of numpy's pairwise
         # sum, so the two decide alike unless the sum is near the bound
@@ -877,7 +877,7 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
             raise PhaseError("assemble", "vertex certificate missing",
                              vertex=format(missing, "b")) from None
         for g, mult, alpha, _ in (e1, e2):
-            rows += [level] * len(g)
+            levels += [level] * len(g)
             gens += g
             mults += mult
             alphas += alpha
@@ -888,14 +888,9 @@ def represent_cube_point(report: QuotientReport, S: GeneratingSet,
         if worst > 1.0 + 1e-9:
             raise PhaseError("assemble", "splitting residual left the ball",
                              level=level, residual=worst)
-    # one scatter in level order, c1 before c2: (0 + a1) + a2 == a1 + a2
-    cols, pos = np.unique(np.array(gens, dtype=np.int64), return_inverse=True)
-    shape = (walked, cols.size)
-    M, A = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    np.add.at(M, (rows, pos), mults)
-    np.add.at(A, (rows, pos), alphas)
-    rep, flat_scale = approx2_transform(theta, M2, np.ones(walked), M, A)
-    rep.indices = cols[rep.indices]
+    # c1's rows before c2's, so a shared generator sums (0 + a1) + a2
+    rep, flat_scale = approx2_transform(theta, M2, np.ones(walked),
+                                        (levels, gens, mults, alphas))
     total = report.constants_used["chain_scale"] * flat_scale / (1.0 - theta)
     if abs(total - report.C_over_eps) > 1e-9 * report.C_over_eps:
         raise NumericalError("assembled scale drifted from the report")

@@ -112,33 +112,25 @@ class GammaRepresentation:
         return total
 
 
-def _check_rows(m, multiplicities, alphas):
-    """Reject rows that are not m-term average-hull certificates."""
+def _check_rows(m, totals, multiplicities, alphas):
+    """Reject rows that are not m-term average-hull certificates; totals are
+    the rows' summed multiplicities."""
     if (multiplicities < 0).any():
         raise InputError("multiplicities must be nonnegative")
-    if (multiplicities.sum(axis=-1) > m).any():
+    if (totals > m).any():
         raise InputError("multiplicities exceed the budget m")
     if (np.abs(alphas) > multiplicities + 1e-9).any():
         raise InputError("alpha exceeds its multiplicity")
 
 
-def _slot_rows(m, counts, alphas):
-    """Expand each certificate row into exactly m unit slots.
-
-    Returns (indices, coefficients), both of shape (rows, m).  Generator i
-    fills counts[r, i] adjacent slots of coefficient alphas[r, i] /
-    counts[r, i], generators in index order; the slots past the row's total
-    multiplicity are index 0 with coefficient 0.
-    """
-    rows, k = counts.shape
-    flat = counts.ravel()
-    cell = np.repeat(np.arange(flat.size), flat)  # row * k + generator, per slot
-    filled = np.arange(m) < counts.sum(axis=1)[:, None]
-    idx = np.zeros((rows, m), dtype=np.int64)
-    coef = np.zeros((rows, m))
-    idx[filled] = cell % k
-    coef[filled] = alphas.ravel()[cell] / flat[cell]
-    return idx, coef
+def _slot_layout(rows, counts, totals):
+    """Lay nonzero certificate entries, sorted by (row, generator), into unit
+    slots: each entry fills counts[e] adjacent slots of its row, generators
+    in index order from the row's slot 0, and a row's slots past totals[row]
+    stay empty.  Returns (entry, position), one pair per filled slot."""
+    entry = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(totals) - totals  # each row's first slot
+    return entry, np.arange(entry.size) - first[rows[entry]]
 
 
 @dataclass
@@ -154,17 +146,22 @@ class DeltaMCertificate:
         self.alphas = np.asarray(self.alphas, dtype=float)
         if self.m < 1:
             raise InputError("m must be at least 1")
-        _check_rows(self.m, self.multiplicities, self.alphas)
+        _check_rows(self.m, self.multiplicities.sum(axis=-1),
+                    self.multiplicities, self.alphas)
 
     def evaluate(self, S: GeneratingSet):
         return S.points.T @ self.alphas / self.m
 
     def slots(self):
         """Expand into exactly m unit slots as (indices, coefficients) arrays,
-        laid out by _slot_rows."""
-        idx, coef = _slot_rows(self.m, self.multiplicities[None],
-                               self.alphas[None])
-        return idx[0], coef[0]
+        laid out by _slot_layout, then (0, 0.0) up to m."""
+        gens = np.flatnonzero(self.multiplicities)
+        counts = self.multiplicities[gens]
+        entry, slot = _slot_layout(0 * gens, counts, [counts.sum()])
+        idx, coef = np.zeros(self.m, dtype=np.int64), np.zeros(self.m)
+        idx[slot] = gens[entry]
+        coef[slot] = self.alphas[gens][entry] / counts[entry]
+        return idx, coef
 
 
 def rows_average(S: GeneratingSet, rows, m):
@@ -348,19 +345,20 @@ def flatten_scale(theta, m):
     return phi, (1.0 - theta) * phi ** (1 - m) / (m * (1.0 - phi))
 
 
-def approx2_transform(theta, m, lambdas, multiplicities, alphas):
+def approx2_transform(theta, m, lambdas, rows):
     """Flatten a geometric series over m-term averages into a plain series.
 
-    The series is held as rows, one per level in row order: level k is
-    lambdas[k] (1/m) sum_i alphas[k, i] s_i, an m-term average with
-    multiplicities[k].  Each level's average splits into its m unit slots
-    (the DeltaMCertificate.slots layout) at levels km..km+m-1 of a
-    representation with ratio theta^(1/m); the exact scale from
-    flatten_scale never exceeds 2 theta / (3 theta - 1) once theta > 1/3.
-    All rows are checked and expanded in one batched pass, and the
-    representation's arrays are the nonzero slots in level order.  Returns
-    (representation, scale) with scale * eval(rep) =
-    (1-theta) sum_k theta^k lambdas[k] (1/m) S^T alphas[k].
+    The series is held as level-tagged nonzero rows (levels, generators,
+    multiplicities, alphas); entries that share a (level, generator) are
+    summed in input order.  Level k is lambdas[k] (1/m) sum alpha s_g over
+    its entries, an m-term average, which splits into m unit slots (laid out
+    by _slot_layout, as DeltaMCertificate.slots) at levels km..km+m-1 of a
+    representation with ratio theta^(1/m); the exact scale from flatten_scale
+    never exceeds 2 theta / (3 theta - 1) once theta > 1/3.  All levels are
+    checked and laid out in one vectorised pass, and the representation's
+    arrays are the nonzero slots in level order.  Returns (representation,
+    scale) with scale * eval(rep) = (1-theta) sum_k theta^k lambdas[k] (1/m)
+    sum alpha s_g.
     """
     if not 1.0 / 3.0 < theta < 1:
         raise InputError("theta must lie in (1/3, 1)")
@@ -368,23 +366,30 @@ def approx2_transform(theta, m, lambdas, multiplicities, alphas):
         raise InputError("m must be at least 1")
     phi, scale = flatten_scale(theta, m)
     lambdas = np.asarray(lambdas, dtype=float)
-    if (np.abs(lambdas) > 1 + 1e-12).any():
-        raise InputError("outer lambda exceeds 1")
-    if not lambdas.size:
-        empty = GammaRepresentation(theta=phi, levels=[], lambdas=[], indices=[])
-        return empty, scale
-    multiplicities = np.asarray(multiplicities, dtype=np.int64)
-    alphas = np.asarray(alphas, dtype=float)
-    if (lambdas.ndim != 1 or multiplicities.ndim != 2
-            or multiplicities.shape != alphas.shape
-            or len(multiplicities) != lambdas.size):
-        raise InputError("need one multiplicity row and one alpha row a level")
-    _check_rows(m, multiplicities, alphas)
-    gens, betas = _slot_rows(m, multiplicities, alphas)
+    if lambdas.ndim != 1 or (np.abs(lambdas) > 1 + 1e-12).any():
+        raise InputError("outer lambdas must be a list within [-1, 1]")
+    levels, gens, mults = (np.asarray(a, dtype=np.int64) for a in rows[:3])
+    alphas = np.asarray(rows[3], dtype=float)
+    if levels.ndim != 1 or not (levels.shape == gens.shape == mults.shape
+                                == alphas.shape):
+        raise InputError("rows must be four 1-d arrays of one length")
+    width = int(gens.max(initial=0)) + 1
+    if (levels.size and (min(levels.min(), gens.min()) < 0
+                         or levels.max() >= lambdas.size)
+            or width * lambdas.size >= 2 ** 62):
+        raise InputError("levels and generators must be indices of lambdas "
+                         "and of S")
+    keys, inverse = np.unique(levels * width + gens, return_inverse=True)
+    level, gen = np.divmod(keys, width)
+    counts = np.bincount(inverse, mults, keys.size).astype(np.int64)
+    alphas = np.bincount(inverse, alphas, keys.size)  # (0 + a1) + a2 ...
+    totals = np.bincount(level, counts, lambdas.size).astype(np.int64)
+    _check_rows(m, totals, counts, alphas)
+    entry, position = _slot_layout(level, counts, totals)
+    level = level[entry]
     powers = _theta_powers(phi, m)[::-1]
-    mu = lambdas[:, None] * betas * powers
-    flat_levels = np.arange(lambdas.size)[:, None] * m + np.arange(m)
+    mu = lambdas[level] * (alphas[entry] / counts[entry]) * powers[position]
     keep = mu != 0.0
-    rep = GammaRepresentation(theta=phi, levels=flat_levels[keep],
-                              lambdas=mu[keep], indices=gens[keep])
+    rep = GammaRepresentation(theta=phi, levels=(level * m + position)[keep],
+                              lambdas=mu[keep], indices=gen[entry][keep])
     return rep, scale

@@ -75,22 +75,20 @@ def test_criterion_03_approx2_transform():
     worst_scale, worst_err = 0.0, 0.0
     for trial in range(100):
         m = int(rng.choice([2, 3, 5]))
-        lams, mults, alphas = [], [], []
+        lams, levels, gens, alphas = [], [], [], []  # one entry per slot
         for level in range(6):
             idx = rng.integers(0, S.count, size=m)
-            mult = np.bincount(idx, minlength=S.count)
-            alpha = np.zeros(S.count)
-            for i in idx:
-                alpha[i] += rng.uniform(-1, 1)
+            levels += [level] * m
+            gens += idx.tolist()
+            alphas += [rng.uniform(-1, 1) for _ in idx]
             lams.append(float(rng.uniform(-1, 1)))
-            mults.append(mult)
-            alphas.append(alpha)
-        rep, scale = hulls.approx2_transform(theta, m, lams, mults, alphas)
+        rep, scale = hulls.approx2_transform(
+            theta, m, lams, (levels, gens, [1] * len(gens), alphas))
         worst_scale = max(worst_scale, scale)
-        outer = np.zeros(S.dimension)  # the series over averages, termwise
-        for level, (lam, alpha) in enumerate(zip(lams, alphas)):
-            outer += (1.0 - theta) * theta ** level * lam \
-                * (S.points.T @ alpha / m)
+        outer = np.zeros(S.dimension)  # the series over averages, slotwise
+        for level, gen, alpha in zip(levels, gens, alphas):
+            outer += (1.0 - theta) * theta ** level * lams[level] * alpha / m \
+                * S.points[gen]
         err = float(np.linalg.norm(scale * rep.evaluate(S) - outer))
         worst_err = max(worst_err, err)
     ok = worst_scale <= 1.2 + 1e-12 and worst_err <= 1e-10 and clock.ok()

@@ -385,6 +385,18 @@ OPTION_MISTAKES = [
     ("negative-const-key", "c = -1\n", ()),
     ("zero-const-flag", None, ("--const.c2", "0")),
     ("zero-const-key", "const.c1 = 0\n", ()),
+    # eps values that are not finite and positive, and counts below 1, which
+    # once ended in a traceback or a misleading dimension error
+    ("nan-eps-flag", None, ("--eps", "nan")),
+    ("nan-eps-key", "eps = nan\n", ()),
+    ("infinite-eps-flag", None, ("--eps", "inf")),
+    ("infinite-eps-key", "eps = inf\n", ()),
+    ("zero-eps-flag", None, ("--eps", "0")),
+    ("negative-eps-key", "eps = -0.5\n", ()),
+    ("negative-count-flag", None, ("--count", "-1")),
+    ("negative-count-key", "count = -1\n", ()),
+    ("zero-count-flag", None, ("--count", "0")),
+    ("zero-count-key", "count = 0\n", ()),
 ]
 
 
@@ -489,6 +501,12 @@ MALFORMED = [(case, APPROX2, flag, text) for case, flag, text in [
     ("dvoretzky-k-zero", ("verify", "dvoretzky", "--k", "0"), "config", ""),
     ("search-k-zero", ("run", "dvoretzky-search", "--k", "0"), "input",
      SPHERE),
+    ("subset-eps-nan", ("generate", "random-vertex-subset", "--n", "4",
+                        "--eps", "nan"), "config", ""),
+    ("subset-count-negative", ("generate", "random-vertex-subset", "--n", "4",
+                               "--count", "-1"), "config", ""),
+    ("alesker-eps-nan", ("verify", "alesker", "--n", "6", "--eps", "nan"),
+     "config", ""),
 ]
 
 

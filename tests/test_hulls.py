@@ -7,6 +7,7 @@ from geomhull.bodies import GeneratingSet, lp_ball_body
 from geomhull.errors import InputError, NumericalError
 from geomhull.hulls import (DeltaMCertificate, GammaRepresentation,
                             approx2_transform, delta_m_membership,
+                            flatten_scale,
                             pconv_contraction_bound, rows_average,
                             verify_pconv_contraction)
 
@@ -99,25 +100,31 @@ class TestPconv:
 
 class TestApprox2:
     def _random_outer(self, S, m, depth, rng):
-        lams, mults, alphas = [], [], []
+        """lambdas and level-tagged rows, one entry per slot."""
+        lams, levels, gens, alphas = [], [], [], []
         for level in range(depth):
             idx = rng.integers(0, S.count, size=m)
-            mult = np.bincount(idx, minlength=S.count)
-            alpha = np.zeros(S.count)
-            for i in idx:
-                alpha[i] += rng.uniform(-1, 1)
+            levels += [level] * m
+            gens += idx.tolist()
+            alphas += [rng.uniform(-1, 1) for _ in idx]
             lams.append(float(rng.uniform(-1, 1)))
-            mults.append(mult)
-            alphas.append(alpha)
-        return lams, mults, alphas
+        return lams, (levels, gens, [1] * len(gens), alphas)
 
     @staticmethod
-    def _series_value(S, theta, m, lams, alphas):
-        """(1-theta) sum_k theta^k lams[k] (1/m) S^T alphas[k], term by term."""
+    def _series_value(S, theta, m, lams, rows):
+        """(1-theta) sum_k theta^k lams[k] (1/m) sum alpha s_g, slot by slot."""
+        levels, gens, _, alphas = rows
         x = np.zeros(S.dimension)
-        for level, (lam, row) in enumerate(zip(lams, alphas)):
-            x += (1.0 - theta) * theta ** level * lam * (S.points.T @ row / m)
+        for level, gen, alpha in zip(levels, gens, alphas):
+            x += (1.0 - theta) * theta ** level * lams[level] * alpha / m \
+                * S.points[gen]
         return x
+
+    @staticmethod
+    def _same(a, b):
+        return (a.theta == b.theta and np.array_equal(a.levels, b.levels)
+                and np.array_equal(a.lambdas, b.lambdas)
+                and np.array_equal(a.indices, b.indices))
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_exact_reconstruction_and_scale(self, m):
@@ -127,27 +134,93 @@ class TestApprox2:
         phi = theta ** (1.0 / m)
         want_scale = (1 - theta) * phi ** (1 - m) / (m * (1 - phi))
         for _ in range(10):
-            lams, mults, alphas = self._random_outer(S, m, depth=5, rng=rng)
-            rep, scale = approx2_transform(theta, m, lams, mults, alphas)
+            lams, rows = self._random_outer(S, m, depth=5, rng=rng)
+            rep, scale = approx2_transform(theta, m, lams, rows)
             assert scale == pytest.approx(want_scale, rel=1e-12)
             assert scale <= 1.2 + 1e-12
             assert rep.theta == pytest.approx(phi)
             err = np.linalg.norm(scale * rep.evaluate(S)
-                                 - self._series_value(S, theta, m, lams, alphas))
+                                 - self._series_value(S, theta, m, lams, rows))
             assert err < 1e-10
 
     def test_theta_domain(self):
         with pytest.raises(InputError):
-            approx2_transform(0.25, 2, [], [], [])
+            approx2_transform(0.25, 2, [], ([], [], [], []))
 
     def test_rows_must_match_the_levels(self):
-        mults, alphas = np.array([[1, 1]]), np.array([[0.5, -0.5]])
+        rows = [0, 1], [0, 1], [1, 1], [0.5, -0.5]
         with pytest.raises(InputError):
-            approx2_transform(0.75, 2, [1.0, 1.0], mults, alphas)
+            approx2_transform(0.75, 2, [1.0], rows)
         with pytest.raises(InputError):
-            approx2_transform(0.75, 2, [1.0], mults, alphas[:, :1])
-        rep, _ = approx2_transform(0.75, 2, [1.0], mults, alphas)
-        assert rep.levels.tolist() == [0, 1]
+            approx2_transform(0.75, 2, [1.0, 1.0], (*rows[:3], [0.5]))
+        rep, _ = approx2_transform(0.75, 2, [1.0, 1.0], rows)
+        assert rep.levels.tolist() == [0, 2]
+        assert rep.indices.tolist() == [0, 1]
+
+    def test_shared_entries_sum_in_input_order(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = int(rng.integers(20, 60))  # long runs of shared entries
+            lams, rows = self._random_outer(_square(), m, depth=4, rng=rng)
+            levels, gens, _, alphas = rows
+            # one summed entry per (level, generator), summed as (0 + a1) + a2
+            merged = {}
+            for key, alpha in zip(zip(levels, gens), alphas):
+                total = merged.setdefault(key, [0, 0.0])
+                total[0] += 1
+                total[1] += alpha
+            keys = sorted(merged)
+            summed = ([k[0] for k in keys], [k[1] for k in keys],
+                      [merged[k][0] for k in keys], [merged[k][1] for k in keys])
+            want, scale = approx2_transform(0.75, m, lams, summed)
+            got, same_scale = approx2_transform(0.75, m, lams, rows)
+            assert self._same(got, want) and scale == same_scale
+
+    def test_shuffled_distinct_entries_give_the_same_series(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            depth, k = 5, 9
+            m = int(rng.integers(k, k + 4))  # any cells fit in a level
+            cells = [(level, g) for level in range(depth) for g in range(k)
+                     if rng.uniform() < 0.3]
+            mults = rng.integers(0, 2, size=len(cells))
+            alphas = rng.uniform(-1, 1, size=len(cells)) * mults
+            lams = rng.uniform(-1, 1, size=depth)
+            rows = ([c[0] for c in cells], [c[1] for c in cells], mults, alphas)
+            want, _ = approx2_transform(0.75, m, lams, rows)
+            order = rng.permutation(len(cells))
+            shuffled = tuple(np.asarray(a)[order] for a in rows)
+            got, _ = approx2_transform(0.75, m, lams, shuffled)
+            assert self._same(got, want)
+
+    @pytest.mark.parametrize("rows", [
+        ([2], [0], [1], [0.5]),                 # level past the lambdas
+        ([-1], [0], [1], [0.5]),                # negative level
+        ([0], [-1], [1], [0.5]),                # negative generator
+        ([0], [0], [-1], [0.0]),                # negative multiplicity
+        ([0, 0, 1], [0, 1, 0], [2, 1, 1], [0.5, 0.5, 0.5]),  # 3 slots of m = 2
+        ([0, 0], [1, 1], [1, 0], [0.75, 0.5]),  # |alpha| 1.25 over merged 1
+    ], ids=["level-past-lambdas", "negative-level", "negative-generator",
+            "negative-multiplicity", "level-over-m", "alpha-over-multiplicity"])
+    def test_bad_rows_raise(self, rows):
+        with pytest.raises(InputError):
+            approx2_transform(0.75, 2, [1.0, -1.0], rows)
+
+    def test_alpha_is_checked_against_the_merged_multiplicity(self):
+        # the first entry alone exceeds its multiplicity, the sum does not
+        rep, _ = approx2_transform(0.75, 2, [1.0], ([0, 0], [1, 1], [1, 1],
+                                                   [1.5, 0.0]))
+        assert rep.indices.tolist() == [1, 1]
+        assert rep.lambdas.tolist() == pytest.approx([0.75 * 0.75 ** 0.5,
+                                                      0.75])
+
+    @pytest.mark.parametrize("lams", [[], [1.0, 0.5]])
+    def test_empty_rows_give_an_empty_series(self, lams):
+        rep, scale = approx2_transform(0.75, 3, lams, ([], [], [], []))
+        phi, want = flatten_scale(0.75, 3)
+        assert rep.levels.size == rep.lambdas.size == rep.indices.size == 0
+        assert rep.theta == phi and scale == want
+        assert np.array_equal(rep.evaluate(_square()), np.zeros(2))
 
 
 class TestDeltaMCertificate:
