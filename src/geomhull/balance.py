@@ -8,6 +8,7 @@ geometric-series representation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -16,57 +17,67 @@ import numpy as np
 
 from .bodies import GeneratingSet, envelope_gauge
 from .errors import InputError, NumericalError, PhaseError
-from .hulls import DeltaMCertificate, approx2_transform, rows_average
+from .hulls import approx2_transform, check_rows, rows_average
 
 
-def greedy_signs(vectors):
+def greedy_signs(vectors, counts):
     """Pick signs sequentially, each minimizing the norm of the partial sum.
 
-    The choice is sign = -sign(<partial, x>), the square never grows faster
-    than sum ||x_k||^2, and the final sum obeys
-    ||sum eps x|| <= sqrt(N) max||x|| (both asserted).  Returns the signs,
-    one +-1 per vector.
+    The N slots come as runs, counts[r] copies of vectors[r] in order.  The
+    choice is sign = -sign(<partial, x>), the square never grows faster than
+    sum ||x_k||^2, and the final sum obeys ||sum eps x|| <= sqrt(N) max||x||
+    (both asserted).  Returns the signs, one +-1 per slot.
 
     The loop runs on Python floats, and each partial-sum update is the IEEE
     operation of the array expression partial + sign * x.  A dot product
     within the rounding band of sum |partial_i x_i| is retaken as numpy's
     partial @ x, so every sign is the one numpy's dot decides, whether or
-    not its kernel fuses multiply-adds.  Along a run of equal vectors, once
-    a partial sum repeats the one two steps back, the run's remaining steps
-    repeat the last two.
+    not its kernel fuses multiply-adds.  Neighbouring runs of vectors that
+    compare equal merge.  Along a run, once a partial sum repeats the one two
+    steps back, the run's remaining signs repeat the last two, in bulk.
     """
-    X = np.atleast_2d(np.asarray(vectors, dtype=float))
-    N, n = X.shape
-    if N < 1:
-        raise InputError("need at least one vector")
+    X = np.asarray(vectors, dtype=float)
+    counts = list(map(operator.index, counts))
+    if (X.ndim != 2 or len(counts) != len(X) or min(counts, default=0) < 0
+            or sum(counts) < 1):
+        raise InputError("need 2-d vectors, one count >= 0 each, not all 0")
+    N, n = sum(counts), X.shape[1]
+    runs = []  # [vector, count, row of X], equal neighbours merged
+    for r, (x, count) in enumerate(zip(X.tolist(), counts)):
+        if runs and x == runs[-1][0]:
+            runs[-1][1] += count
+        elif count:
+            runs.append([x, count, r])
     # two float dots of n products differ by at most 2 n unit roundoffs of
     # sum |p_i x_i|; the band doubles that.  That sum is at most
     # ||partial|| ||x||, which screens out all but near-orthogonal steps.
     band = 4.0 * (n + 1) * 2.0 ** -53
-    rows = X.tolist()
     signs = []
     partial = [0.0] * n
     budget = square_sum = widest = 0.0
-    k = 0
-    while k < N:
-        x = rows[k]
+    for x, count, r in runs:
+        if not any(x):  # a zero dot takes +, and the sum stays as it is
+            signs += [1.0] * count
+            continue
         square = sum(map(operator.mul, x, x))
         widest = max(widest, square)
-        run = [partial]  # the partial sums along this run of equal vectors
-        while k < N and rows[k] == x:
-            k += 1
-            budget += square
+        run = [partial]  # the partial sums along this run
+        for step in range(count):
             if len(run) > 2 and run[-1] == run[-3]:
-                # the step from run[-3] again, whose square passed the check
-                # below against a smaller budget
-                signs.append(signs[-2])
-                run.append(run[-2])
-                continue
+                # each further step repeats the one two back, whose square
+                # passed the check below against a smaller budget; the sum
+                # ends where an even or odd number of steps takes it
+                rest = count - step
+                signs += signs[-2:] * (rest // 2) + signs[-2:-1] * (rest % 2)
+                budget += rest * square
+                run.append(run[-1 - rest % 2])
+                break
+            budget += square
             dot = sum(map(operator.mul, partial, x))
             if dot * dot <= band * band * square_sum * square:
                 spread = sum(map(abs, map(operator.mul, partial, x)))
                 if spread and abs(dot) <= band * spread:
-                    dot = float(np.array(partial) @ X[k - 1])
+                    dot = float(np.array(partial) @ X[r])
             if dot > 0:
                 signs.append(-1.0)
                 partial = list(map(operator.sub, partial, x))
@@ -94,49 +105,52 @@ def halving_step(S: GeneratingSet, rows, N):
     """Halve an N-slot star-hull average: nonzero rows in, rows for N/2 out.
 
     rows are (generators, multiplicities, alphas) lists, generators
-    increasing, that pass DeltaMCertificate's checks.  They fill N slots in
-    hulls._slot_layout's order, expanded as Python lists: generator g takes
-    mult adjacent slots of alpha / mult, then (0, 0.0) up to N (the numpy
-    layout took type1 from 4.1 to 5.8 ms a request on a 2-core host).  Greedy
-    signs split the slot vectors; the minority class (at most N/2 slots) is
-    summed per generator in slot order, as np.bincount sums it.  The defect
-    ||u - v|| = ||(1/N) sum eps_k x_k|| is checked as an identity, and bound =
-    max ||x_k|| / sqrt(N) is what greedy_signs asserts of it.  Returns
+    increasing, that pass hulls.check_rows.  They fill N slots in
+    hulls._slot_layout's order as runs: mult slots (alpha / mult) s_g per
+    generator g, then (0, 0.0) slots up to N.  Greedy signs split the slots;
+    the minority class (at most N/2 slots) is summed per generator in slot
+    order, as np.bincount sums it.  The defect ||u - v|| = ||(1/N) sum eps_k
+    x_k|| is checked as an identity, and bound = max ||x_k|| / sqrt(N) is
+    what greedy_signs asserts of it; u and bound take numpy's sums over the
+    runs, repeated into slots for u, with the slot array's bits.  Returns
     (rows, defect, bound).
     """
     gens, mults, alphas = map(list, rows)
     if N < 2 or N % 2 or not len(gens) == len(mults) == len(alphas):
         raise InputError("need an even N >= 2 and equal-length rows")
-    k = S.count
-    if any(map(operator.ge, [-1] + gens, gens + [k])):  # -1 < g0 < ... < k
+    if any(map(operator.ge, [-1] + gens, gens + [S.count])):
         raise InputError("generators must be increasing indices into S")
-    DeltaMCertificate(N, mults, alphas)  # the certificate checks, on the rows
-    idx, coefs = [], []
-    for g, count, alpha in zip(gens, mults, alphas):
-        if count:
-            idx += [g] * count
-            coefs += [alpha / count] * count
-    pad = N - len(idx)
-    idx, coefs = idx + [0] * pad, coefs + [0.0] * pad
-    X = np.array(coefs)[:, None] * S.points[idx]
-    signs = greedy_signs(X)
-    sign_list = signs.tolist()
-    minority_sign = 1.0 if sign_list.count(1.0) <= N // 2 else -1.0
-    mult, alpha = {}, {}
-    for g, c, sign in zip(idx, coefs, sign_list):
-        if sign == minority_sign:
-            mult[g] = mult.get(g, 0) + 1
-            alpha[g] = alpha.get(g, 0.0) + c
+    filled = sum(mults)
+    check_rows(N, filled, np.array(mults), np.array(alphas))
+    runs = [(g, count, alpha / count)
+            for g, count, alpha in zip(gens, mults, alphas) if count]
+    if filled < N:
+        runs.append((0, N - filled, 0.0))
+    vectors = [[c * p for p in S._point_lists[g]] for g, _, c in runs]
+    counts = [count for _, count, _ in runs]
+    X = np.array(vectors)
+    signs = greedy_signs(X, counts).tolist()
+    minority_sign = 1.0 if signs.count(1.0) <= N // 2 else -1.0
+    mult, alpha, eps, end = {}, {}, [], 0
+    for g, count, c in runs:
+        end += count
+        minority = signs[end - count:end].count(minority_sign)
+        eps.append(count - 2 * minority)  # -1 per minority slot, +1 elsewhere
+        if minority:
+            mult[g] = mult.get(g, 0) + minority
+            alpha[g] = functools.reduce(operator.add,
+                                        itertools.repeat(c, minority),
+                                        alpha.get(g, 0.0))
     out = sorted(mult)
     rows = out, [mult[g] for g in out], [alpha[g] for g in out]
-    u = X.sum(axis=0) / N
+    u = np.add.reduce(X.repeat(counts, axis=0)) / N
     gap = u - rows_average(S, rows, N // 2)
     defect = float(np.linalg.norm(gap))
-    eps = -minority_sign * signs  # -1 on the minority class, +1 elsewhere
-    identity = (eps[:, None] * X).sum(axis=0) / N
-    if np.linalg.norm(gap - identity) > 1e-10 * max(1.0, np.linalg.norm(u)):
+    identity = [sum(map(operator.mul, eps, xs)) / N for xs in zip(*vectors)]
+    scale = max(1.0, math.hypot(*u.tolist()))
+    if math.dist(gap.tolist(), identity) > 1e-10 * scale:
         raise NumericalError("halving defect identity violated")
-    bound = math.sqrt((X * X).sum(axis=1).max() / N)
+    bound = math.sqrt(max(np.add.reduce(X * X, axis=1).tolist()) / N)
     return rows, defect, bound
 
 

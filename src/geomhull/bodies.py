@@ -69,6 +69,10 @@ class GeneratingSet:
         return np.vstack([self.points, -self.points])
 
     @cached_property
+    def _point_lists(self):  # the rows as Python lists, for the halvings
+        return self.points.tolist()
+
+    @cached_property
     def _basis_table(self):
         """The bases both gauges minimise over, or None over the MAX_BASES
         cap, before any work.

@@ -1,11 +1,13 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from geomhull import balance
+from geomhull import balance, cube
 from geomhull.balance import greedy_signs, halving_step, type1_represent
-from geomhull.bodies import GeneratingSet, envelope_gauge
+from geomhull.bodies import (GeneratingSet, envelope_gauge,
+                             load_generating_set_json)
 from geomhull.errors import InputError, NumericalError
 from geomhull.hulls import DeltaMCertificate
 
@@ -37,6 +39,45 @@ def _reference_greedy_signs(vectors, dot=np.dot):
     if sum_norm > bound * (1 + 1e-9) + 1e-12:
         raise NumericalError("greedy final bound violated")
     return signs
+
+
+def _slot_signs(X):
+    """greedy_signs on one run per row."""
+    return greedy_signs(X, [1] * len(X))
+
+
+def _reference_halving(S, rows, N):
+    """The slot-by-slot halving that halving_step replaced: the rows expanded
+    into N slots, the numpy greedy loop, the minority class summed slot by
+    slot, and the defect, identity and bound on the N x n slot array."""
+    gens, mults, alphas = map(list, rows)
+    DeltaMCertificate(N, mults, alphas)
+    idx, coefs = [], []
+    for g, count, alpha in zip(gens, mults, alphas):
+        if count:
+            idx += [g] * count
+            coefs += [alpha / count] * count
+    pad = N - len(idx)
+    idx, coefs = idx + [0] * pad, coefs + [0.0] * pad
+    X = np.array(coefs)[:, None] * S.points[idx]
+    signs = _reference_greedy_signs(X)
+    sign_list = signs.tolist()
+    minority_sign = 1.0 if sign_list.count(1.0) <= N // 2 else -1.0
+    mult, alpha = {}, {}
+    for g, c, sign in zip(idx, coefs, sign_list):
+        if sign == minority_sign:
+            mult[g] = mult.get(g, 0) + 1
+            alpha[g] = alpha.get(g, 0.0) + c
+    out = sorted(mult)
+    rows = out, [mult[g] for g in out], [alpha[g] for g in out]
+    u = X.sum(axis=0) / N
+    gap = u - dense_certificate(S, rows, N // 2).evaluate(S)
+    eps = -minority_sign * signs
+    identity = (eps[:, None] * X).sum(axis=0) / N
+    scale = max(1.0, np.linalg.norm(u))
+    assert np.linalg.norm(gap - identity) <= 1e-10 * scale
+    bound = math.sqrt((X * X).sum(axis=1).max() / N)
+    return rows, float(np.linalg.norm(gap)), bound
 
 
 def _type1_requests(S, count, seed):
@@ -96,7 +137,7 @@ class TestGreedySigns:
         rng = np.random.default_rng(0)
         for n in (2, 5, 9):
             X = rng.standard_normal((20, n))
-            signs = greedy_signs(X)
+            signs = _slot_signs(X)
             bound = math.sqrt(20) * np.linalg.norm(X, axis=1).max()
             assert np.linalg.norm(signs @ X) <= bound * (1 + 1e-9)
 
@@ -104,14 +145,14 @@ class TestGreedySigns:
         rng = np.random.default_rng(1)
         for _ in range(10):
             X = rng.standard_normal((8, 3))
-            signs = greedy_signs(X)
+            signs = _slot_signs(X)
             assert _exhaustive_sum_norm(X) <= np.linalg.norm(signs @ X) + 1e-12
 
     def test_signs_follow_the_greedy_rule(self):
         # each sign opposes the partial sum before it, + on a tie
         rng = np.random.default_rng(2)
         X = rng.standard_normal((12, 4))
-        signs = greedy_signs(X)
+        signs = _slot_signs(X)
         partial = np.zeros(4)
         for sign, x in zip(signs, X):
             assert sign == (-1.0 if partial @ x > 0 else 1.0)
@@ -119,15 +160,16 @@ class TestGreedySigns:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            greedy_signs(np.zeros((0, 2)))
+            greedy_signs(np.zeros((0, 2)), [])
 
     def test_signs_equal_the_numpy_loop_on_type1_halvings(self, monkeypatch):
         S = _circle(64)
         calls = []
 
-        def both(vectors):
-            signs = greedy_signs(vectors)
-            assert np.array_equal(signs, _reference_greedy_signs(vectors))
+        def both(vectors, counts):
+            signs = greedy_signs(vectors, counts)
+            slots = np.repeat(np.asarray(vectors), counts, axis=0)
+            assert np.array_equal(signs, _reference_greedy_signs(slots))
             calls.append(len(signs))
             return signs
 
@@ -146,7 +188,7 @@ class TestGreedySigns:
     ])
     def test_near_orthogonal_runs_equal_the_numpy_loop(self, rows):
         X = _circle(64).points[rows] * 0.75
-        assert np.array_equal(greedy_signs(X), _reference_greedy_signs(X))
+        assert np.array_equal(_slot_signs(X), _reference_greedy_signs(X))
 
     def test_exactly_cancelling_dot_takes_numpy_dot(self, monkeypatch):
         # 0.6 * 0.8 and 0.8 * -0.6 are one product with opposite signs, so
@@ -155,7 +197,7 @@ class TestGreedySigns:
                       [0.0, 0.0], [0.6, 0.8]])
         counting = _CountingNumpy()
         monkeypatch.setattr(balance, "np", counting)
-        signs = greedy_signs(X)
+        signs = _slot_signs(X)
         assert len(counting.arrays) - 1 >= 1
         assert np.array_equal(signs, _reference_greedy_signs(X))
 
@@ -173,7 +215,7 @@ class TestGreedySigns:
         X = np.array(rows)
         skewed = _CountingNumpy(skew=True)
         monkeypatch.setattr(balance, "np", skewed)
-        signs = greedy_signs(X)
+        signs = _slot_signs(X)
         assert np.array_equal(signs, _reference_greedy_signs(X, _skewed_dot))
         assert not np.array_equal(signs, _reference_greedy_signs(X))
         assert len(skewed.arrays) - 1 >= 1
@@ -186,8 +228,58 @@ class TestGreedySigns:
                 base = rng.standard_normal((6, n)) * rng.uniform(0, 2, (6, 1))
                 base[rng.integers(0, 6)] = 0.0
                 X = base[np.sort(rng.integers(0, 6, size=24))]
-                assert np.array_equal(greedy_signs(X),
+                assert np.array_equal(_slot_signs(X),
                                       _reference_greedy_signs(X))
+
+
+    @pytest.mark.parametrize("counts", [
+        # a run from a zero sum repeats its sum two steps back at step 3,
+        # leaving odd and even remainders
+        [5], [6], [3], [2],
+        # from the partial sum a run of s1 leaves, whose steps alternate
+        # only once rounding settles
+        [1, 7], [1, 8], [3, 9], [2, 1, 4, 11],
+    ])
+    def test_runs_equal_the_numpy_loop_on_the_slots(self, counts):
+        points = _circle(64).points
+        V = np.array([0.75 * points[1], 0.5 * points[17], -0.3 * points[40],
+                      points[8]])[:len(counts)]
+        signs = greedy_signs(V, counts)
+        assert np.array_equal(signs, _reference_greedy_signs(
+            np.repeat(V, counts, axis=0)))
+
+    @pytest.mark.parametrize("rows,counts", [
+        # equal neighbours merge, and a zero count does not part them
+        ([[0.6, 0.8], [0.6, 0.8], [1.0, 0.0], [0.6, 0.8]], [2, 3, 0, 4]),
+        # -0.0 compares equal to 0.0: the padding after a zero-alpha row
+        ([[0.3, -0.4], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]], [3, 2, 0, 5]),
+        ([[0.0, 0.0], [0.2, 0.1], [0.2, 0.1], [0.0, -0.0]], [4, 1, 6, 3]),
+    ])
+    def test_merged_runs_equal_the_numpy_loop(self, rows, counts):
+        V = np.array(rows)
+        signs = greedy_signs(V, counts)
+        assert np.array_equal(signs, _reference_greedy_signs(
+            np.repeat(V, counts, axis=0)))
+
+    def test_random_runs_equal_the_numpy_loop(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 6):
+            for _ in range(20):
+                V = rng.standard_normal((5, n)) * rng.uniform(0, 2, (5, 1))
+                V[rng.integers(0, 5)] = 0.0
+                V = V[rng.integers(0, 5, size=7)]  # some neighbours equal
+                counts = rng.integers(0, 12, size=7)
+                if counts.sum():
+                    assert np.array_equal(greedy_signs(V, counts),
+                                          _reference_greedy_signs(
+                                              np.repeat(V, counts, axis=0)))
+
+    @pytest.mark.parametrize("vectors,counts", [
+        (np.ones((2, 2)), [1]), (np.ones((2, 2)), [1, -1]),
+        (np.ones(2), [1, 1])])
+    def test_counts_must_match_the_vectors(self, vectors, counts):
+        with pytest.raises(InputError, match="one count"):
+            greedy_signs(vectors, counts)
 
 
 def dense_certificate(S, rows, N):
@@ -261,6 +353,74 @@ class TestHalving:
         S = _circle(4)
         with pytest.raises(InputError, match="exceed the budget"):
             halving_step(S, ([0, 1], [2, 3], [1.0, 1.0]), 4)
+
+    def test_nan_alpha_rejected(self):
+        S = _circle(4)
+        with pytest.raises(InputError, match="alpha exceeds"):
+            halving_step(S, ([1], [2], [math.nan]), 4)
+
+    @staticmethod
+    def _assert_equals_reference(S, rows, N):
+        out, defect, bound = halving_step(S, rows, N)
+        want = _reference_halving(S, rows, N)
+        assert out == want[0]
+        assert [type(a) for a in out[2]] == [float] * len(out[2])
+        assert (defect, bound) == want[1:]
+
+    @pytest.mark.parametrize("S,rows,N", [
+        # a zero-multiplicity row fills no slot
+        (_circle(8), ([0, 3, 5], [0, 3, 2], [0.0, -1.2, 0.5]), 8),
+        # a zero-alpha row is a run of zero vectors, like the padding after it
+        (_circle(8), ([2, 6], [3, 2], [0.9, 0.0]), 8),
+        (_circle(8), ([1, 7], [2, 3], [0.0, 0.0]), 8),
+        # generator 0 takes slots of its own row and of the padding
+        (_circle(8), ([0, 4], [3, 2], [-1.4, 0.25]), 16),
+        (_circle(8), ([0], [5], [2.5]), 8),
+        (_circle(8), ([0], [1], [0.5]), 2),
+        (_circle(8), ([], [], []), 8),
+        # a full row, no padding; and rows far from their slot count
+        (_circle(8), ([1, 2, 5], [3, 1, 4], [1.5, -0.5, 3.0]), 8),
+        (GeneratingSet(3, np.vstack([np.eye(3), [[0.3, -0.2, 0.9]]])),
+         ([0, 1, 3], [7, 1, 20], [-6.5, 1.0, 13.0]), 64),
+        # numpy sums one column, and rows of 8 or more, pairwise
+        (GeneratingSet(1, [[0.7], [-1.3], [0.1]]),
+         ([0, 1, 2], [5, 9, 3], [2.9, -8.1, 0.3]), 32),
+        (GeneratingSet(9, np.random.default_rng(0).standard_normal((12, 9))),
+         ([2, 5, 11], [6, 3, 10], [-5.3, 2.2, 9.1]), 32),
+    ])
+    def test_bits_equal_the_slot_reference(self, S, rows, N):
+        self._assert_equals_reference(S, rows, N)
+
+    def test_bits_equal_the_slot_reference_on_type1_halvings(self,
+                                                              monkeypatch):
+        S = _circle(64)
+        seen = []
+
+        def checked(S_, rows, N):
+            self._assert_equals_reference(S_, rows, N)
+            seen.append(N)
+            return halving_step(S_, rows, N)
+
+        monkeypatch.setattr(balance, "halving_step", checked)
+        for x in _type1_requests(S, 40, seed=10):
+            type1_represent(S, 0.5, 4, x)
+        assert len(seen) > 40 * 3 and set(seen) == {8, 16, 32}
+
+    def test_bits_equal_the_slot_reference_on_vertex_fits(self, monkeypatch):
+        # no vertex of the rotated 6-cube is in S: each is halved from its
+        # LP decomposition, 688 slots to 344
+        S, _ = load_generating_set_json(
+            pathlib.Path(__file__).with_name("rotated_cube6.json"))
+        seen = []
+
+        def checked(S_, rows, N):
+            self._assert_equals_reference(S_, rows, N)
+            seen.append(N)
+            return halving_step(S_, rows, N)
+
+        monkeypatch.setattr(cube, "halving_step", checked)
+        cube.cube_quotient(S, 0.5, seed=2, queries=1)
+        assert len(seen) >= 32
 
     def test_certificate_and_slots_equal_the_numpy_path(self, monkeypatch):
         # on every halving of seeded type1 requests: the slots are the input
@@ -351,7 +511,9 @@ class TestType1Represent:
             return result
 
         fast = outputs()
-        monkeypatch.setattr(balance, "greedy_signs", _reference_greedy_signs)
+        monkeypatch.setattr(
+            balance, "greedy_signs", lambda vectors, counts:
+            _reference_greedy_signs(np.repeat(vectors, counts, axis=0)))
         for new, old in zip(fast, outputs()):
             for a, b in zip(new[:3], old[:3]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -24,6 +24,10 @@ class TestGammaRepresentation:
         with pytest.raises(InputError):
             GammaRepresentation(0.5, [0], [1.5], [0])
 
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(InputError, match="exceeds 1"):
+            GammaRepresentation(0.5, [0, 1], [0.5, math.nan], [0, 1])
+
     def test_evaluate_matches_series(self):
         S = _square()
         rep = GammaRepresentation(0.5, [0, 2], [1.0, -0.5], [0, 1])
@@ -147,6 +151,14 @@ class TestApprox2:
         with pytest.raises(InputError):
             approx2_transform(0.25, 2, [], ([], [], [], []))
 
+    def test_nan_alpha_and_lambda_rejected(self):
+        # NaN compares false with everything, so each check is written to
+        # pass only what lies within its bound
+        with pytest.raises(InputError, match="alpha exceeds"):
+            approx2_transform(0.75, 2, [1.0], ([0], [0], [1], [math.nan]))
+        with pytest.raises(InputError, match="outer lambdas"):
+            approx2_transform(0.75, 2, [math.nan], ([0], [0], [1], [0.5]))
+
     def test_rows_must_match_the_levels(self):
         rows = [0, 1], [0, 1], [1, 1], [0.5, -0.5]
         with pytest.raises(InputError):
@@ -224,6 +236,10 @@ class TestApprox2:
 
 
 class TestDeltaMCertificate:
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(InputError, match="alpha exceeds"):
+            DeltaMCertificate(2, np.array([1, 0]), np.array([math.nan, 0.0]))
+
     def test_validation(self):
         with pytest.raises(InputError):
             DeltaMCertificate(2, np.array([3, 0]), np.array([0.0, 0.0]))
