@@ -281,35 +281,24 @@ def _grow_tau(fiber, taken, n):
     return tuple(tau)
 
 
-def _fiber_pairs(fiber, tau):
-    """For every tau-pattern, a member pair realizing it and its negation."""
-    groups = _group_by_projection(fiber, tau)
-    table = {}
-    for pattern in groups:
-        negated = tuple(-v for v in pattern)
-        if negated not in groups:
-            return None
-        table[pattern] = (min(groups[pattern]), min(groups[negated]))
-    if len(table) != 1 << len(tau):
-        return None
-    return table
-
-
 def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
                   node_budget=NODE_BUDGET) -> ShatterChain:
     """Build the anchored chain: shattered core, then anchored fiber growth.
 
-    The core sigma[0] is the largest shattered subset.  Each growth level
-    fixes the anchor pattern on the current sigma and adds the largest tau on
-    which the anchored fiber still realizes every pattern; representation
-    tables then follow the three-part induction (previous representation,
-    its tau-negation assembled from half-differences of fiber pairs, and one
-    fresh half-difference for the target pattern), all in dyadic rationals.
-    Anchor extensions are ranked by fiber size with lexicographic ties, and
-    the first ranking that completes every level wins.
+    The core sigma[0] is the largest shattered subset, and its table maps
+    each core pattern to its least member with coefficient 1.  Each growth
+    level takes the fiber of members that are +1 on every coordinate of the
+    current sigma, grows tau greedily over the other coordinates in index
+    order while the fiber still realizes every pattern on tau, and lets
+    w(t) be the least fiber member with tau-pattern t.  A pattern over the
+    grown sigma then gets the previous table's entry for its sigma part;
+    for each member u of that entry, with coefficient c and tau-pattern t,
+    c/2 (w(-t) - w(t)), which cancels u's tau part; and (w(p) - w(-p))/2 for
+    its own tau part p.  Both members of each difference lie in the fiber,
+    so the additions leave sigma alone, and every coefficient is dyadic.
 
     Runs for ceil(log2(1/epsilon)) levels, stopping early once sigma is
-    everything.  Fails with the level reached when no anchor extension grows.
+    everything.  Fails with the level reached when the fiber grows no tau.
     """
     if not 0 < epsilon <= 1:
         raise InputError("epsilon must lie in (0, 1]")
@@ -327,83 +316,44 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
         raise PhaseError("chain", "no shattered coordinate found", level=0)
 
     members = sorted(V.members)
-    best_state = {"level": 0}
-
-    def search(level, sigma, anchor_bits, free_coords):
-        """Returns (sigma_list, tau_list, fiber_tables) or None."""
-        if level > levels_wanted or len(sigma) == V.n:
-            return [tuple(sigma)], [], []
-        fiber_all = [m for m in members
-                     if all(((m >> c) & 1) == ((anchor_bits >> c) & 1)
-                            for c in sigma)]
-        # rank the anchor's free pattern choices on the newly pinned coords
-        groups = _group_by_projection(fiber_all, free_coords) if free_coords \
-            else {(): fiber_all}
-        ranked = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        taken = set(sigma)
-        for pattern, fiber in ranked:
-            bits = anchor_bits
-            for pos, coord in enumerate(free_coords):
-                if pattern[pos] < 0:
-                    bits |= 1 << coord
-                else:
-                    bits &= ~(1 << coord)
-            tau = _grow_tau(fiber, taken, V.n)
-            if not tau:
-                continue
-            pairs = _fiber_pairs(fiber, tau)
-            if pairs is None:
-                continue
-            best_state["level"] = max(best_state["level"], level)
-            grown = tuple(sorted(set(sigma) | set(tau)))
-            deeper = search(level + 1, grown, bits, tau)
-            if deeper is not None:
-                sig, taus, tables = deeper
-                return [tuple(sigma)] + sig, [tau] + taus, [pairs] + tables
-        return None
-
-    if levels_wanted == 0 or len(sigma0) == V.n:
-        outcome = [tuple(sigma0)], [], []
-    else:
-        outcome = search(1, sigma0, 0, sigma0)
-    if outcome is None:
-        raise PhaseError("chain", "no anchor extension grows the chain",
-                         level=best_state["level"] + 1, sigma0=sigma0)
-    sigma_list, tau_list, fiber_tables = outcome
-    levels = len(tau_list)
-
-    # level-0 table: each core pattern maps to one witness with coefficient 1
-    core_groups = _group_by_projection(members, sigma_list[0])
-    table = {pattern: {min(group): Fraction(1)}
-             for pattern, group in core_groups.items()}
-
+    sigma_list, tau_list = [tuple(sigma0)], []
+    table = {pattern: {min(group): Fraction(1)} for pattern, group
+             in _group_by_projection(members, sigma0).items()}
     half = Fraction(1, 2)
-    for k in range(levels):
-        prev_sigma, tau = sigma_list[k], tau_list[k]
-        pairs = fiber_tables[k]
-        new_sigma = sigma_list[k + 1]
-        prev_pos = [new_sigma.index(c) for c in prev_sigma]
+    for level in range(1, levels_wanted + 1):
+        sigma = sigma_list[-1]
+        if len(sigma) == V.n:
+            break
+        fiber = [m for m in members if not any((m >> c) & 1 for c in sigma)]
+        tau = _grow_tau(fiber, set(sigma), V.n)
+        if not tau:
+            raise PhaseError("chain", "no anchor extension grows the chain",
+                             level=level, sigma0=sigma0)
+        witness = {pattern: min(group) for pattern, group
+                   in _group_by_projection(fiber, tau).items()}
+        new_sigma = tuple(sorted(set(sigma) | set(tau)))
+        prev_pos = [new_sigma.index(c) for c in sigma]
         tau_pos = [new_sigma.index(c) for c in tau]
         grown = {}
         for pattern in _all_patterns(len(new_sigma)):
-            prev_pat = tuple(pattern[i] for i in prev_pos)
+            prev = table[tuple(pattern[i] for i in prev_pos)]
             tau_pat = tuple(pattern[i] for i in tau_pos)
-            combo = dict(table[prev_pat])
             additions = []
-            for member, coef in table[prev_pat].items():
+            for member, coef in prev.items():
                 t = tuple(1 - 2 * ((member >> c) & 1) for c in tau)
-                u, v = pairs[t]
-                additions.append((u, -coef * half))
-                additions.append((v, coef * half))
-            u, v = pairs[tau_pat]
-            additions.append((u, half))
-            additions.append((v, -half))
+                additions += [(witness[t], -coef * half),
+                              (witness[tuple(-v for v in t)], coef * half)]
+            additions += [(witness[tau_pat], half),
+                          (witness[tuple(-v for v in tau_pat)], -half)]
+            combo = dict(prev)
             for member, coef in additions:
                 combo[member] = combo.get(member, Fraction(0)) + coef
             grown[pattern] = {m: c for m, c in combo.items() if c != 0}
         table = grown
+        sigma_list.append(new_sigma)
+        tau_list.append(tau)
 
-    chain = ShatterChain(levels=levels, sigma=sigma_list, tau=tau_list,
+    chain = ShatterChain(levels=len(tau_list), sigma=sigma_list, tau=tau_list,
                          rep_table=table, epsilon=float(epsilon))
     chain.verify(V)
     return chain
