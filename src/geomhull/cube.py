@@ -207,8 +207,9 @@ class ShatterChain:
     """Anchored increasing chain of coordinate subsets with exact dyadic tables.
 
     sigma[0] is shattered outright; each later sigma[k] adds tau[k-1], a set
-    on which the members agreeing with the anchor on sigma[k-1] still realize
-    every pattern.  rep_table maps each pattern over sigma[-1] to a dyadic
+    on which the anchored fiber (the members agreeing on sigma[k-1] with the
+    most common pattern, chosen one level at a time) still realizes every
+    pattern.  rep_table maps each pattern over sigma[-1] to a dyadic
     combination of members whose projection equals the pattern exactly, within
     the level budget: sum of ceil(|coef| * 2^levels) is at most the slot count.
     """
@@ -286,16 +287,20 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
     """Build the anchored chain: shattered core, then anchored fiber growth.
 
     The core sigma[0] is the largest shattered subset, and its table maps
-    each core pattern to its least member with coefficient 1.  Each growth
-    level takes the fiber of members that are +1 on every coordinate of the
-    current sigma, grows tau greedily over the other coordinates in index
-    order while the fiber still realizes every pattern on tau, and lets
-    w(t) be the least fiber member with tau-pattern t.  A pattern over the
-    grown sigma then gets the previous table's entry for its sigma part;
-    for each member u of that entry, with coefficient c and tau-pattern t,
-    c/2 (w(-t) - w(t)), which cancels u's tau part; and (w(p) - w(-p))/2 for
-    its own tau part p.  Both members of each difference lie in the fiber,
-    so the additions leave sigma alone, and every coefficient is dyadic.
+    each core pattern to its least member with coefficient 1.  The fiber
+    starts as every member.  Each growth level pins the coordinates the last
+    level added (sigma[0] at level 1) on their most common pattern in the
+    fiber, ties to the lexicographically least, and keeps the members
+    showing it: the fiber then agrees on all of sigma and keeps at least a
+    2^-|added| share of its members (pigeonhole).  Tau grows greedily over
+    the other coordinates in index order while the fiber still realizes
+    every pattern on tau, and w(t) is the least fiber member with
+    tau-pattern t.  A pattern over the grown sigma then gets the previous
+    table's entry for its sigma part; for each member u of that entry, with
+    coefficient c and tau-pattern t, c/2 (w(-t) - w(t)), which cancels u's
+    tau part; and (w(p) - w(-p))/2 for its own tau part p.  Both members of
+    each difference lie in the fiber, so the additions leave sigma alone,
+    and every coefficient is dyadic.
 
     Runs for ceil(log2(1/epsilon)) levels, stopping early once sigma is
     everything.  Fails with the level reached when the fiber grows no tau.
@@ -320,11 +325,13 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
     table = {pattern: {min(group): Fraction(1)} for pattern, group
              in _group_by_projection(members, sigma0).items()}
     half = Fraction(1, 2)
+    fiber, free = members, sigma0  # the anchor's fiber; its unpinned coords
     for level in range(1, levels_wanted + 1):
         sigma = sigma_list[-1]
         if len(sigma) == V.n:
             break
-        fiber = [m for m in members if not any((m >> c) & 1 for c in sigma)]
+        _, fiber = min(_group_by_projection(fiber, free).items(),
+                       key=lambda group: (-len(group[1]), group[0]))
         tau = _grow_tau(fiber, set(sigma), V.n)
         if not tau:
             raise PhaseError("chain", "no anchor extension grows the chain",
@@ -352,6 +359,7 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
         table = grown
         sigma_list.append(new_sigma)
         tau_list.append(tau)
+        free = tau
 
     chain = ShatterChain(levels=len(tau_list), sigma=sigma_list, tau=tau_list,
                          rep_table=table, epsilon=float(epsilon))

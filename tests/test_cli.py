@@ -225,6 +225,16 @@ class TestVerify:
         assert run("verify", "alesker", "--n", "8", "--eps", "0.5",
                    "--seed", "4") == EXIT_FAIL
 
+    @pytest.mark.parametrize("argv, sigma_size", [(("--seed", "6"), 10),
+                                                  (("--n", "6", "--seed", "0"), 6)])
+    def test_alesker_anchors_on_the_largest_fiber(self, argv, sigma_size,
+                                                  capsys):
+        # on these sets the all-plus fiber grows no tau ("no anchor extension
+        # grows the chain", exit 3); the largest fiber grows sigma to all n
+        assert run("verify", "alesker", *argv) == EXIT_PASS
+        constants = json.loads(capsys.readouterr().out)["constants"]
+        assert constants["sigma_size"] == sigma_size
+
     def test_type1_defect_scales_with_the_generators(self, tmp_path, capsys):
         # the halving defect is bounded by max ||s_i|| / sqrt(N), 3.5 / sqrt(N)
         # here; against 1 / sqrt(N) this valid run read 1.13
