@@ -283,14 +283,18 @@ def solve_lp(objective, A, b, lower, upper, start=None) -> LPSolution:
                                        direction, max_iter)
     z = np.where(direction > 0, width, 0.0)
     z[basis] = xB
-    x = lower + z[:n]
     if status == "unbounded":
-        return LPSolution(status="unbounded", x=x)
+        return LPSolution(status="unbounded", x=lower + z[:n])
     # complementary slackness sanity check on the reduced costs
     if np.abs(c2[basis] - y @ M[:, basis]).max(initial=0.0) > 1e-6:
         raise NumericalError("complementary slackness violated at optimum")
+    # an answer lies in its box: clipped within the residual's tolerance
+    tol = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)) * 10
+    if (z < -tol).any() or (z > width + tol).any():
+        raise NumericalError("basic variable outside its bounds at optimum")
+    x = lower + np.clip(z, 0.0, width)[:n]
     residual = np.abs(A @ x - b).max(initial=0.0)
-    if residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)) * 10:
+    if residual > tol:
         raise NumericalError(f"primal residual {residual:.3e} out of tolerance")
     return LPSolution(status="optimal", value=float(c @ x), x=x, y=sign * y,
                       basis=(basis, direction))

@@ -246,9 +246,10 @@ class TestEnvelopeTable:
         assert _fails_the_dual_check(S, x)
         cert = envelope_gauge(S, x)
         assert len(lp_calls) == 1
-        # both LPs stop within their tolerances of 2: solve_lp's basis holds
-        # s2 at -1e-8, just past its bound (value 2 + 1e-8), and HiGHS
-        # reports 2 - 1e-8
+        # solve_lp's basis holds s2 at -1e-8, within tolerance of its bound
+        # of 0, so the answer is clipped there (not 2 + 1e-8); HiGHS reports
+        # 2 - 1e-8
+        assert abs(cert.value - 2) <= 1e-12
         assert cert.value == pytest.approx(_highs_envelope(S, x), rel=1e-7)
         assert np.abs(cert.coefficients @ P - x).max() <= 1e-12
         # with no other generator the table keeps no basis at all

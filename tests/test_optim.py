@@ -355,6 +355,32 @@ class TestBoundedVariables:
         c[2] = -0.5
         assert solve_lp(c, A, b, lower, upper).status == "unbounded"
 
+    def test_a_basic_just_past_its_bound_is_clipped(self):
+        # the envelope LP of [[1, 0], [1, 1e-12], [0, 1e-4]] at (2, 1e-12):
+        # the optimal basis holds the s2 weight at -1e-8, within tolerance
+        P = np.array([[1.0, 0.0], [1.0, 1e-12], [0.0, 1e-4]])
+        sol = solve_lp(np.ones(6), np.hstack([P.T, -P.T]), P[0] + P[1],
+                       np.zeros(6), np.full(6, np.inf))
+        assert sol.status == "optimal"
+        assert sol.x.min() == 0.0 and sol.value == 2.0
+
+    def test_a_basic_far_past_its_bound_raises(self, monkeypatch):
+        # phase 2's basic values moved 1e-6 below 0: past the 1e-8 tolerance
+        real, calls = optim._pivot_loop, []
+
+        def shifted(*args):
+            status, basis, xB, y = real(*args)
+            calls.append(status)
+            if len(calls) == 2:
+                xB = xB.copy()
+                xB[0] = -1e-6
+            return status, basis, xB, y
+
+        monkeypatch.setattr(optim, "_pivot_loop", shifted)
+        with pytest.raises(NumericalError, match="outside its bounds"):
+            solve_lp(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]),
+                     np.array([1.0]), np.zeros(2), np.full(2, np.inf))
+
     def test_replayed_membership_node_lps_match_highs(self, monkeypatch):
         # every node LP of acceptance criterion 10's grid at m = 3, recorded
         # from the branch-and-bound search with the solution the search got
