@@ -238,15 +238,13 @@ def delta_m_membership(S: GeneratingSet, m: int, x) -> DeltaMVerdict:
     while heap:
         if nodes >= 10 ** 6:
             return DeltaMVerdict("undecided", None, None, nodes)
-        parent_bound, _, caps, commits, start = heapq.heappop(heap)
-        if best_val is not None and parent_bound >= best_val:
-            continue
+        _, _, caps, commits, start = heapq.heappop(heap)
         nodes += 1
         value, alpha, basis = node_lp(caps, commits, start)
         if value is None:
             continue
         lower = math.ceil(value - 1e-9)
-        if lower > m or (best_val is not None and lower >= best_val):
+        if lower > m:
             continue
         cand = int(np.ceil(np.abs(alpha) - 1e-9).sum())
         if best_val is None or cand < best_val:
