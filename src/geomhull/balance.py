@@ -212,6 +212,10 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         rows = gens.tolist(), counts[gens].tolist(), lam[gens].tolist()
         for h in range(halvings):
             rows, d, bound = halving_step(S, rows, M >> h)
+            if d > bound * (1 + 1e-9) + 1e-12:
+                raise PhaseError("halving-convergence",
+                                 "halving defect exceeds its bound",
+                                 level=level, halving=h, defect=d, bound=bound)
             defect_log.append(d)
             if trace is not None:
                 trace.append({"level": level, "halving": h,

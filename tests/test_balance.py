@@ -8,7 +8,7 @@ from geomhull import balance, cube
 from geomhull.balance import greedy_signs, halving_step, type1_represent
 from geomhull.bodies import (GeneratingSet, envelope_gauge,
                              load_generating_set_json)
-from geomhull.errors import InputError, NumericalError
+from geomhull.errors import InputError, NumericalError, PhaseError
 from geomhull.hulls import DeltaMCertificate
 
 
@@ -496,6 +496,23 @@ class TestType1Represent:
             # unit generators: the greedy bound is at most 1 / sqrt(N)
             assert rec["defect"] <= rec["bound"] * (1 + 1e-9) + 1e-12
             assert rec["bound"] <= 1.0 / math.sqrt(rec["input_terms"]) + 1e-12
+
+    def test_misreported_halving_fails(self, monkeypatch):
+        # a halving that reports a bound below its defect is caught at once,
+        # before the level's defect gauge is taken
+        real = balance.halving_step
+
+        def misreported(*args):
+            rows, defect, bound = real(*args)
+            return rows, defect, defect / 2
+
+        monkeypatch.setattr(balance, "halving_step", misreported)
+        S = _circle(16)
+        with pytest.raises(PhaseError, match="exceeds its bound") as err:
+            type1_represent(S, 0.5, 4, 0.6 * S.points[0] + 0.3 * S.points[5])
+        assert err.value.phase == "halving-convergence"
+        assert err.value.diagnostics["level"] == 0
+        assert err.value.diagnostics["halving"] == 0
 
     def test_bits_equal_with_the_numpy_greedy_loop(self, monkeypatch):
         S = _circle(64)
