@@ -112,8 +112,8 @@ def halving_step(S: GeneratingSet, rows, N):
     order, as np.bincount sums it.  The defect ||u - v|| = ||(1/N) sum eps_k
     x_k|| is checked as an identity, and bound = max ||x_k|| / sqrt(N) is
     what greedy_signs asserts of it; u and bound take numpy's sums over the
-    runs, repeated into slots for u, with the slot array's bits.  Returns
-    (rows, defect, bound).
+    runs, repeated into slots for u, with the slot array's bits; rows that
+    fill no slot return those bits at once.  Returns (rows, defect, bound).
     """
     gens, mults, alphas = map(list, rows)
     if N < 2 or N % 2 or not len(gens) == len(mults) == len(alphas):
@@ -122,6 +122,8 @@ def halving_step(S: GeneratingSet, rows, N):
         raise InputError("generators must be increasing indices into S")
     filled = sum(mults)
     check_rows(N, filled, np.array(mults), np.array(alphas))
+    if not filled:
+        return ([], [], []), 0.0, 0.0
     runs = [(g, count, alpha / count)
             for g, count, alpha in zip(gens, mults, alphas) if count]
     if filled < N:

@@ -9,7 +9,7 @@ produce byte-identical files.  Calibrated constants always appear under a
 emitted certificates, not the constants.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 numerical or phase
-failure, 4 search budget exhausted or out of memory.
+failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from .balance import type1_represent
 from .bodies import (GeneratingSet, PBody, delta_nonconvexity, fmt17,
                      generating_set_to_json, lp_ball_body,
                      load_generating_set_json)
-from .cube import (NODE_BUDGET, Calibration, VertexSet, alesker_chain,
-                   chain_constants, chain_cube_certificate, counting_select,
-                   cube_quotient, cubic_quotient_from_nonconvexity,
-                   density_threshold, pnormed_quotient, vertex_generating_set,
+from .cube import (Calibration, VertexSet, alesker_chain, chain_constants,
+                   chain_cube_certificate, counting_select, cube_quotient,
+                   cubic_quotient_from_nonconvexity, density_threshold,
+                   pnormed_quotient, vertex_generating_set,
                    vertex_set_from_generating_set)
 from .dvoretzky import dvoretzky_search, ellipsoid_gamma_represent
-from .errors import (BudgetError, ContractionError, InputError,
-                     NumericalError, PhaseError)
+from .errors import ContractionError, InputError, NumericalError, PhaseError
 from .hulls import approx2_transform, verify_pconv_contraction
 
 EXIT_PASS = 0
@@ -355,8 +354,7 @@ def verify_alesker(cfg):
         n = cfg.n if cfg.n is not None else 10
         V = _sample_vertex_subset(n, None, cfg)
         S = vertex_generating_set(V, label="random-vertex-subset")
-    chain = alesker_chain(V, cfg.eps, density_c=cfg.calibration.c,
-                          node_budget=cfg.budget)
+    chain = alesker_chain(V, cfg.eps, density_c=cfg.calibration.c)
     certs = chain_cube_certificate(chain, S, C=cfg.calibration.C)
     levels = len(chain.sigma) - 1
     want_a, want_b = chain_constants(levels)
@@ -418,7 +416,7 @@ def verify_main(cfg):
     S, _ = _loaded_input(cfg)
     report_obj = cube_quotient(S, cfg.eps, calibration=cfg.calibration,
                                seed=cfg.seed, queries=cfg.queries,
-                               query_tolerance=cfg.tol, node_budget=cfg.budget)
+                               query_tolerance=cfg.tol)
     ok = report_obj.verified_fraction >= 0.99
     report = {
         "lemma": "main",
@@ -521,7 +519,7 @@ def run_cube_quotient(cfg):
     S, _ = _loaded_input(cfg)
     report = cube_quotient(S, cfg.eps, calibration=cfg.calibration,
                            seed=cfg.seed, queries=cfg.queries,
-                           query_tolerance=cfg.tol, node_budget=cfg.budget)
+                           query_tolerance=cfg.tol)
     emit(report, _quotient_rows(report), cfg)
     return EXIT_PASS
 
@@ -534,8 +532,7 @@ def run_pnormed_quotient(cfg):
     report, distance = pnormed_quotient(body, cfg.eps,
                                         calibration=cfg.calibration,
                                         seed=cfg.seed, queries=cfg.queries,
-                                        query_tolerance=cfg.tol,
-                                        node_budget=cfg.budget)
+                                        query_tolerance=cfg.tol)
     rows = _quotient_rows(report)
     rows.append({"record": "distance", **distance})
     emit({"quotient": report, "distance": distance}, rows, cfg)
@@ -555,7 +552,7 @@ def run_cubic_from_delta(cfg):
     body = PBody(S, p)
     report, summary = cubic_quotient_from_nonconvexity(
         body, coords, calibration=cfg.calibration, seed=cfg.seed,
-        queries=cfg.queries, query_tolerance=cfg.tol, node_budget=cfg.budget)
+        queries=cfg.queries, query_tolerance=cfg.tol)
     rows = _quotient_rows(report)
     rows.append({"record": "summary", **{k: ("" if v is None else v)
                                          for k, v in summary.items()}})
@@ -645,7 +642,6 @@ def _add_common(parser):
     parser.add_argument("--trials", type=_above(0), default=64)
     parser.add_argument("--queries", type=_above(0), default=32)
     parser.add_argument("--samples", type=_above(0), default=1000)
-    parser.add_argument("--budget", type=_above(0), default=NODE_BUDGET)
     parser.add_argument("--coords")
     for name, value in Calibration().as_dict().items():
         parser.add_argument(f"--const.{name}", type=_above(0, float),
@@ -712,8 +708,8 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetError, MemoryError) as exc:
-        print(f"budget exhausted: {str(exc) or 'out of memory'}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NumericalError, PhaseError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

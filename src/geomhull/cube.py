@@ -22,12 +22,9 @@ import numpy as np
 
 from .balance import halving_step
 from .bodies import GeneratingSet, PBody, delta_nonconvexity, envelope_gauge
-from .errors import BudgetError, InputError, NumericalError, PhaseError
-from .hulls import (DeltaMCertificate, GammaRepresentation, approx2_transform,
+from .errors import InputError, NumericalError, PhaseError
+from .hulls import (GammaRepresentation, approx2_transform, check_rows,
                     flatten_scale, pconv_contraction_bound, rows_average)
-
-# node budget of the shattered-subset search unless a caller sets one
-NODE_BUDGET = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +154,24 @@ def _split_classes(classes, j):
     return out
 
 
-def _max_shattered(V: VertexSet, node_budget=NODE_BUDGET):
+def _max_shattered(V: VertexSet):
     """Largest shattered subset, lexicographically first among the largest.
 
     Depth-first over subsets in lexicographic order, pruning prefixes that
     already fail -- shattering is closed under taking subsets, so a failed
     prefix kills the whole branch -- and branches too short to beat the best.
-    Exceeding the node budget raises BudgetError.
+    At most n nodes per extend call, one call per increasing tuple: n 2^n.
     """
-    nodes = 0
     best = ()
     root = [list(V.members)]
 
     def extend(coords, classes, start):
-        nonlocal nodes, best
+        nonlocal best
         if len(coords) > len(best):
             best = coords
         for j in range(start, V.n):
             if len(coords) + (V.n - j) <= len(best):
                 break
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("shattered-subset search budget exhausted",
-                                  nodes=nodes)
             refined = _split_classes(classes, j)
             if refined is not None:
                 extend(coords + (j,), refined, j + 1)
@@ -282,8 +274,8 @@ def _grow_tau(fiber, taken, n):
     return tuple(tau)
 
 
-def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
-                  node_budget=NODE_BUDGET) -> ShatterChain:
+def alesker_chain(V: VertexSet, epsilon, density_c,
+                  enforce_density=True) -> ShatterChain:
     """Build the anchored chain: shattered core, then anchored fiber growth.
 
     The core sigma[0] is the largest shattered subset, and its table maps
@@ -316,7 +308,7 @@ def alesker_chain(V: VertexSet, epsilon, density_c, enforce_density=True,
         raise InputError(
             f"vertex set too sparse: {V.count} < 2^(n(1-c eps)) = {threshold:.1f}")
     levels_wanted = max(0, math.ceil(math.log2(1.0 / epsilon)))
-    sigma0 = _max_shattered(V, node_budget)
+    sigma0 = _max_shattered(V)
     if not sigma0:
         raise PhaseError("chain", "no shattered coordinate found", level=0)
 
@@ -396,9 +388,9 @@ def _lift_chain(chain: ShatterChain, parts, S: GeneratingSet, sigma_idx, m):
     offset that carries it onto the member.  A table entry sum_j c_j member_j
     lifts to sum_j c_j 2^levels rows_j over chain_N * m slots, summed per
     generator in member order, and to the displacement sum_j c_j disp_j.
-    The rows must fit the slot budget and pass the DeltaMCertificate checks,
-    and the chain scale times their average plus the displacement must hit
-    the pattern on sigma to 1e-9.  Returns {pattern: (rows, displacement)}.
+    The rows must fit the slot budget and pass hulls.check_rows, and the
+    chain scale times their average plus the displacement must hit the
+    pattern on sigma to 1e-9.  Returns {pattern: (rows, displacement)}.
     """
     a_s, b_s = chain_constants(chain.levels)
     weight = 1 << chain.levels
@@ -421,8 +413,9 @@ def _lift_chain(chain: ShatterChain, parts, S: GeneratingSet, sigma_idx, m):
         if sum(rows[1]) > budget:
             raise PhaseError("certify", "lifted certificate exceeds its budget",
                              pattern=pattern)
-        cert = DeltaMCertificate(budget, rows[1], rows[2])
-        achieved = (a_s * (S.points[np.ix_(gens, sigma_idx)].T @ cert.alphas)
+        alphas = np.array(rows[2], dtype=float)
+        check_rows(budget, sum(rows[1]), np.array(rows[1]), alphas)
+        achieved = (a_s * (S.points[np.ix_(gens, sigma_idx)].T @ alphas)
                     / budget + rvec[sigma_idx])
         if np.abs(achieved - np.array(pattern, dtype=float)).max() > 1e-9:
             raise PhaseError("certify", "vertex certificate mismatch",
@@ -627,8 +620,7 @@ def _decompose_vertex(S, a, m, singleton_index):
 
 
 def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
-                  queries=32, query_tolerance=1e-6,
-                  node_budget=NODE_BUDGET) -> QuotientReport:
+                  queries=32, query_tolerance=1e-6) -> QuotientReport:
     """Full pipeline from a cube-sandwiched set to a cube quotient.
 
     Phases: per-vertex decomposition (doubling as the sandwich check),
@@ -712,8 +704,7 @@ def cube_quotient(S: GeneratingSet, epsilon, calibration=None, seed=0,
     tau, T, witnesses = counting_select(candidates, k_agree)
     density_ok = T.count >= density_threshold(k_agree, cal.c, epsilon)
 
-    chain = alesker_chain(T, epsilon, density_c=cal.c,
-                          enforce_density=False, node_budget=node_budget)
+    chain = alesker_chain(T, epsilon, density_c=cal.c, enforce_density=False)
     sigma_rel = chain.sigma[-1]
     sigma = tuple(tau[i] for i in sigma_rel)
     if len(sigma) < quota:

@@ -13,14 +13,6 @@ class NumericalError(RuntimeError):
     """An iteration cap or stability guard tripped inside a solver."""
 
 
-class BudgetError(RuntimeError):
-    """A search exhausted its node budget before reaching a definite answer."""
-
-    def __init__(self, message, nodes=None):
-        super().__init__(message)
-        self.nodes = nodes
-
-
 class PhaseError(RuntimeError):
     """A multi-stage pipeline failed; carries the failing phase and diagnostics."""
 

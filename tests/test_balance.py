@@ -387,6 +387,8 @@ class TestHalving:
          ([0, 1, 2], [5, 9, 3], [2.9, -8.1, 0.3]), 32),
         (GeneratingSet(9, np.random.default_rng(0).standard_normal((12, 9))),
          ([2, 5, 11], [6, 3, 10], [-5.3, 2.2, 9.1]), 32),
+        # rows that fill no slot, like the empty rows above
+        (_circle(8), ([0, 3], [0, 0], [0.0, 0.0]), 8),
     ])
     def test_bits_equal_the_slot_reference(self, S, rows, N):
         self._assert_equals_reference(S, rows, N)

@@ -166,23 +166,6 @@ class TestVerify:
         assert run("verify", "dvoretzky", "--input", path, "--k", "2",
                    "--eta", "0.001", "--trials", "1") == EXIT_FAIL
 
-    def test_budget_exhaustion_exits_four(self):
-        assert run("verify", "alesker", "--n", "8", "--eps", "0.5",
-                   "--seed", "5", "--budget", "5") == EXIT_BUDGET
-
-    def test_budget_reaches_every_quotient_pipeline(self, lp_ball_file,
-                                                    tmp_path):
-        # one search node is too few for the shattered-subset search of
-        # each pipeline's cube
-        cube = str(tmp_path / "cube.json")
-        assert run("generate", "cube-vertices", "--n", "4", "--p", "1.0",
-                   "--out", cube) == EXIT_PASS
-        for argv in (("cube-quotient", "--input", cube),
-                     ("pnormed-quotient", "--input", cube),
-                     ("cubic-from-delta", "--input", lp_ball_file,
-                      "--coords", "0,1,2,3")):
-            assert run("run", *argv, "--budget", "1") == EXIT_BUDGET, argv
-
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError(
         "Unable to allocate 964. MiB for an array with shape (8192, 8192)")])
     def test_out_of_memory_exits_four(self, error, cube_file, monkeypatch,
@@ -193,7 +176,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "cube_quotient", exhausted)
         assert run("run", "cube-quotient", "--input", cube_file) == EXIT_BUDGET
-        assert capsys.readouterr().err.startswith("budget exhausted: ")
+        assert capsys.readouterr().err.startswith("out of memory: ")
 
     def test_numerical_failure_exits_three(self, lp_ball_file):
         # cross-polytope envelope cannot contain the cube
@@ -379,8 +362,8 @@ OPTION_MISTAKES = [
     ("zero-trials-flag", None, ("--trials", "0")),
     ("negative-trials-flag", None, ("--trials", "-3")),
     ("zero-trials-key", "trials = 0\n", ()),
-    # tolerances and constants that are not finite and positive, and node
-    # budgets below 1, which once ran on, ended in a traceback or exited 4
+    # tolerances and constants that are not finite and positive, which once
+    # ran on or ended in a traceback
     ("zero-tol-flag", None, ("--tol", "0")),
     ("zero-tol-key", "tol = 0\n", ()),
     ("nan-tol-flag", None, ("--tol", "nan")),
@@ -388,9 +371,9 @@ OPTION_MISTAKES = [
     ("negative-tol-flag", None, ("--tol", "-1")),
     ("negative-tol-key", "tol = -1\n", ()),
     ("infinite-tol-flag", None, ("--tol", "inf")),
-    ("negative-budget-flag", None, ("--budget", "-1")),
-    ("negative-budget-key", "budget = -1\n", ()),
-    ("zero-budget-flag", None, ("--budget", "0")),
+    # there is no node budget option: the flag and the key are unknown
+    ("budget-flag", None, ("--budget", "5")),
+    ("budget-key", "budget = 5\n", ()),
     ("negative-const-flag", None, ("--const.c", "-1")),
     ("negative-const-key", "c = -1\n", ()),
     ("zero-const-flag", None, ("--const.c2", "0")),

@@ -24,7 +24,7 @@ from geomhull.cube import (Calibration, ShatterChain, VertexSet,
                            subsample_vertex_fit, vector_of_mask,
                            vertex_generating_set, vertex_set_from_generating_set)
 from geomhull import cube
-from geomhull.errors import BudgetError, InputError, NumericalError, PhaseError
+from geomhull.errors import InputError, NumericalError, PhaseError
 from geomhull.hulls import DeltaMCertificate
 from test_balance import dense_certificate
 
@@ -85,11 +85,6 @@ class TestFindShattered:
             masks = rng.choice(2 ** n, size=n + 2, replace=False)
             V = VertexSet(n, frozenset(int(m) for m in masks))
             assert len(_max_shattered(V)) >= 2
-
-    def test_budget_error(self):
-        V = VertexSet.full(8)
-        with pytest.raises(BudgetError):
-            _max_shattered(V, node_budget=3)
 
     def test_target_validation(self):
         # a single vertex shatters no coordinate; the search never passes n
