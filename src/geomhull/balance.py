@@ -15,9 +15,9 @@ import operator
 
 import numpy as np
 
-from .bodies import GeneratingSet, envelope_gauge
+from .bodies import GaugeCertificate, GeneratingSet, envelope_gauge
 from .errors import InputError, NumericalError, PhaseError
-from .hulls import approx2_transform, check_rows, rows_average
+from .hulls import approx2_transform, rows_average
 
 
 def greedy_signs(vectors, counts):
@@ -105,7 +105,8 @@ def halving_step(S: GeneratingSet, rows, N):
     """Halve an N-slot star-hull average: nonzero rows in, rows for N/2 out.
 
     rows are (generators, multiplicities, alphas) lists, generators
-    increasing, that pass hulls.check_rows.  They fill N slots in
+    increasing, that pass hulls.check_rows' three rules, checked here on the
+    lists in its order and with its messages.  They fill N slots in
     hulls._slot_layout's order as runs: mult slots (alpha / mult) s_g per
     generator g, then (0, 0.0) slots up to N.  Greedy signs split the slots;
     the minority class (at most N/2 slots) is summed per generator in slot
@@ -113,7 +114,8 @@ def halving_step(S: GeneratingSet, rows, N):
     x_k|| is checked as an identity, and bound = max ||x_k|| / sqrt(N) is
     what greedy_signs asserts of it; u and bound take numpy's sums over the
     runs, repeated into slots for u, with the slot array's bits; rows that
-    fill no slot return those bits at once.  Returns (rows, defect, bound).
+    fill no slot return those bits at once, and an empty minority leaves
+    gap = u.  Returns (rows, defect, bound).
     """
     gens, mults, alphas = map(list, rows)
     if N < 2 or N % 2 or not len(gens) == len(mults) == len(alphas):
@@ -121,7 +123,12 @@ def halving_step(S: GeneratingSet, rows, N):
     if any(map(operator.ge, [-1] + gens, gens + [S.count])):
         raise InputError("generators must be increasing indices into S")
     filled = sum(mults)
-    check_rows(N, filled, np.array(mults), np.array(alphas))
+    if any(k < 0 for k in mults):
+        raise InputError("multiplicities must be nonnegative")
+    if filled > N:
+        raise InputError("multiplicities exceed the budget m")
+    if not all(abs(a) <= k + 1e-9 for a, k in zip(alphas, mults)):
+        raise InputError("alpha exceeds its multiplicity")
     if not filled:
         return ([], [], []), 0.0, 0.0
     runs = [(g, count, alpha / count)
@@ -146,8 +153,8 @@ def halving_step(S: GeneratingSet, rows, N):
     out = sorted(mult)
     rows = out, [mult[g] for g in out], [alpha[g] for g in out]
     u = np.add.reduce(X.repeat(counts, axis=0)) / N
-    gap = u - rows_average(S, rows, N // 2)
-    defect = float(np.linalg.norm(gap))
+    gap = u - rows_average(S, rows, N // 2) if out else u
+    defect = math.sqrt(gap.dot(gap))  # np.linalg.norm's formula and bits
     identity = [sum(map(operator.mul, eps, xs)) / N for xs in zip(*vectors)]
     scale = max(1.0, math.hypot(*u.tolist()))
     if math.dist(gap.tolist(), identity) > 1e-10 * scale:
@@ -169,11 +176,14 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     cancel in pairs under greedy signs.  If the slots exceed M, lambda
     shrinks by 0.95 until they fit and the shed mass joins the defect.  The
     level defect must have envelope gauge <= theta or the pipeline fails
-    with diagnostics.  The series stops at the first level whose remaining tail
-    theta^level * ||residual|| is at most 1e-9; since every residual stays
-    in the envelope ball, that level always comes.  Finally the certificate
-    rows, tagged with their levels, go to approx2_transform, which flattens
-    them into a representation with ratio theta^(1/m).
+    with diagnostics.  A level whose halvings keep no slot leaves w = r bit
+    for bit and takes no new gauge: it keeps r's envelope answer, the start
+    check's at level 0 and the last defect's scaled by 1/theta after that
+    (exact at theta = 1/2).  The series stops at the first level whose
+    remaining tail theta^level * ||residual|| is at most 1e-9; since every
+    residual stays in the envelope ball, that level always comes.  Finally
+    the certificate rows, tagged with their levels, go to approx2_transform,
+    which flattens them into a representation with ratio theta^(1/m).
 
     Returns (representation, scale) with scale * eval(rep) = x up to the
     representation's residual_norm * scale; the scale never exceeds
@@ -192,9 +202,9 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     halvings = max(1, math.ceil(math.log2(max(2.0, 16.0 * S.dimension / m))))
     M = 2 ** halvings * m
     r = x.copy()
-    # the LP optimum for r: the start check's at level 0; after that the
+    # r's LP optimum and gauge: the start check's at level 0; after that the
     # defect LP's for w, scaled by 1/theta (the envelope LP is homogeneous)
-    coefficients = start.coefficients
+    coefficients, gauge_r = start.coefficients, start.value
     series = [], [], [], []  # levels, generators, multiplicities, alphas
     defect_log = []
     # Every accepted level leaves r = w / theta with envelope gauge <= 1, so
@@ -202,7 +212,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
     # ceil(log(1e-9 / max ||s_i||) / log theta): the loop always ends, with
     # level the number of accepted levels.
     for level in itertools.count():
-        norm_r = np.linalg.norm(r)
+        norm_r = math.sqrt(r.dot(r))
         if norm_r <= 1e-15 or theta ** level * norm_r <= 1e-9:
             break
         lam = coefficients * M
@@ -223,8 +233,11 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
                 trace.append({"level": level, "halving": h,
                               "input_terms": M >> h, "defect": d,
                               "bound": bound})
-        w = r - rows_average(S, rows, m)
-        defect = envelope_gauge(S, w)
+        if rows[0]:
+            w = r - rows_average(S, rows, m)
+            defect = envelope_gauge(S, w)
+        else:  # w is r bit for bit, whose answer the loop holds
+            w, defect = r, GaugeCertificate(gauge_r, coefficients)
         gauge_w = defect.value
         if gauge_w > theta * (1 + 1e-9):
             raise PhaseError(
@@ -235,7 +248,7 @@ def type1_represent(S: GeneratingSet, theta, m, x, trace=None):
         for column, row in zip(series, ([level] * len(rows[0]), *rows)):
             column.extend(row)
         r = w / theta
-        coefficients = defect.coefficients / theta
+        coefficients, gauge_r = defect.coefficients / theta, gauge_w / theta
     rep, flatten_scale = approx2_transform(theta, m, np.ones(level), series)
     total_scale = flatten_scale / (1.0 - theta)
     tail = theta ** level * np.linalg.norm(r)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -9,7 +10,8 @@ from geomhull.balance import greedy_signs, halving_step, type1_represent
 from geomhull.bodies import (GeneratingSet, envelope_gauge,
                              load_generating_set_json)
 from geomhull.errors import InputError, NumericalError, PhaseError
-from geomhull.hulls import DeltaMCertificate
+from geomhull.hulls import (DeltaMCertificate, approx2_transform, check_rows,
+                            rows_average)
 
 
 def _circle(k):
@@ -78,6 +80,67 @@ def _reference_halving(S, rows, N):
     assert np.linalg.norm(gap - identity) <= 1e-10 * scale
     bound = math.sqrt((X * X).sum(axis=1).max() / N)
     return rows, float(np.linalg.norm(gap)), bound
+
+
+def _reference_type1(S, theta, m, x):
+    """type1_represent's loop with the envelope gauge taken at every level,
+    also where the halvings keep no slot and w = r.  Returns (rep, scale,
+    trace)."""
+    start = envelope_gauge(S, x)
+    halvings = max(1, math.ceil(math.log2(max(2.0, 16.0 * S.dimension / m))))
+    M = 2 ** halvings * m
+    r, coefficients = np.array(x, dtype=float), start.coefficients
+    series, trace = ([], [], [], []), []
+    for level in itertools.count():
+        norm_r = np.linalg.norm(r)
+        if norm_r <= 1e-15 or theta ** level * norm_r <= 1e-9:
+            break
+        lam = coefficients * M
+        counts = np.ceil(np.abs(lam) - 1e-12).astype(int)
+        while counts.sum() > M:
+            lam = lam * 0.95
+            counts = np.ceil(np.abs(lam) - 1e-12).astype(int)
+        gens = np.flatnonzero(counts)
+        rows = gens.tolist(), counts[gens].tolist(), lam[gens].tolist()
+        for h in range(halvings):
+            rows, d, bound = halving_step(S, rows, M >> h)
+            trace.append({"level": level, "halving": h, "input_terms": M >> h,
+                          "defect": d, "bound": bound})
+        w = r - rows_average(S, rows, m)
+        defect = envelope_gauge(S, w)
+        assert defect.value <= theta * (1 + 1e-9)
+        for column, row in zip(series, ([level] * len(rows[0]), *rows)):
+            column.extend(row)
+        r = w / theta
+        coefficients = defect.coefficients / theta
+    rep, flatten_scale = approx2_transform(theta, m, np.ones(level), series)
+    scale = flatten_scale / (1.0 - theta)
+    rep.residual_norm = float(theta ** level * np.linalg.norm(r) / scale)
+    return rep, scale, trace
+
+
+def _level_rows(monkeypatch, S, theta, m, x):
+    """Run type1_represent; return each level's rows after its last halving
+    (of 2m slots), the representation, the scale and the points whose
+    envelope gauge it asked for."""
+    levels, asked = [], []
+    real_halving, real_gauge = balance.halving_step, balance.envelope_gauge
+
+    def halving(S_, rows, N):
+        out = real_halving(S_, rows, N)
+        if N == 2 * m:
+            levels.append(out[0])
+        return out
+
+    def gauge(S_, y):
+        asked.append(y)
+        return real_gauge(S_, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(balance, "halving_step", halving)
+        patch.setattr(balance, "envelope_gauge", gauge)
+        rep, scale = type1_represent(S, theta, m, x)
+    return levels, rep, scale, asked
 
 
 def _type1_requests(S, count, seed):
@@ -354,6 +417,18 @@ class TestHalving:
         with pytest.raises(InputError, match="exceed the budget"):
             halving_step(S, ([0, 1], [2, 3], [1.0, 1.0]), 4)
 
+    @pytest.mark.parametrize("mults,alphas", [
+        ([-1, 3], [0.0, 1.5]), ([1, -2], [math.nan, 0.0]),
+        ([-1, 9], [5.0, 1.5]), ([2, 3], [9.0, 1.0]), ([0, 2], [0.5, 1.0]),
+        ([1, 1], [math.nan, 0.5]), ([1, 3], [0.5, -3.1])])
+    def test_rows_rejected_as_check_rows_rejects_them(self, mults, alphas):
+        # the same three rules, in the same order, with the same messages
+        with pytest.raises(InputError) as want:
+            check_rows(4, sum(mults), np.array(mults), np.array(alphas))
+        with pytest.raises(InputError) as got:
+            halving_step(_circle(4), ([0, 1], mults, alphas), 4)
+        assert str(got.value) == str(want.value)
+
     def test_nan_alpha_rejected(self):
         S = _circle(4)
         with pytest.raises(InputError, match="alpha exceeds"):
@@ -537,6 +612,70 @@ class TestType1Represent:
             for a, b in zip(new[:3], old[:3]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert new[3] == old[3] and new[4] == old[4]
+
+    def test_levels_that_keep_no_slot_equal_the_gauge_at_every_level(self):
+        # at theta = 1/2, r = w / theta and its scaled answer are exact, so
+        # reusing r's answer gives the bits of taking the gauge again
+        S = _circle(64)
+        for x in _type1_requests(S, 40, seed=13):
+            trace = []
+            rep, scale = type1_represent(S, 0.5, 4, x, trace=trace)
+            ref, ref_scale, ref_trace = _reference_type1(S, 0.5, 4, x)
+            for a, b in [(rep.levels, ref.levels), (rep.lambdas, ref.lambdas),
+                         (rep.indices, ref.indices)]:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert scale == ref_scale and trace == ref_trace
+            assert rep.residual_norm == ref.residual_norm
+
+    def test_gauges_asked_are_one_per_level_that_keeps_slots(self,
+                                                             monkeypatch):
+        S = _circle(64)
+        empty = 0
+        for x in _type1_requests(S, 40, seed=14):
+            levels, _, _, asked = _level_rows(monkeypatch, S, 0.5, 4, x)
+            assert len(asked) == 1 + sum(1 for rows in levels if rows[0])
+            empty += sum(1 for rows in levels if not rows[0])
+        assert empty > 40  # the reuse is exercised
+
+    def test_every_level_gauge_within_theta_at_three_quarters(self,
+                                                              monkeypatch):
+        # 1/theta is not exact here: replay the levels and take each
+        # defect's gauge afresh, also where the level kept no slot
+        S = _circle(64)
+        theta, empty = 0.75, 0
+        for x in _type1_requests(S, 20, seed=15):
+            levels, rep, scale, _ = _level_rows(monkeypatch, S, theta, 4, x)
+            r = x
+            for rows in levels:
+                w = r - rows_average(S, rows, 4) if rows[0] else r
+                assert envelope_gauge(S, w).value <= theta * (1 + 1e-9)
+                r = w / theta
+                empty += not rows[0]
+            tail = scale * rep.residual_norm
+            assert tail <= 1e-9
+            assert np.linalg.norm(scale * rep.evaluate(S) - x) <= tail + 1e-12
+        assert empty > 0
+
+    def test_a_level_that_keeps_no_slot_checks_the_gauge_in_hand(self,
+                                                                  monkeypatch):
+        # halvings that keep no slot make x level 0's defect and x / theta
+        # level 1's; the gauges the loop holds for them must meet theta
+        calls = []
+
+        def keeps_none(S_, rows, N):
+            calls.append(N)
+            assert len(calls) < 20
+            return ([], [], []), 0.0, 0.0
+
+        monkeypatch.setattr(balance, "halving_step", keeps_none)
+        S = _circle(16)
+        for x, level in [(0.9 * S.points[0] + 0.05 * S.points[3], 0),
+                         (0.3 * S.points[0] + 0.1 * S.points[5], 1)]:
+            with pytest.raises(PhaseError, match="defect gauge") as err:
+                type1_represent(S, 0.5, 4, x)
+            assert err.value.diagnostics["level"] == level
+            assert err.value.diagnostics["defect_gauge"] == pytest.approx(
+                envelope_gauge(S, x / 0.5 ** level).value, rel=1e-12)
 
     def test_theta_domain(self):
         S = _circle(8)
